@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import __version__
 from .coherence import (
-    Assessment,
     check_coherence,
     extension_interval,
     fraction_str,
@@ -31,7 +30,6 @@ from .conditionals import (
 from .errors import CohereError
 from .inference import (
     GammaRegion,
-    KnowledgeBase,
     RULE_KINDS,
     all_ones,
     loop_entails,
@@ -165,12 +163,8 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
         print(text)
 
 
-def _load(path: str) -> tuple[KnowledgeBase, Assessment | None]:
-    return load_kb(path)
-
-
 def _cmd_check(args) -> int:
-    kb, assessment = _load(args.kb)
+    kb, assessment = load_kb(args.kb)
     if assessment is None:
         raise CohereError("the KB file carries no probabilities to check")
     verdict = check_coherence(assessment)
@@ -197,14 +191,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_consistent(args) -> int:
-    kb, _ = _load(args.kb)
+    kb, _ = load_kb(args.kb)
     ok = p_consistent(kb)
     _emit({"p_consistent": ok}, "P-CONSISTENT" if ok else "NOT P-CONSISTENT", args.json)
     return 1 if args.strict and not ok else 0
 
 
 def _cmd_entails(args) -> int:
-    kb, _ = _load(args.kb)
+    kb, _ = load_kb(args.kb)
     target = parse_conditional(args.target, kb.context)
     results: dict[str, bool] = {}
     if args.method in ("lp", "both"):
@@ -309,7 +303,7 @@ def _cmd_loop(args) -> int:
 
 
 def _cmd_truth_table(args) -> int:
-    kb, _ = _load(args.kb)
+    kb, _ = load_kb(args.kb)
     names = args.names or list(kb.names)
     members = [kb.get(name) for name in names]
     cs = constituents(members)

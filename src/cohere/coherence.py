@@ -14,7 +14,6 @@ homogenization that descends through zero-probability layers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -31,9 +30,6 @@ from .simplex import INFEASIBLE, OPTIMAL, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-SHRINK_DENOMINATOR_BOUND = 2**32
-_ANCHOR_PROBE_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -72,33 +68,26 @@ class Assessment:
 
 @dataclass(frozen=True)
 class SigmaSystem:
-    """Constituent system of an assessment.
+    """Constituent system of an assessment, optionally refined by a target.
 
     ``rows[h][j]`` is 1, 0 or ``p_j`` according to whether constituent ``h``
     makes conditional ``j`` true, false or void; a solution is a nonnegative
     unit-mass vector over the constituents reproducing every ``p_j``.
+    ``supports[j]`` lists the constituents where antecedent ``j`` holds, the
+    target's last; ``target_true`` lists those where the target is true.
     """
 
     constituents: ConstituentSet
     rows: tuple[tuple[Fraction, ...], ...]
     probs: tuple[Fraction, ...]
+    matrix: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+    supports: tuple[tuple[int, ...], ...]
+    target_true: tuple[int, ...] = ()
 
-    def equalities(self) -> tuple[list[list[Fraction]], list[Fraction]]:
+    def equalities(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
         """Equality matrix and right-hand side (probabilities plus unit mass)."""
-        n = len(self.probs)
-        m = len(self.rows)
-        matrix = [[self.rows[h][j] for h in range(m)] for j in range(n)]
-        matrix.append([ONE] * m)
-        rhs = list(self.probs) + [ONE]
-        return matrix, rhs
-
-    def antecedent_support(self, j: int) -> tuple[int, ...]:
-        """Constituent indices where conditional ``j``'s antecedent holds."""
-        return tuple(
-            h
-            for h, c in enumerate(self.constituents.inside)
-            if c.profile[j] != TruthValue3.VOID
-        )
+        return self.matrix, self.rhs
 
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Betting gain on each constituent for the given stake vector."""
@@ -108,25 +97,42 @@ class SigmaSystem:
         )
 
 
-def build_sigma(a: Assessment) -> SigmaSystem:
+def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaSystem:
     """Build the constituent system of an assessment.
 
-    Row order follows the deterministic constituent order, so repeated builds
-    yield identical matrices.
+    A ``target`` refines the constituents by its own truth value, so it adds
+    profile columns but no equation: it carries no probability.  Row order
+    follows the deterministic constituent order, so repeated builds yield
+    identical matrices.
     """
-    cs = constituents(a.family)
-    rows = []
-    for c in cs.inside:
-        row = []
-        for j, value in enumerate(c.profile):
-            if value == TruthValue3.TRUE:
-                row.append(ONE)
-            elif value == TruthValue3.FALSE:
-                row.append(ZERO)
-            else:
-                row.append(a.probs[j])
-        rows.append(tuple(row))
-    return SigmaSystem(cs, tuple(rows), tuple(a.probs))
+    members = tuple(a.family) + ((target,) if target is not None else ())
+    probs = tuple(a.probs)
+    cs = constituents(members)
+    coefficient = {TruthValue3.TRUE: ONE, TruthValue3.FALSE: ZERO}
+    # zip stops at the probabilities, so the target's column adds no entry.
+    rows = tuple(
+        tuple(coefficient.get(v, p) for v, p in zip(c.profile, probs))
+        for c in cs.inside
+    )
+    matrix = tuple(tuple(row[j] for row in rows) for j in range(len(probs)))
+    supports = tuple(
+        tuple(h for h, c in enumerate(cs.inside) if c.profile[j] != TruthValue3.VOID)
+        for j in range(len(members))
+    )
+    target_true = ()
+    if target is not None:
+        target_true = tuple(
+            h for h, c in enumerate(cs.inside) if c.profile[-1] == TruthValue3.TRUE
+        )
+    return SigmaSystem(
+        constituents=cs,
+        rows=rows,
+        probs=probs,
+        matrix=matrix + ((ONE,) * len(rows),),
+        rhs=probs + (ONE,),
+        supports=supports,
+        target_true=target_true,
+    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,8 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     result = solve_eq_lp(matrix, rhs)
     if result.status == OPTIMAL:
         return SigmaFeasibility(witness=result.x)
-    assert result.status == INFEASIBLE and result.farkas is not None
+    if result.status != INFEASIBLE or result.farkas is None:
+        raise AssertionError(f"feasibility LP ended with status {result.status}")
     n = len(system.probs)
     stakes = tuple(-result.farkas[j] for j in range(n))
     gains = system.gains(stakes)
@@ -163,26 +170,44 @@ class SolutionFunctionals:
     zero (the next recursion layer).
     """
 
-    supports: tuple[tuple[int, ...], ...]
     maxima: tuple[Fraction, ...]
     zero_upper: tuple[int, ...]
 
 
 def solution_functionals(system: SigmaSystem) -> SolutionFunctionals:
+    n = len(system.probs)
+    maxima = tuple(
+        _mass_lp(system, system.supports[j], maximize=True) for j in range(n)
+    )
+    zero_upper = tuple(j for j, mj in enumerate(maxima) if mj == 0)
+    return SolutionFunctionals(maxima, zero_upper)
+
+
+def _indicator(support: Sequence[int], width: int) -> list[Fraction]:
+    vector = [ZERO] * width
+    for h in support:
+        vector[h] = ONE
+    return vector
+
+
+def _mass_lp(
+    system: SigmaSystem,
+    support: Sequence[int],
+    maximize: bool,
+    extra_zero: Sequence[int] | None = None,
+) -> Fraction:
+    """Optimize total mass on ``support`` over the system's solutions,
+    optionally pinning another support set to zero mass via an extra
+    equality row."""
     matrix, rhs = system.equalities()
     m = len(system.rows)
-    supports = []
-    maxima = []
-    for j in range(len(system.probs)):
-        support = system.antecedent_support(j)
-        objective = [ONE if h in set(support) else ZERO for h in range(m)]
-        result = solve_eq_lp(matrix, rhs, objective, maximize=True)
-        if result.status != OPTIMAL:
-            raise AssertionError("functional maximization on an unsolvable system")
-        supports.append(support)
-        maxima.append(result.objective)
-    zero_upper = tuple(j for j, mj in enumerate(maxima) if mj == 0)
-    return SolutionFunctionals(tuple(supports), tuple(maxima), zero_upper)
+    if extra_zero is not None:
+        matrix = matrix + (_indicator(extra_zero, m),)
+        rhs = rhs + (ZERO,)
+    result = solve_eq_lp(matrix, rhs, _indicator(support, m), maximize=maximize)
+    if result.status != OPTIMAL:
+        raise IncoherentAssessmentError("mass optimization on an unsolvable system")
+    return result.objective
 
 
 @dataclass(frozen=True)
@@ -254,15 +279,12 @@ class ProbabilityInterval:
     """Closed interval of coherent extension values.
 
     ``vacuous`` marks the convention case where the target's conditioning
-    event is unreachable and nothing else constrains the value; ``adjusted``
-    marks the defensive case where an endpoint failed re-validation and the
-    interval was shrunk by bisection.
+    event is unreachable and nothing else constrains the value.
     """
 
     lo: Fraction
     hi: Fraction
     vacuous: bool = False
-    adjusted: bool = False
 
     def __post_init__(self) -> None:
         if not (0 <= self.lo <= self.hi <= 1):
@@ -288,37 +310,8 @@ def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, 
     return ZERO, ONE, True
 
 
-def _mass_lp(
-    matrix: list[list[Fraction]],
-    rhs: list[Fraction],
-    m: int,
-    support: Sequence[int],
-    maximize: bool,
-    extra_zero: Sequence[int] | None = None,
-) -> Fraction:
-    """Optimize total mass on ``support``, optionally pinning another support
-    set to zero mass via an extra equality row."""
-    objective = [ZERO] * m
-    for h in support:
-        objective[h] = ONE
-    if extra_zero is not None:
-        pin = [ZERO] * m
-        for h in extra_zero:
-            pin[h] = ONE
-        matrix = matrix + [pin]
-        rhs = rhs + [ZERO]
-    result = solve_eq_lp(matrix, rhs, objective, maximize=maximize)
-    if result.status != OPTIMAL:
-        raise IncoherentAssessmentError("base system unexpectedly unsolvable")
-    return result.objective
-
-
 def _fractional_bounds(
-    matrix: list[list[Fraction]],
-    rhs: list[Fraction],
-    m: int,
-    num: Sequence[int],
-    den: Sequence[int],
+    system: SigmaSystem, num: Sequence[int], den: Sequence[int]
 ) -> tuple[Fraction, Fraction]:
     """Extremes of mass(num)/mass(den) over the system's solutions, taken on
     the part where the denominator is positive.
@@ -327,19 +320,12 @@ def _fractional_bounds(
     scale as an extra variable; each original equality becomes homogeneous in
     the scaled variables.
     """
-    hom_matrix = []
-    hom_rhs = []
-    for row, b in zip(matrix, rhs):
-        hom_matrix.append(list(row) + [-b])
-        hom_rhs.append(ZERO)
-    den_row = [ZERO] * (m + 1)
-    for h in den:
-        den_row[h] = ONE
-    hom_matrix.append(den_row)
-    hom_rhs.append(ONE)
-    objective = [ZERO] * (m + 1)
-    for h in num:
-        objective[h] = ONE
+    matrix, rhs = system.equalities()
+    m = len(system.rows)
+    hom_matrix = [list(row) + [-b] for row, b in zip(matrix, rhs)]
+    hom_matrix.append(_indicator(den, m + 1))
+    hom_rhs = [ZERO] * len(matrix) + [ONE]
+    objective = _indicator(num, m + 1)
     bounds = []
     for maximize in (False, True):
         result = solve_eq_lp(hom_matrix, hom_rhs, objective, maximize=maximize)
@@ -350,9 +336,7 @@ def _fractional_bounds(
 
 
 def _interval_levels(
-    family: tuple[ConditionalEvent, ...],
-    probs: tuple[Fraction, ...],
-    target: ConditionalEvent,
+    a: Assessment | None, target: ConditionalEvent
 ) -> tuple[Fraction, Fraction, bool]:
     """Interval of values solving the layered constituent conditions.
 
@@ -360,79 +344,45 @@ def _interval_levels(
     of target-true mass to antecedent mass.  When the antecedent's upper
     probability vanishes, or the ratio constraint can be escaped through
     zero-denominator solutions, descend to the subfamily that still has zero
-    upper probability there and merge the deeper interval.
+    upper probability there and merge the deeper interval.  ``None`` stands
+    for the empty family left at the bottom of a descent.
     """
-    if not family:
+    if a is None:
         return _standalone_interval(target)
 
-    enlarged = family + (target,)
-    cs = constituents(enlarged)
-    n = len(family)
-    m = len(cs.inside)
-    matrix = [
-        [_q_entry(cs.inside[h].profile[j], probs[j]) for h in range(m)]
-        for j in range(n)
-    ]
-    matrix.append([ONE] * m)
-    rhs = list(probs) + [ONE]
-    den = [h for h, c in enumerate(cs.inside) if c.profile[n] != TruthValue3.VOID]
-    num = [h for h, c in enumerate(cs.inside) if c.profile[n] == TruthValue3.TRUE]
-    supports = [
-        tuple(h for h, c in enumerate(cs.inside) if c.profile[j] != TruthValue3.VOID)
-        for j in range(n)
-    ]
+    system = build_sigma(a, target)
+    den = system.supports[-1]
 
-    den_max = _mass_lp(matrix, rhs, m, den, maximize=True)
-    if den_max == 0:
+    def descend(extra_zero: Sequence[int] | None) -> tuple[Fraction, Fraction, bool]:
         next_indices = [
             j
-            for j in range(n)
-            if _mass_lp(matrix, rhs, m, supports[j], maximize=True) == 0
+            for j, support in enumerate(system.supports[:-1])
+            if _mass_lp(system, support, maximize=True, extra_zero=extra_zero) == 0
         ]
-        sub_family = tuple(family[j] for j in next_indices)
-        sub_probs = tuple(probs[j] for j in next_indices)
-        return _interval_levels(sub_family, sub_probs, target)
+        deeper = a.restrict(next_indices) if next_indices else None
+        return _interval_levels(deeper, target)
 
-    lo, hi = _fractional_bounds(matrix, rhs, m, num, den)
+    if _mass_lp(system, den, maximize=True) == 0:
+        return descend(None)
 
-    den_min = _mass_lp(matrix, rhs, m, den, maximize=False)
-    if den_min > 0:
+    lo, hi = _fractional_bounds(system, system.target_true, den)
+    if _mass_lp(system, den, maximize=False) > 0:
         return lo, hi, False
 
     # Zero-denominator solutions exist: values outside [lo, hi] stay coherent
     # exactly when the subfamily with zero upper probability on that part
     # admits them, so merge the deeper interval.
-    next_indices = [
-        j
-        for j in range(n)
-        if _mass_lp(matrix, rhs, m, supports[j], maximize=True, extra_zero=den) == 0
-    ]
-    deep_lo, deep_hi, _ = _interval_levels(
-        tuple(family[j] for j in next_indices),
-        tuple(probs[j] for j in next_indices),
-        target,
-    )
+    deep_lo, deep_hi, _ = descend(den)
     return min(lo, deep_lo), max(hi, deep_hi), False
 
 
-def _q_entry(value: TruthValue3, p: Fraction) -> Fraction:
-    if value == TruthValue3.TRUE:
-        return ONE
-    if value == TruthValue3.FALSE:
-        return ZERO
-    return p
-
-
-def extension_interval(
-    a: Assessment, target: ConditionalEvent, validate_endpoints: bool = True
-) -> ProbabilityInterval:
+def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityInterval:
     """Interval of values z such that appending ``target = z`` to the
     assessment stays coherent.
 
-    The base assessment must itself be coherent.  Endpoints are re-validated
-    through the full coherence recursion; a failing endpoint is shrunk by
-    exact bisection (denominators bounded by 2**32) and reported with a
-    warning, which no in-scope configuration is expected to trigger.
+    The base assessment must itself be coherent.  Both endpoints are
+    re-validated through the full coherence recursion; an endpoint that
+    fails it is an engine fault and raises ``AssertionError``.
     """
     if target.context != a.context:
         raise ValueError("target must live in the assessment's context")
@@ -441,73 +391,13 @@ def extension_interval(
         raise IncoherentAssessmentError(
             "cannot extend an incoherent base assessment"
         )
-    lo, hi, vacuous = _interval_levels(a.family, a.probs, target)
-    adjusted = False
-    if validate_endpoints:
-        lo, hi, adjusted = _validated(a, target, lo, hi)
-    return ProbabilityInterval(lo, hi, vacuous=vacuous and not adjusted, adjusted=adjusted)
-
-
-def _is_coherent_extension(a: Assessment, target: ConditionalEvent, z: Fraction) -> bool:
-    return check_coherence(a.extend(target, z)).coherent
-
-
-def _validated(
-    a: Assessment, target: ConditionalEvent, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction, bool]:
-    lo_ok = _is_coherent_extension(a, target, lo)
-    hi_ok = lo_ok if lo == hi else _is_coherent_extension(a, target, hi)
-    if lo_ok and hi_ok:
-        return lo, hi, False
-
-    warnings.warn(
-        f"extension endpoint failed coherence validation on [{lo}, {hi}]; "
-        "shrinking by bisection",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    anchor = None
-    if lo_ok:
-        anchor = lo
-    elif hi_ok:
-        anchor = hi
-    else:
-        anchor = _probe_anchor(a, target, lo, hi)
-    if not lo_ok:
-        lo = _bisect_endpoint(a, target, bad=lo, good=anchor)
-    if not hi_ok:
-        hi = _bisect_endpoint(a, target, bad=hi, good=anchor)
-    return lo, hi, True
-
-
-def _probe_anchor(
-    a: Assessment, target: ConditionalEvent, lo: Fraction, hi: Fraction
-) -> Fraction:
-    """Breadth-first dyadic probe for any coherent value inside [lo, hi]."""
-    for depth in range(1, _ANCHOR_PROBE_DEPTH + 1):
-        scale = 2**depth
-        for k in range(1, scale, 2):
-            z = lo + (hi - lo) * Fraction(k, scale)
-            if _is_coherent_extension(a, target, z):
-                return z
-    raise IncoherentAssessmentError(
-        "no coherent extension value located inside the candidate interval"
-    )
-
-
-def _bisect_endpoint(
-    a: Assessment, target: ConditionalEvent, bad: Fraction, good: Fraction
-) -> Fraction:
-    """Move from an incoherent endpoint toward a coherent anchor until the
-    gap is below the denominator bound."""
-    step = Fraction(1, SHRINK_DENOMINATOR_BOUND)
-    while abs(good - bad) > step:
-        mid = (good + bad) / 2
-        if _is_coherent_extension(a, target, mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    lo, hi, vacuous = _interval_levels(a, target)
+    for z in (lo,) if lo == hi else (lo, hi):
+        if not check_coherence(a.extend(target, z)).coherent:
+            raise AssertionError(
+                f"extension endpoint {z} of [{lo}, {hi}] failed coherence re-validation"
+            )
+    return ProbabilityInterval(lo, hi, vacuous=vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -539,5 +429,4 @@ def interval_to_json(iv: ProbabilityInterval) -> dict:
         "lo": fraction_str(iv.lo),
         "hi": fraction_str(iv.hi),
         "vacuous": iv.vacuous,
-        "adjusted": iv.adjusted,
     }

@@ -225,7 +225,8 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
             c0 = cls
         else:
             inside.append(cls)
-    assert len(inside) + (1 if c0 else 0) <= 3 ** len(family)
+    if len(inside) + (1 if c0 else 0) > 3 ** len(family):
+        raise AssertionError("more constituents than truth-value profiles")
     return ConstituentSet(tuple(family), tuple(inside), c0)
 
 

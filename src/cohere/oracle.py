@@ -3,9 +3,11 @@
 The constituent system of an assessment carves a polytope out of the unit
 simplex.  At desk scale every basic feasible solution can be enumerated by
 Gaussian elimination over column subsets, so extension intervals can be read
-off vertex ratios with no simplex involved.  The level-descending treatment
-of zero-probability conditioning events mirrors the LP path so that the two
-are comparable; nothing else is shared with it.
+off vertex ratios with no simplex involved.  The constituent system itself
+comes from the shared builder :func:`cohere.coherence.build_sigma`; the
+oracle's independence from the LP path lies in the vertex enumeration and in
+its own level-descending treatment of zero-probability conditioning events,
+which mirrors the LP path's so that the two are comparable.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coherence import Assessment, ProbabilityInterval
-from .conditionals import ConditionalEvent, TruthValue3, constituents
+from .coherence import Assessment, ProbabilityInterval, build_sigma
+from .conditionals import ConditionalEvent
 from .errors import IncoherentAssessmentError, SizeLimitError
 from .events import is_impossible
 
@@ -40,31 +42,7 @@ class Polytope:
 
 def sigma_polytope(a: Assessment) -> Polytope:
     """Polytope of the assessment's constituent system (unit mass included)."""
-    matrix, rhs, _ = _system_for(a.family, a.probs, extra=None)
-    return Polytope(tuple(map(tuple, matrix)), tuple(rhs))
-
-
-def _system_for(
-    family: Sequence[ConditionalEvent],
-    probs: Sequence[Fraction],
-    extra: ConditionalEvent | None,
-):
-    """Equality system over the constituents of family (+ optional extra
-    conditional that contributes profile columns but no equation)."""
-    members = tuple(family) + ((extra,) if extra is not None else ())
-    cs = constituents(members)
-    n = len(family)
-    m = len(cs.inside)
-    matrix = []
-    for j in range(n):
-        row = []
-        for c in cs.inside:
-            v = c.profile[j]
-            row.append(ONE if v == TruthValue3.TRUE else ZERO if v == TruthValue3.FALSE else probs[j])
-        matrix.append(row)
-    matrix.append([ONE] * m)
-    rhs = list(probs) + [ONE]
-    return matrix, rhs, cs
+    return Polytope(*build_sigma(a).equalities())
 
 
 def _rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -155,16 +133,14 @@ def extension_interval_bruteforce(
 ) -> ProbabilityInterval:
     """Extension interval from vertex ratios, descending through
     zero-probability layers the same way the LP path does."""
-    lo, hi, vacuous = _levels(a.family, a.probs, target)
+    lo, hi, vacuous = _levels(a, target)
     return ProbabilityInterval(lo, hi, vacuous=vacuous)
 
 
 def _levels(
-    family: tuple[ConditionalEvent, ...],
-    probs: tuple[Fraction, ...],
-    target: ConditionalEvent,
+    a: Assessment | None, target: ConditionalEvent
 ) -> tuple[Fraction, Fraction, bool]:
-    if not family:
+    if a is None:
         ctx = target.context
         if is_impossible(target.consequent & target.antecedent, ctx):
             return ZERO, ZERO, False
@@ -172,17 +148,12 @@ def _levels(
             return ONE, ONE, False
         return ZERO, ONE, True
 
-    matrix, rhs, cs = _system_for(family, probs, extra=target)
-    verts = vertices(Polytope(tuple(map(tuple, matrix)), tuple(rhs)))
+    system = build_sigma(a, target)
+    verts = vertices(Polytope(*system.equalities()))
     if not verts:
         raise IncoherentAssessmentError("base system unexpectedly unsolvable")
-    n = len(family)
-    den = [h for h, c in enumerate(cs.inside) if c.profile[n] != TruthValue3.VOID]
-    num = [h for h, c in enumerate(cs.inside) if c.profile[n] == TruthValue3.TRUE]
-    supports = [
-        [h for h, c in enumerate(cs.inside) if c.profile[j] != TruthValue3.VOID]
-        for j in range(n)
-    ]
+    *supports, den = system.supports
+    num = system.target_true
 
     den_values = [sum(v[h] for h in den) for v in verts]
     ratios = [
@@ -192,14 +163,10 @@ def _levels(
     def descend(vertex_pool):
         next_indices = [
             j
-            for j in range(n)
-            if all(sum(v[h] for h in supports[j]) == 0 for v in vertex_pool)
+            for j, support in enumerate(supports)
+            if all(sum(v[h] for h in support) == 0 for v in vertex_pool)
         ]
-        return _levels(
-            tuple(family[j] for j in next_indices),
-            tuple(probs[j] for j in next_indices),
-            target,
-        )
+        return _levels(a.restrict(next_indices) if next_indices else None, target)
 
     if not ratios:
         return descend(verts)

@@ -219,7 +219,7 @@ class TestExtensionInterval:
         a = Assessment(family, (Fr(1, 2), Fr(1, 2)))
         iv = extension_interval(a, quasi_conjunction(family))
         assert (iv.lo, iv.hi) == (Fr(0), Fr(2, 3))
-        assert not iv.vacuous and not iv.adjusted
+        assert not iv.vacuous
 
     def test_chained_conditioning_is_product(self):
         ctx = Context(("A", "B", "H"))
@@ -288,4 +288,4 @@ class TestSerialization:
         ctx, family = independent_pairs(2)
         a = Assessment(family, (Fr(1, 2), Fr(1, 2)))
         payload = interval_to_json(extension_interval(a, quasi_conjunction(family)))
-        assert payload == {"lo": "0", "hi": "2/3", "vacuous": False, "adjusted": False}
+        assert payload == {"lo": "0", "hi": "2/3", "vacuous": False}

@@ -190,7 +190,6 @@ class TestJsonOutput:
             "lo": "9/11",
             "hi": "18/19",
             "vacuous": False,
-            "adjusted": False,
         }
 
     def test_entails_json(self, capsys):

@@ -100,21 +100,26 @@ class TestExtensionAgreement:
         assert (bf3.lo, bf3.hi) == (Fr(1, 6), Fr(1, 6))
 
     def test_agreement_on_random_instances(self):
+        # Probabilities drawn from {0, 1} make the LP path descend through
+        # zero-probability layers: a target antecedent with zero upper
+        # probability, and zero-denominator solutions merged from below.
         rng = random.Random(17)
-        compared = 0
-        while compared < 20:
-            a = random_assessment(rng, max_size=2)
-            if not check_coherence(a).coherent:
-                continue
-            target = random_conditional(rng, a.context)
-            enlarged = a.family + (target,)
-            try:
-                bf = extension_interval_bruteforce(a, target)
-            except SizeLimitError:
-                continue
-            lp = extension_interval(a, target)
-            assert (lp.lo, lp.hi) == (bf.lo, bf.hi), (a, target)
-            compared += 1
+        for extreme, wanted in ((False, 20), (True, 40)):
+            compared = 0
+            while compared < wanted:
+                a = random_assessment(rng, max_size=2)
+                if extreme:
+                    a = Assessment(a.family, tuple(Fr(rng.randint(0, 1)) for _ in a.family))
+                if not check_coherence(a).coherent:
+                    continue
+                target = random_conditional(rng, a.context)
+                try:
+                    bf = extension_interval_bruteforce(a, target)
+                except SizeLimitError:
+                    continue
+                lp = extension_interval(a, target)
+                assert (lp.lo, lp.hi) == (bf.lo, bf.hi), (a, target)
+                compared += 1
 
     def test_agreement_on_quasi_connectives(self):
         rng = random.Random(23)

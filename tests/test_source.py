@@ -1,0 +1,48 @@
+"""Checks on the package source, and on the hooks the benchmark traces."""
+
+import ast
+import importlib.util
+import json
+from pathlib import Path
+
+from cohere import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cohere"
+LINDA = ROOT / "kb" / "linda.kb"
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so invariants must raise.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, found
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_sees_every_layer(capsys):
+    tracer_module = _load_tracer()
+    with tracer_module.Tracer() as tracer:
+        # Look `main` up inside the block: the tracer rebinds module attributes.
+        code = cli.main(
+            ["entails", str(LINDA), "~N | L", "--method", "both", "--json"]
+        )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["p_entailed"] is True
+    recorded = {span[0] for span in tracer.spans}
+    expected = {name for _, _, name in tracer_module.TARGETS}
+    assert expected - recorded == set()
