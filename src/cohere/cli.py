@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("lp", "qc", "both"),
         default="lp",
-        help="lp: extension interval; qc: quasi-conjunction subset search",
+        help="lp: coherence check of the target at zero; "
+        "qc: quasi-conjunction subset search",
     )
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     common(p)
@@ -209,6 +210,11 @@ def _cmd_entails(args) -> int:
             if (lp_interval.lo, lp_interval.hi) != (bf.lo, bf.hi):
                 raise CohereError(
                     f"oracle disagreement: lp {lp_interval} vs brute force {bf}"
+                )
+            if results["lp"] != (bf.lo == bf.hi == 1):
+                raise CohereError(
+                    f"oracle disagreement: p_entailed {results['lp']} "
+                    f"vs brute force {bf}"
                 )
     if args.method in ("qc", "both"):
         results["qc"] = p_entails_qc(kb, target)

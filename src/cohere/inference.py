@@ -2,12 +2,13 @@
 
 A knowledge base p-entails a conditional when every coherent extension of the
 all-ones assessment gives the conclusion probability one.  Two procedures are
-provided: the exact extension-interval computation, and a cross-check that
-searches for a subfamily whose quasi conjunction is included in the target in
-the Goodman-Nguyen order.  The closed-form bound propagation functions assume
+provided: the exact one, a single coherence check of the all-ones assessment
+extended by the target at probability zero, and a cross-check that searches
+for a subfamily whose quasi conjunction is included in the target in the
+Goodman-Nguyen order.  The closed-form bound propagation functions assume
 logically independent premises; under logical constraints the true bounds can
 only be tighter, so route constrained problems through the extension-interval
-path instead.
+path of ``coherence`` instead.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .coherence import Assessment, ProbabilityInterval, check_coherence, extension_interval
+from .coherence import Assessment, ProbabilityInterval, check_coherence
 from .conditionals import (
     ConditionalEvent,
     gn_includes,
@@ -69,11 +70,20 @@ def p_consistent(kb: KnowledgeBase) -> bool:
 
 def p_entails(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
     """Exact p-entailment: the coherent extensions of the all-ones assessment
-    to the target reduce to the single value one."""
+    to the target reduce to the single value one.
+
+    A p-consistent base p-entails the target exactly when assigning one to
+    every member and zero to the target is incoherent (Gilio 2002,
+    "Probabilistic reasoning under coherence in System P", Ann. Math. Artif.
+    Intell. 34), so one coherence check decides it.  A coherent extension
+    contains the base as a coherent sub-assessment, so only an incoherent one
+    needs the base checked on its own.
+    """
+    if check_coherence(all_ones(kb).extend(target, ZERO)).coherent:
+        return False
     if not p_consistent(kb):
         raise NotPConsistentError("knowledge base is not p-consistent")
-    interval = extension_interval(all_ones(kb), target)
-    return interval.lo == ONE and interval.hi == ONE
+    return True
 
 
 def p_entails_qc(kb: KnowledgeBase, target: ConditionalEvent) -> bool:

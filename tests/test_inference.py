@@ -23,6 +23,7 @@ from cohere import (
     in_l_gamma_qd,
     in_u_gamma_qc,
     in_u_gamma_qd,
+    is_impossible,
     loop_entails,
     loop_family,
     n_conditional,
@@ -37,9 +38,15 @@ from cohere import (
     quasi_disjunction,
     rule_bounds,
 )
-from cohere.inference import deranged_family, derangements
+from cohere.inference import all_ones, deranged_family, derangements
 
-from helpers import gn_chain_context, independent_pairs, random_unit
+from helpers import (
+    gn_chain_context,
+    independent_pairs,
+    random_conditional,
+    random_context,
+    random_unit,
+)
 
 
 def ce(consequent, antecedent, ctx):
@@ -395,6 +402,31 @@ class TestProcedureAgreement:
         assert p_entails(kb, wide) == p_entails_qc(kb, wide) is True
         narrow = family[0]
         assert p_entails(kb, narrow) == p_entails_qc(kb, narrow) is True
+
+    def test_zero_extension_route_matches_interval_and_qc(self):
+        # p_entails decides by one coherence check of the target at zero; it
+        # must agree with the full extension interval, whose endpoints for an
+        # all-ones base lie in {0, 1}, and with the quasi-conjunction route.
+        rng = random.Random(20130)
+        drawn = entailed = compared = 0
+        while drawn < 60:
+            ctx = random_context(rng, True)
+            n = rng.randint(1, 4)
+            members = tuple(random_conditional(rng, ctx) for _ in range(n))
+            kb = kb_of(ctx, *members)
+            if not p_consistent(kb):
+                continue
+            drawn += 1
+            target = random_conditional(rng, ctx)
+            verdict = p_entails(kb, target)
+            iv = extension_interval(all_ones(kb), target)
+            assert {iv.lo, iv.hi} <= {0, 1}, (str(target), str(iv))
+            assert verdict == (iv.lo == iv.hi == 1), (str(target), str(iv))
+            entailed += verdict
+            if not is_impossible(target.consequent & target.antecedent, ctx):
+                compared += 1
+                assert verdict == p_entails_qc(kb, target), str(target)
+        assert 0 < entailed < drawn and compared > drawn // 2
 
 
 class TestFourPremiseAgreement:

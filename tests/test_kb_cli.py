@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cohere import KBFormatError
+from cohere import KBFormatError, cli
 from cohere.cli import main
 from cohere.kbfile import dump_kb, load_kb, load_kb_file, parse_kb_text, parse_rational
 
@@ -110,6 +110,18 @@ class TestCli:
 
     def test_entails_oracle_crosscheck(self, capsys):
         assert main(["entails", str(KB_DIR / "loop3.kb"), "A1 | A3", "--oracle"]) == 0
+
+    def test_entails_oracle_agrees_on_negative(self, capsys):
+        # linda.kb is past the oracle's vertex-enumeration bound; loop3.kb is not.
+        argv = ["entails", str(KB_DIR / "loop3.kb"), "A1 | T", "--oracle", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["p_entailed"] is False
+
+    def test_entails_oracle_catches_wrong_verdict(self, capsys, monkeypatch):
+        real = cli.p_entails
+        monkeypatch.setattr(cli, "p_entails", lambda kb, t: not real(kb, t))
+        assert main(["entails", str(KB_DIR / "loop3.kb"), "A1 | A3", "--oracle"]) == 2
+        assert "oracle disagreement" in capsys.readouterr().err
 
     def test_check_coherent(self, capsys):
         assert main(["check", str(KB_DIR / "gn_chain.kb")]) == 0

@@ -39,7 +39,7 @@ def test_benchmark_tracer_sees_every_layer(capsys):
     with tracer_module.Tracer() as tracer:
         # Look `main` up inside the block: the tracer rebinds module attributes.
         code = cli.main(
-            ["entails", str(LINDA), "~N | L", "--method", "both", "--json"]
+            ["entails", str(LINDA), "~N | L", "--method", "both", "--oracle", "--json"]
         )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["p_entailed"] is True
