@@ -10,6 +10,12 @@ exact simplex, extracts positive-gain stake certificates from Farkas vectors
 when the system is infeasible, and computes the interval of coherent
 extensions to a further conditional event with a Charnes-Cooper style
 homogenization that descends through zero-probability layers.
+
+Both the coherence recursion and the interval descent find that
+zero-probability subfamily with one routine, :func:`zero_upper`: starting
+from a solution at hand, it maximizes the mass of the union of the
+antecedents that no solution found so far charges, until that maximum is
+zero (Biazzo & Gilio 2000).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .conditionals import (
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context, is_impossible
-from .simplex import INFEASIBLE, OPTIMAL, solve_eq_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,10 +90,6 @@ class SigmaSystem:
     rhs: tuple[Fraction, ...]
     supports: tuple[tuple[int, ...], ...]
     target_true: tuple[int, ...] = ()
-
-    def equalities(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
-        """Equality matrix and right-hand side (probabilities plus unit mass)."""
-        return self.matrix, self.rhs
 
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Betting gain on each constituent for the given stake vector."""
@@ -147,8 +149,7 @@ class SigmaFeasibility:
 def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     """Solve the system, or refute it with stakes whose gain is positive on
     every constituent."""
-    matrix, rhs = system.equalities()
-    result = solve_eq_lp(matrix, rhs)
+    result = solve_eq_lp(system.matrix, system.rhs)
     if result.status == OPTIMAL:
         return SigmaFeasibility(witness=result.x)
     if result.status != INFEASIBLE or result.farkas is None:
@@ -161,26 +162,31 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     return SigmaFeasibility(certificate=stakes)
 
 
-@dataclass(frozen=True)
-class SolutionFunctionals:
-    """Upper probabilities of the conditioning events over the solution set.
+def zero_upper(
+    system: SigmaSystem,
+    solution: Sequence[Fraction],
+    extra_zero: Sequence[int] | None = None,
+) -> tuple[int, ...]:
+    """Indices of the antecedents with zero upper probability over the
+    system's solutions, or over those with no mass on ``extra_zero``.
 
-    ``maxima[j]`` is the maximum total mass on constituents where antecedent
-    ``j`` holds; ``zero_upper`` collects the indices where that maximum is
-    zero (the next recursion layer).
+    ``solution`` is one such solution.  An antecedent that a known solution
+    charges has positive upper probability; the others all have zero upper
+    probability exactly when the maximum mass on the union of their supports
+    is zero, and otherwise the maximizer charges at least one of them.
     """
-
-    maxima: tuple[Fraction, ...]
-    zero_upper: tuple[int, ...]
-
-
-def solution_functionals(system: SigmaSystem) -> SolutionFunctionals:
-    n = len(system.probs)
-    maxima = tuple(
-        _mass_lp(system, system.supports[j], maximize=True) for j in range(n)
-    )
-    zero_upper = tuple(j for j, mj in enumerate(maxima) if mj == 0)
-    return SolutionFunctionals(maxima, zero_upper)
+    remaining = tuple(range(len(system.probs)))
+    while True:
+        remaining = tuple(
+            j for j in remaining if all(solution[h] == 0 for h in system.supports[j])
+        )
+        if not remaining:
+            return ()
+        union = sorted({h for j in remaining for h in system.supports[j]})
+        best = _mass_lp(system, union, maximize=True, extra_zero=extra_zero)
+        if best.objective == 0:
+            return remaining
+        solution = best.x
 
 
 def _indicator(support: Sequence[int], width: int) -> list[Fraction]:
@@ -195,11 +201,11 @@ def _mass_lp(
     support: Sequence[int],
     maximize: bool,
     extra_zero: Sequence[int] | None = None,
-) -> Fraction:
+) -> LPResult:
     """Optimize total mass on ``support`` over the system's solutions,
     optionally pinning another support set to zero mass via an extra
     equality row."""
-    matrix, rhs = system.equalities()
+    matrix, rhs = system.matrix, system.rhs
     m = len(system.rows)
     if extra_zero is not None:
         matrix = matrix + (_indicator(extra_zero, m),)
@@ -207,7 +213,7 @@ def _mass_lp(
     result = solve_eq_lp(matrix, rhs, _indicator(support, m), maximize=maximize)
     if result.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
-    return result.objective
+    return result
 
 
 @dataclass(frozen=True)
@@ -254,8 +260,7 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
                 certificate=feasibility.certificate,
                 trace=tuple(trace),
             )
-        functionals = solution_functionals(system)
-        i0 = tuple(indices[j] for j in functionals.zero_upper)
+        i0 = tuple(indices[j] for j in zero_upper(system, feasibility.witness))
         trace.append(LevelRecord(indices, i0, feasibility.witness))
         if not i0:
             return CoherenceVerdict(
@@ -320,11 +325,10 @@ def _fractional_bounds(
     scale as an extra variable; each original equality becomes homogeneous in
     the scaled variables.
     """
-    matrix, rhs = system.equalities()
     m = len(system.rows)
-    hom_matrix = [list(row) + [-b] for row, b in zip(matrix, rhs)]
+    hom_matrix = [list(row) + [-b] for row, b in zip(system.matrix, system.rhs)]
     hom_matrix.append(_indicator(den, m + 1))
-    hom_rhs = [ZERO] * len(matrix) + [ONE]
+    hom_rhs = [ZERO] * len(system.matrix) + [ONE]
     objective = _indicator(num, m + 1)
     bounds = []
     for maximize in (False, True):
@@ -353,26 +357,26 @@ def _interval_levels(
     system = build_sigma(a, target)
     den = system.supports[-1]
 
-    def descend(extra_zero: Sequence[int] | None) -> tuple[Fraction, Fraction, bool]:
-        next_indices = [
-            j
-            for j, support in enumerate(system.supports[:-1])
-            if _mass_lp(system, support, maximize=True, extra_zero=extra_zero) == 0
-        ]
+    def descend(
+        solution: Sequence[Fraction], extra_zero: Sequence[int] | None = None
+    ) -> tuple[Fraction, Fraction, bool]:
+        next_indices = zero_upper(system, solution, extra_zero)
         deeper = a.restrict(next_indices) if next_indices else None
         return _interval_levels(deeper, target)
 
-    if _mass_lp(system, den, maximize=True) == 0:
-        return descend(None)
+    den_max = _mass_lp(system, den, maximize=True)
+    if den_max.objective == 0:
+        return descend(den_max.x)
 
     lo, hi = _fractional_bounds(system, system.target_true, den)
-    if _mass_lp(system, den, maximize=False) > 0:
+    den_min = _mass_lp(system, den, maximize=False)
+    if den_min.objective > 0:
         return lo, hi, False
 
     # Zero-denominator solutions exist: values outside [lo, hi] stay coherent
     # exactly when the subfamily with zero upper probability on that part
     # admits them, so merge the deeper interval.
-    deep_lo, deep_hi, _ = descend(den)
+    deep_lo, deep_hi, _ = descend(den_min.x, den)
     return min(lo, deep_lo), max(hi, deep_hi), False
 
 

@@ -69,18 +69,10 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
         if sep and head.strip() in _SECTIONS:
             # Section keywords are reserved; they cannot name conditionals.
             section = head.strip()
-            rest = rest.strip()
-            if rest:
-                if section == "atoms":
-                    atoms.extend(rest.split())
-                elif section == "constraints":
-                    constraint_src.append((lineno, rest))
-                elif section == "conditionals":
-                    conditional_src.append((lineno, rest))
-                else:
-                    queries.append(rest)
-            continue
-        if section is None:
+            line = rest.strip()
+            if not line:
+                continue
+        elif section is None:
             raise KBFormatError("content before any section header", lineno)
         if section == "atoms":
             atoms.extend(line.split())

@@ -42,7 +42,8 @@ class Polytope:
 
 def sigma_polytope(a: Assessment) -> Polytope:
     """Polytope of the assessment's constituent system (unit mass included)."""
-    return Polytope(*build_sigma(a).equalities())
+    system = build_sigma(a)
+    return Polytope(system.matrix, system.rhs)
 
 
 def _rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -149,7 +150,7 @@ def _levels(
         return ZERO, ONE, True
 
     system = build_sigma(a, target)
-    verts = vertices(Polytope(*system.equalities()))
+    verts = vertices(Polytope(system.matrix, system.rhs))
     if not verts:
         raise IncoherentAssessmentError("base system unexpectedly unsolvable")
     *supports, den = system.supports

@@ -46,11 +46,11 @@ from cohere import (
     quasi_conjunction,
     quasi_disjunction,
     sigma_feasible,
-    solution_functionals,
     tconorm,
     tnorm,
     truth_value,
     constituents,
+    zero_upper,
 )
 from cohere.inference import derangements
 from cohere.oracle import extension_interval_bruteforce
@@ -369,8 +369,7 @@ def test_criterion_12_engine_soundness_on_random_assessments():
             system = build_sigma(a.restrict(verdict.deciding_indices))
             if verdict.coherent:
                 coherent += 1
-                matrix, rhs = system.equalities()
-                for row, b in zip(matrix, rhs):
+                for row, b in zip(system.matrix, system.rhs):
                     assert sum(c * v for c, v in zip(row, verdict.witness)) == b
                 assert all(v >= 0 for v in verdict.witness)
             else:
@@ -378,8 +377,9 @@ def test_criterion_12_engine_soundness_on_random_assessments():
                 gains = system.gains(verdict.certificate)
                 assert all(g > 0 for g in gains)
             top = build_sigma(a)
-            if sigma_feasible(top).witness is not None:
-                i0 = set(solution_functionals(top).zero_upper)
+            top_witness = sigma_feasible(top).witness
+            if top_witness is not None:
+                i0 = set(zero_upper(top, top_witness))
                 n = len(a.family)
                 for size in range(1, n + 1):
                     for subset in itertools.combinations(range(n), size):

@@ -18,7 +18,7 @@ from cohere import (
     parse_event,
     quasi_conjunction,
     sigma_feasible,
-    solution_functionals,
+    zero_upper,
 )
 from cohere.coherence import interval_to_json, verdict_to_json
 
@@ -157,8 +157,7 @@ class TestRandomizedSoundness:
             system = build_sigma(a.restrict(verdict.deciding_indices))
             if verdict.coherent:
                 coherent_count += 1
-                matrix, rhs = system.equalities()
-                for row, b in zip(matrix, rhs):
+                for row, b in zip(system.matrix, system.rhs):
                     assert sum(c * v for c, v in zip(row, verdict.witness)) == b
                 assert all(v >= 0 for v in verdict.witness)
             else:
@@ -187,10 +186,10 @@ class TestRandomizedSoundness:
         for _ in range(40):
             a = random_assessment(rng, max_size=3)
             system = build_sigma(a)
-            if sigma_feasible(system).witness is None:
+            witness = sigma_feasible(system).witness
+            if witness is None:
                 continue
-            functionals = solution_functionals(system)
-            i0 = set(functionals.zero_upper)
+            i0 = set(zero_upper(system, witness))
             n = len(a.family)
             for size in range(1, n + 1):
                 for subset in itertools.combinations(range(n), size):
@@ -206,11 +205,10 @@ class TestRandomizedSoundness:
         for _ in range(30):
             a = random_assessment(rng)
             system = build_sigma(a)
-            if sigma_feasible(system).witness is None:
+            witness = sigma_feasible(system).witness
+            if witness is None:
                 continue
-            functionals = solution_functionals(system)
-            assert all(0 <= m <= 1 for m in functionals.maxima)
-            assert set(functionals.zero_upper) < set(range(len(a.family)))
+            assert set(zero_upper(system, witness)) < set(range(len(a.family)))
 
 
 class TestExtensionInterval:

@@ -78,6 +78,26 @@ class TestLoadKb:
         f = load_kb_file(str(LINDA))
         assert f.queries == ("entails ~N | L", "entails G | N")
 
+    def test_inline_section_content(self):
+        inline = (
+            "atoms: A B C\n"
+            "constraints: A & B\n"
+            "conditionals: c: C | A = 1/2\n"
+            "queries: entails C | A\n"
+        )
+        multiline = (
+            "atoms:\n  A B C\n"
+            "constraints:\n  A & B\n"
+            "conditionals:\n  c: C | A = 1/2\n"
+            "queries:\n  entails C | A\n"
+        )
+        assert parse_kb_text(inline) == parse_kb_text(multiline)
+
+    def test_content_before_any_header(self):
+        with pytest.raises(KBFormatError) as err:
+            parse_kb_text("# comment\n\nc: A | T\natoms: A\n")
+        assert err.value.line == 3
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["linda.kb", "loop3.kb", "gn_chain.kb"])

@@ -10,13 +10,18 @@ from cohere import (
     Context,
     ConditionalEvent,
     SizeLimitError,
+    build_sigma,
     check_coherence,
     extension_interval,
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
+    sigma_feasible,
+    zero_upper,
 )
+from cohere.coherence import _indicator, _mass_lp
 from cohere.oracle import (
+    VERTEX_ENUMERATION_LIMIT,
     Polytope,
     extension_interval_bruteforce,
     sigma_polytope,
@@ -130,3 +135,47 @@ class TestExtensionAgreement:
                 lp = extension_interval(a, target)
                 bf = extension_interval_bruteforce(a, target)
                 assert (lp.lo, lp.hi) == (bf.lo, bf.hi)
+
+
+def _zero_on_every_vertex(system, polytope):
+    verts = vertices(polytope)
+    assert verts
+    return tuple(
+        j
+        for j in range(len(system.probs))
+        if all(sum(v[h] for h in system.supports[j]) == 0 for v in verts)
+    )
+
+
+class TestZeroUpperAgreement:
+    def test_zero_upper_matches_vertices(self):
+        # The zero-probability subfamily holds the antecedents that no vertex
+        # of the solution polytope charges: over all solutions, and over the
+        # solutions of a target-refined system with no mass on the target's
+        # antecedent.
+        rng = random.Random(4)
+        plain = pinned = 0
+        for _ in range(100):
+            a = random_assessment(rng, max_size=4)
+            system = build_sigma(a)
+            witness = sigma_feasible(system).witness
+            if witness is None or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+                continue
+            expected = _zero_on_every_vertex(system, Polytope(system.matrix, system.rhs))
+            assert zero_upper(system, witness) == expected, a
+            plain += 1
+
+            target = random_conditional(rng, a.context)
+            system = build_sigma(a, target)
+            den = system.supports[-1]
+            den_min = _mass_lp(system, den, maximize=False)
+            if den_min.objective > 0 or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+                continue
+            polytope = Polytope(
+                system.matrix + (tuple(_indicator(den, len(system.rows))),),
+                system.rhs + (Fr(0),),
+            )
+            expected = _zero_on_every_vertex(system, polytope)
+            assert zero_upper(system, den_min.x, den) == expected, (a, target)
+            pinned += 1
+        assert plain > 40 and pinned > 20
