@@ -374,37 +374,15 @@ _HANDLERS = {
 }
 
 
-def _rotate_region_flags(argv: list[str]) -> list[str]:
-    """Move the region command's flags behind its probability list.
-
-    argparse matches a zero-or-more positional eagerly, so probabilities
-    placed after ``--gamma g`` would otherwise be orphaned.
-    """
-    takes_value = {"--gamma", "--grid"}
-    flags: list[str] = []
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in takes_value and i + 1 < len(argv):
-            flags.extend(argv[i : i + 2])
-            i += 2
-        elif tok.startswith("--"):
-            flags.append(tok)
-            i += 1
-        else:
-            rest.append(tok)
-            i += 1
-    return rest + flags
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "region":
-        argv = ["region"] + _rotate_region_flags(argv[1:])
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse stops filling a zero-or-more positional at the first flag, so
+    # region probabilities written after --gamma come back as leftovers.
+    if args.command == "region" and not any(t.startswith("-") for t in extra):
+        args.probs += extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command == "tnorm":
             return _cmd_tnorm(args, conorm=False)

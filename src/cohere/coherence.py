@@ -298,9 +298,6 @@ class ProbabilityInterval:
     def __contains__(self, z: Fraction) -> bool:
         return self.lo <= z <= self.hi
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -385,19 +382,22 @@ def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityIn
     assessment stays coherent.
 
     The base assessment must itself be coherent.  Both endpoints are
-    re-validated through the full coherence recursion; an endpoint that
-    fails it is an engine fault and raises ``AssertionError``.
+    re-validated through the full coherence recursion; a coherent extension
+    contains the base as a coherent sub-assessment, so the base is checked
+    on its own only after an endpoint fails.  An incoherent base raises
+    ``IncoherentAssessmentError``, here or from the interval descent; an
+    endpoint that fails on a coherent base is an engine fault and raises
+    ``AssertionError``.
     """
     if target.context != a.context:
         raise ValueError("target must live in the assessment's context")
-    verdict = check_coherence(a)
-    if not verdict.coherent:
-        raise IncoherentAssessmentError(
-            "cannot extend an incoherent base assessment"
-        )
     lo, hi, vacuous = _interval_levels(a, target)
     for z in (lo,) if lo == hi else (lo, hi):
         if not check_coherence(a.extend(target, z)).coherent:
+            if not check_coherence(a).coherent:
+                raise IncoherentAssessmentError(
+                    "cannot extend an incoherent base assessment"
+                )
             raise AssertionError(
                 f"extension endpoint {z} of [{lo}, {hi}] failed coherence re-validation"
             )

@@ -225,8 +225,6 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
             c0 = cls
         else:
             inside.append(cls)
-    if len(inside) + (1 if c0 else 0) > 3 ** len(family):
-        raise AssertionError("more constituents than truth-value profiles")
     return ConstituentSet(tuple(family), tuple(inside), c0)
 
 

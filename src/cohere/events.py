@@ -314,9 +314,6 @@ class World:
         except ValueError:
             raise UnknownAtomError(f"unknown atom {name!r}") from None
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(zip(self.atoms, self.values))
-
     def __str__(self) -> str:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 

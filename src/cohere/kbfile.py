@@ -35,16 +35,11 @@ _SECTIONS = ("atoms", "constraints", "conditionals", "queries")
 class KnowledgeBaseFile:
     """Parsed file contents, prior to semantic packaging."""
 
-    atoms: tuple[str, ...]
-    constraints: tuple[Event, ...]
+    context: Context
     names: tuple[str, ...]
     conditionals: tuple[ConditionalEvent, ...]
     probs: tuple[Fraction | None, ...]
     queries: tuple[str, ...]
-
-    @property
-    def context(self) -> Context:
-        return Context(self.atoms, self.constraints)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -85,11 +80,6 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
 
     if not atoms:
         raise KBFormatError("no atoms declared")
-    try:
-        context = Context(tuple(atoms))
-    except (ValueError, CohereError) as exc:
-        raise KBFormatError(str(exc)) from exc
-
     constraints: list[Event] = []
     for lineno, src in constraint_src:
         try:
@@ -139,8 +129,7 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
         raise KBFormatError("probabilities must be given for all conditionals or none")
 
     return KnowledgeBaseFile(
-        atoms=tuple(atoms),
-        constraints=tuple(constraints),
+        context=context,
         names=tuple(names),
         conditionals=tuple(conditionals),
         probs=tuple(probs),
@@ -170,10 +159,10 @@ def load_kb(path: str) -> tuple[KnowledgeBase, Assessment | None]:
 
 def dump_kb(f: KnowledgeBaseFile) -> str:
     """Canonical serialization; reparsing yields an identical structure."""
-    lines = [f"atoms: {' '.join(f.atoms)}"]
-    if f.constraints:
+    lines = [f"atoms: {' '.join(f.context.atoms)}"]
+    if f.context.constraints:
         lines.append("constraints:")
-        lines.extend(f"  {c}" for c in f.constraints)
+        lines.extend(f"  {c}" for c in f.context.constraints)
     lines.append("conditionals:")
     for name, ce, p in zip(f.names, f.conditionals, f.probs):
         suffix = f" = {p}" if p is not None else ""

@@ -46,10 +46,11 @@ def sigma_polytope(a: Assessment) -> Polytope:
     return Polytope(system.matrix, system.rhs)
 
 
-def _rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in matrix]
+def _reduce(rows: list[list[Fraction]], ncols: int) -> int:
+    """Gauss-Jordan elimination in place, pivoting on the first ``ncols``
+    columns only; returns the rank found there.  Each pivot row leads with
+    a one in its pivot column, and the pivot rows come first."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -57,12 +58,12 @@ def _rank(matrix: Sequence[Sequence[Fraction]]) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         inv = 1 / prow[col]
-        for j in range(col, ncols):
+        for j in range(col, len(prow)):
             prow[j] *= inv
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
-                for j in range(col, ncols):
+                for j in range(col, len(prow)):
                     rows[r][j] -= f * prow[j]
         rank += 1
     return rank
@@ -75,27 +76,9 @@ def _solve_unique(
     when the columns are dependent or the system is inconsistent."""
     ncols = len(matrix[0])
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for j in range(col, ncols + 1):
-            prow[j] *= inv
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                for j in range(col, ncols + 1):
-                    rows[r][j] -= f * prow[j]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            return None
+    rank = _reduce(rows, ncols)
+    if rank < ncols or any(row[ncols] != 0 for row in rows[rank:]):
+        return None
     return tuple(rows[i][ncols] for i in range(ncols))
 
 
@@ -112,9 +95,9 @@ def vertices(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
             f"{m} variables exceed the vertex-enumeration bound of "
             f"{VERTEX_ENUMERATION_LIMIT}"
         )
-    rank = _rank(p.matrix)
+    rank = _reduce([list(row) for row in p.matrix], m)
     augmented = [list(row) + [b] for row, b in zip(p.matrix, p.rhs)]
-    if _rank(augmented) > rank:
+    if _reduce(augmented, m + 1) > rank:
         return ()
     found: dict[tuple[Fraction, ...], None] = {}
     for subset in itertools.combinations(range(m), rank):

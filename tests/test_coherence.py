@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import cohere.coherence
 from cohere import (
     Assessment,
     Context,
@@ -270,6 +271,43 @@ class TestExtensionInterval:
         assert check_coherence(a).coherent
         iv = extension_interval(a, ce("A", "H", ctx))
         assert (iv.lo, iv.hi) == (Fr(1), Fr(1))
+
+
+    def test_base_checked_only_inside_extended_family(self, monkeypatch):
+        # A coherent extension contains its base, so on a coherent base the
+        # endpoint re-validations are the only coherence checks.
+        calls = []
+        real = cohere.coherence.check_coherence
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(cohere.coherence, "check_coherence", counting)
+        ctx, family = independent_pairs(2)
+        target = quasi_conjunction(family)
+        iv = extension_interval(Assessment(family, (Fr(1, 2), Fr(1, 2))), target)
+        assert iv.lo < iv.hi
+        assert [a.family for a in calls] == [family + (target,)] * 2
+
+        calls.clear()
+        ctx = Context(("A", "B", "H"))
+        family = (ce("A", "H", ctx), ce("B", "A & H", ctx))
+        target = ce("A & B", "H", ctx)
+        iv = extension_interval(Assessment(family, (Fr(1, 2), Fr(1, 3))), target)
+        assert iv.lo == iv.hi
+        assert [a.family for a in calls] == [family + (target,)]
+
+    def test_base_incoherent_below_top_level_rejected(self):
+        # B|T = 0 leaves the top level solvable; A|B = ~A|B = 1 fails below it.
+        ctx = Context(("A", "B", "C"))
+        family = (ce("B", "T", ctx), ce("A", "B", ctx), ce("~A", "B", ctx))
+        a = Assessment(family, (Fr(0), Fr(1), Fr(1)))
+        verdict = check_coherence(a)
+        assert not verdict.coherent and len(verdict.trace) == 2
+        for target in ("A | T", "C | B", "A | B", "C | ~B", "B | T"):
+            with pytest.raises(IncoherentAssessmentError):
+                extension_interval(a, ce(*target.split(" | "), ctx))
 
 
 class TestSerialization:

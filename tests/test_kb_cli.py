@@ -37,6 +37,11 @@ class TestLoadKb:
         assert assessment is not None
         assert assessment.probs == (Fr(1),) * 5
 
+    def test_one_context_per_file(self):
+        kb, assessment = load_kb(str(LINDA))
+        assert all(c.context is kb.context for c in kb.conditionals)
+        assert assessment.context is kb.context
+
     def test_probability_out_of_range(self, tmp_path):
         path = tmp_path / "bad.kb"
         path.write_text("atoms: A\nconditionals:\n  c: A | T = 3/2\n")
@@ -147,6 +152,15 @@ class TestCli:
         assert main(["check", str(KB_DIR / "gn_chain.kb")]) == 0
         assert capsys.readouterr().out.strip() == "COHERENT"
 
+    def test_check_oracle_agrees(self, capsys):
+        assert main(["check", str(KB_DIR / "gn_chain.kb"), "--oracle"]) == 0
+        assert capsys.readouterr().out.strip() == "COHERENT (oracle agrees)"
+
+    def test_check_oracle_catches_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "vertices", lambda polytope: ())
+        assert main(["check", str(KB_DIR / "gn_chain.kb"), "--oracle"]) == 2
+        assert "oracle disagreement" in capsys.readouterr().err
+
     def test_check_incoherent_reports_stakes(self, capsys, tmp_path):
         path = tmp_path / "bad.kb"
         path.write_text(
@@ -175,6 +189,33 @@ class TestCli:
         assert main(["region", "Lqc", "--gamma", "3/5", "8/10", "9/10"]) == 0
         assert capsys.readouterr().out.strip() == "IN REGION"
         assert main(["region", "Uqc", "--gamma", "3/5", "3/5", "3/5", "--strict"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["Lqc", "8/10", "--gamma", "3/5", "9/10"], 0),
+            (["Lqc", "8/10", "9/10", "--gamma", "3/5"], 0),
+            (["Lqc", "--gamma", "3/5", "8/10", "--json", "9/10"], 0),
+            (["Lqc", "8/10", "--gamma", "3/5", "1/2"], 1),
+        ],
+    )
+    def test_region_probabilities_around_flags(self, capsys, argv, code):
+        assert main(["region", *argv, "--strict"]) == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "Lqc", "--gamma", "3/5", "8/10", "--bogus", "9/10"],
+            ["region", "Lqc", "8/10", "9/10", "--gamma", "3/5", "--bogus"],
+            ["check", str(KB_DIR / "gn_chain.kb"), "--bogus"],
+        ],
+    )
+    def test_unknown_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--bogus" in err
 
     def test_region_grid(self, capsys):
         assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "5"]) == 0

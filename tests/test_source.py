@@ -25,6 +25,26 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_no_unused_imports_in_package():
+    # __init__.py re-exports on purpose, so its imports are never read there.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert not found, found
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py"
