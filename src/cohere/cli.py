@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .coherence import (
+    build_sigma,
     check_coherence,
     extension_interval,
     fraction_str,
@@ -40,7 +41,7 @@ from .inference import (
     rule_bounds,
 )
 from .kbfile import load_kb, parse_rational
-from .oracle import extension_interval_bruteforce, sigma_polytope, vertices
+from .oracle import extension_interval_bruteforce, vertices
 from .tnorms import (
     DRASTIC,
     INF,
@@ -74,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cohere {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strict=True, as_json=True):
-        if as_json:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
+    def common(p, strict=True):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
         if strict:
             p.add_argument(
                 "--strict",
@@ -171,7 +171,8 @@ def _cmd_check(args) -> int:
     verdict = check_coherence(assessment)
     oracle_note = ""
     if args.oracle:
-        feasible = len(vertices(sigma_polytope(assessment))) > 0
+        system = build_sigma(assessment)
+        feasible = len(vertices(system.matrix, system.rhs)) > 0
         solvable = verdict.trace[0].witness is not None
         if feasible != solvable:
             raise CohereError("oracle disagreement on system solvability")
@@ -269,12 +270,13 @@ def _region_grid(region: GammaRegion, n: int, as_json: bool) -> int:
     rows = []
     for y in reversed(steps):
         rows.append("".join("#" if region.contains([x, y]) else "." for x in steps))
-    if as_json:
-        print(json.dumps({"region": region.kind + region.operation,
-                          "gamma": fraction_str(region.gamma),
-                          "grid": rows}, sort_keys=True))
-    else:
-        print("\n".join(rows))
+    _emit(
+        {"region": region.kind + region.operation,
+         "gamma": fraction_str(region.gamma),
+         "grid": rows},
+        "\n".join(rows),
+        as_json,
+    )
     return 0
 
 
@@ -311,6 +313,9 @@ def _cmd_loop(args) -> int:
 def _cmd_truth_table(args) -> int:
     kb, _ = load_kb(args.kb)
     names = args.names or list(kb.names)
+    unknown = [name for name in names if name not in kb.names]
+    if unknown:
+        raise CohereError(f"unknown conditionals: {', '.join(unknown)}")
     members = [kb.get(name) for name in names]
     cs = constituents(members)
     qc = quasi_conjunction(members)
@@ -338,7 +343,7 @@ def _cmd_truth_table(args) -> int:
     return 0
 
 
-def _cmd_tnorm(args, conorm: bool) -> int:
+def _cmd_tnorm(args) -> int:
     name = args.family.lower()
     if name == "hamacher":
         if args.param is None:
@@ -352,7 +357,8 @@ def _cmd_tnorm(args, conorm: bool) -> int:
     else:
         raise CohereError(f"unknown operator family {args.family!r}")
     values = [parse_rational(v) for v in args.args]
-    result = tconorm(family, values) if conorm else tnorm(family, values)
+    op = tconorm if args.command == "tconorm" else tnorm
+    result = op(family, values)
     payload = {
         "family": str(family),
         "args": [fraction_str(v) for v in values],
@@ -371,6 +377,8 @@ _HANDLERS = {
     "region": _cmd_region,
     "loop": _cmd_loop,
     "truth-table": _cmd_truth_table,
+    "tnorm": _cmd_tnorm,
+    "tconorm": _cmd_tnorm,
 }
 
 
@@ -384,10 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     elif extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        if args.command == "tnorm":
-            return _cmd_tnorm(args, conorm=False)
-        if args.command == "tconorm":
-            return _cmd_tnorm(args, conorm=True)
         return _HANDLERS[args.command](args)
     except (CohereError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .conditionals import (
     ConditionalEvent,
     ConstituentSet,
     TruthValue3,
+    _shared_context,
     constituents,
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
@@ -50,10 +51,7 @@ class Assessment:
             raise ValueError("an assessment needs at least one conditional event")
         if len(self.family) != len(self.probs):
             raise ValueError("family and probability vector differ in length")
-        ctx = self.family[0].context
-        for ce in self.family[1:]:
-            if ce.context != ctx:
-                raise ValueError("conditional events must share one context")
+        _shared_context(self.family)
         for p in self.probs:
             if not 0 <= p <= 1:
                 raise ProbabilityRangeError(f"probability {p} outside [0, 1]")
@@ -389,8 +387,6 @@ def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityIn
     endpoint that fails on a coherent base is an engine fault and raises
     ``AssertionError``.
     """
-    if target.context != a.context:
-        raise ValueError("target must live in the assessment's context")
     lo, hi, vacuous = _interval_levels(a, target)
     for z in (lo,) if lo == hi else (lo, hi):
         if not check_coherence(a.extend(target, z)).coherent:

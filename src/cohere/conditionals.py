@@ -181,7 +181,6 @@ class ConstituentSet:
     class when it is nonempty.
     """
 
-    family: tuple[ConditionalEvent, ...]
     inside: tuple[Constituent, ...]
     c0: Constituent | None
 
@@ -225,7 +224,7 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
             c0 = cls
         else:
             inside.append(cls)
-    return ConstituentSet(tuple(family), tuple(inside), c0)
+    return ConstituentSet(tuple(inside), c0)
 
 
 # ---------------------------------------------------------------------------

@@ -336,8 +336,7 @@ class Context:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom names must be unique")
         for name in self.atoms:
-            if not _NAME_RE.fullmatch(name) or name in _RESERVED:
-                raise ValueError(f"invalid atom name: {name!r}")
+            Atom(name)
         if len(self.atoms) > MAX_ATOMS:
             raise SizeLimitError(
                 f"{len(self.atoms)} atoms exceed the desk-scale cap of {MAX_ATOMS}"

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 from .coherence import Assessment, ProbabilityInterval, check_coherence
 from .conditionals import (
     ConditionalEvent,
+    _shared_context,
     gn_includes,
     quasi_conjunction,
 )
@@ -95,7 +96,7 @@ def p_entails_qc(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
     antecedent-consequent conjunction to be possible, and searches subsets
     exhaustively (early exit) at desk scale.
     """
-    ctx = kb.context
+    ctx = _shared_context((*kb.conditionals, target))
     if is_impossible(target.consequent & target.antecedent, ctx):
         raise CohereError(
             "quasi-conjunction entailment requires a possible "
@@ -309,11 +310,14 @@ class GammaRegion:
 
 
 def _loop_context(n: int) -> Context:
+    if not 2 <= n <= LOOP_MAX:
+        raise SizeLimitError(f"loop size must be between 2 and {LOOP_MAX}")
     return Context(tuple(f"A{i}" for i in range(1, n + 1)))
 
 
 def loop_family(n: int, context: Context | None = None) -> KnowledgeBase:
-    """The cyclic family A2|A1, ..., An|A(n-1), A1|An over fresh atoms."""
+    """The cyclic family A2|A1, ..., An|A(n-1), A1|An, over fresh atoms
+    A1..An (which need 2 <= n <= LOOP_MAX) unless a context is given."""
     ctx = context if context is not None else _loop_context(n)
     names = []
     conditionals = []
@@ -342,8 +346,6 @@ def deranged_family(
 
 def loop_entails(n: int, derangement: Sequence[int]) -> bool:
     """Mutual p-entailment between the cyclic family and a deranged family."""
-    if not 2 <= n <= LOOP_MAX:
-        raise SizeLimitError(f"loop size must be between 2 and {LOOP_MAX}")
     ctx = _loop_context(n)
     loop = loop_family(n, ctx)
     other = deranged_family(n, derangement, ctx)

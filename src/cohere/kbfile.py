@@ -142,19 +142,14 @@ def load_kb_file(path: str) -> KnowledgeBaseFile:
         return parse_kb_text(fh.read())
 
 
-def to_knowledge_base(
-    f: KnowledgeBaseFile,
-) -> tuple[KnowledgeBase, Assessment | None]:
+def load_kb(path: str) -> tuple[KnowledgeBase, Assessment | None]:
+    """Load and fully validate a knowledge-base file."""
+    f = load_kb_file(path)
     kb = KnowledgeBase(f.context, f.names, f.conditionals)
     assessment = None
     if f.probs and f.probs[0] is not None:
         assessment = Assessment(f.conditionals, tuple(f.probs))  # type: ignore[arg-type]
     return kb, assessment
-
-
-def load_kb(path: str) -> tuple[KnowledgeBase, Assessment | None]:
-    """Load and fully validate a knowledge-base file."""
-    return to_knowledge_base(load_kb_file(path))
 
 
 def dump_kb(f: KnowledgeBaseFile) -> str:

@@ -4,7 +4,8 @@ The constituent system of an assessment carves a polytope out of the unit
 simplex.  At desk scale every basic feasible solution can be enumerated by
 Gaussian elimination over column subsets, so extension intervals can be read
 off vertex ratios with no simplex involved.  The constituent system itself
-comes from the shared builder :func:`cohere.coherence.build_sigma`; the
+comes from the shared builder :func:`cohere.coherence.build_sigma`, and the
+interval left for an emptied family from the LP path's own closed form; the
 oracle's independence from the LP path lies in the vertex enumeration and in
 its own level-descending treatment of zero-probability conditioning events,
 which mirrors the LP path's so that the two are comparable.
@@ -13,37 +14,21 @@ which mirrors the LP path's so that the two are comparable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coherence import Assessment, ProbabilityInterval, build_sigma
+from .coherence import (
+    Assessment,
+    ProbabilityInterval,
+    _standalone_interval,
+    build_sigma,
+)
 from .conditionals import ConditionalEvent
 from .errors import IncoherentAssessmentError, SizeLimitError
-from .events import is_impossible
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 VERTEX_ENUMERATION_LIMIT = 14
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Equality system ``matrix . x = rhs`` intersected with ``x >= 0``."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-
-def sigma_polytope(a: Assessment) -> Polytope:
-    """Polytope of the assessment's constituent system (unit mass included)."""
-    system = build_sigma(a)
-    return Polytope(system.matrix, system.rhs)
 
 
 def _reduce(rows: list[list[Fraction]], ncols: int) -> int:
@@ -82,27 +67,30 @@ def _solve_unique(
     return tuple(rows[i][ncols] for i in range(ncols))
 
 
-def vertices(p: Polytope) -> tuple[tuple[Fraction, ...], ...]:
-    """All distinct basic feasible solutions, exactly.
+def vertices(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """All distinct basic feasible solutions of ``matrix . x = rhs``,
+    ``x >= 0``, exactly.
 
     Every column subset of size rank(matrix) with independent columns and a
     consistent, nonnegative solve yields one vertex; subsets beyond the desk
     bound of 14 variables are refused.
     """
-    m = p.dim
+    m = len(matrix[0]) if matrix else 0
     if m > VERTEX_ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"{m} variables exceed the vertex-enumeration bound of "
             f"{VERTEX_ENUMERATION_LIMIT}"
         )
-    rank = _reduce([list(row) for row in p.matrix], m)
-    augmented = [list(row) + [b] for row, b in zip(p.matrix, p.rhs)]
+    rank = _reduce([list(row) for row in matrix], m)
+    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
     if _reduce(augmented, m + 1) > rank:
         return ()
     found: dict[tuple[Fraction, ...], None] = {}
     for subset in itertools.combinations(range(m), rank):
-        sub = [[row[j] for j in subset] for row in p.matrix]
-        solution = _solve_unique(sub, p.rhs)
+        sub = [[row[j] for j in subset] for row in matrix]
+        solution = _solve_unique(sub, rhs)
         if solution is None or any(v < 0 for v in solution):
             continue
         full = [ZERO] * m
@@ -125,15 +113,10 @@ def _levels(
     a: Assessment | None, target: ConditionalEvent
 ) -> tuple[Fraction, Fraction, bool]:
     if a is None:
-        ctx = target.context
-        if is_impossible(target.consequent & target.antecedent, ctx):
-            return ZERO, ZERO, False
-        if is_impossible(~target.consequent & target.antecedent, ctx):
-            return ONE, ONE, False
-        return ZERO, ONE, True
+        return _standalone_interval(target)
 
     system = build_sigma(a, target)
-    verts = vertices(Polytope(system.matrix, system.rhs))
+    verts = vertices(system.matrix, system.rhs)
     if not verts:
         raise IncoherentAssessmentError("base system unexpectedly unsolvable")
     *supports, den = system.supports

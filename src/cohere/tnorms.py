@@ -23,13 +23,6 @@ ONE = Fraction(1)
 class _Infinity:
     """Token for the Hamacher parameter lambda = infinity (drastic limit)."""
 
-    _instance = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "INF"
 
@@ -142,10 +135,15 @@ def _drastic_s(x: Fraction, y: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fold(op, f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
+def _units(args: Sequence[Fraction]) -> list[Fraction]:
     values = [as_unit(a, f"args[{i}]") for i, a in enumerate(args)]
     if not values:
         raise ValueError("at least one argument is required")
+    return values
+
+
+def _fold(op, f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
+    values = _units(args)
     out = values[0]
     for v in values[1:]:
         out = op(f, out, v)
@@ -165,10 +163,7 @@ def tconorm(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
 def dual_eval(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
     """Evaluate the t-conorm through complementation of the t-norm:
     S(p1..pk) = 1 - T(1-p1, ..., 1-pk)."""
-    values = [as_unit(a, f"args[{i}]") for i, a in enumerate(args)]
-    if not values:
-        raise ValueError("at least one argument is required")
-    return 1 - tnorm(f, [1 - v for v in values])
+    return 1 - tnorm(f, [1 - v for v in _units(args)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +174,7 @@ def dual_eval(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
 def hamacher0_nary(args: Sequence[Fraction]) -> Fraction:
     """Closed form from the additive generator t(x) = (1-x)/x:
     0 when any argument is 0, else 1 / (sum (1-p)/p + 1)."""
-    values = [as_unit(a, f"args[{i}]") for i, a in enumerate(args)]
-    if not values:
-        raise ValueError("at least one argument is required")
+    values = _units(args)
     if any(v == 0 for v in values):
         return ZERO
     return 1 / (sum((1 - v) / v for v in values) + 1)
@@ -190,9 +183,7 @@ def hamacher0_nary(args: Sequence[Fraction]) -> Fraction:
 def hamacher0_conary(args: Sequence[Fraction]) -> Fraction:
     """Dual closed form: 1 when any argument is 1, else
     (sum p/(1-p)) / (sum p/(1-p) + 1)."""
-    values = [as_unit(a, f"args[{i}]") for i, a in enumerate(args)]
-    if not values:
-        raise ValueError("at least one argument is required")
+    values = _units(args)
     if any(v == 1 for v in values):
         return ONE
     total = sum(v / (1 - v) for v in values)

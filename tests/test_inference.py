@@ -128,6 +128,22 @@ class TestPEntailment:
         with pytest.raises(NotPConsistentError):
             p_entails(kb, ce("A", "T", ctx))
 
+    def test_qc_not_p_consistent_raises(self):
+        ctx = Context(("A",))
+        kb = kb_of(ctx, ce("A", "T", ctx), ce("~A", "T", ctx))
+        with pytest.raises(NotPConsistentError):
+            p_entails_qc(kb, ce("A", "T", ctx))
+
+    def test_qc_rejects_target_from_another_context(self):
+        # The target's antecedent implies its consequent, so only the context
+        # check keeps p_entails_qc from answering True.
+        kb = kb_of(Context(("A", "B")), ce("A", "B", Context(("A", "B"))))
+        other = Context(("A", "B"), (parse_event("A & ~B", ("A", "B")),))
+        with pytest.raises(ValueError):
+            p_entails_qc(kb, ce("A", "A & B", other))
+        with pytest.raises(ValueError):
+            p_entails(kb, ce("A", "A & B", other))
+
     def test_qc_requires_possible_conjunction(self, linda):
         ctx, kb = linda
         with pytest.raises(CohereError):

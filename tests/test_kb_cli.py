@@ -157,7 +157,7 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "COHERENT (oracle agrees)"
 
     def test_check_oracle_catches_disagreement(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "vertices", lambda polytope: ())
+        monkeypatch.setattr(cli, "vertices", lambda matrix, rhs: ())
         assert main(["check", str(KB_DIR / "gn_chain.kb"), "--oracle"]) == 2
         assert "oracle disagreement" in capsys.readouterr().err
 
@@ -226,10 +226,21 @@ class TestCli:
         assert main(["loop", "--n", "3", "--derangement", "3,1,2"]) == 0
         assert "MUTUALLY P-ENTAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["1", "6"])
+    def test_loop_size_out_of_range_exits_2(self, capsys, n):
+        # Without --derangement too: n = 6 used to run the pairwise facts.
+        assert main(["loop", "--n", n]) == 2
+        assert "loop size must be between 2 and 5" in capsys.readouterr().err
+
     def test_truth_table(self, capsys):
         assert main(["truth-table", str(KB_DIR / "loop3.kb")]) == 0
         out = capsys.readouterr().out
         assert "constituent" in out and "Void" in out
+
+    def test_truth_table_unknown_name_exits_2(self, capsys):
+        assert main(["truth-table", str(LINDA), "great_if_linda", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nosuch" in err and "great" not in err
 
     def test_tnorm_and_tconorm(self, capsys):
         assert main(["tnorm", "hamacher", "--param", "0", "1/2", "1/2"]) == 0
@@ -275,3 +286,8 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert payload["conditionals"] == ["c1", "c2", "c3"]
         assert all({"world", "values", "C", "D"} <= row.keys() for row in payload["rows"])
+
+    def test_region_grid_json(self, capsys):
+        assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"region": "Uqd", "gamma": "1/2", "grid": ["...", "#..", "##."]}

@@ -22,9 +22,7 @@ from cohere import (
 from cohere.coherence import _indicator, _mass_lp
 from cohere.oracle import (
     VERTEX_ENUMERATION_LIMIT,
-    Polytope,
     extension_interval_bruteforce,
-    sigma_polytope,
     vertices,
 )
 
@@ -39,8 +37,7 @@ def ce(consequent, antecedent, ctx):
 
 class TestVertices:
     def test_pure_simplex(self):
-        p = Polytope(((Fr(1), Fr(1), Fr(1)),), (Fr(1),))
-        assert sorted(vertices(p)) == [
+        assert sorted(vertices(((Fr(1), Fr(1), Fr(1)),), (Fr(1),))) == [
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
@@ -49,26 +46,25 @@ class TestVertices:
     def test_forced_point(self):
         ctx = Context(("A",))
         a = Assessment((ce("A", "T", ctx),), (Fr(1, 2),))
-        verts = vertices(sigma_polytope(a))
+        system = build_sigma(a)
+        verts = vertices(system.matrix, system.rhs)
         assert verts == ((Fr(1, 2), Fr(1, 2)),)
 
     def test_infeasible_system_has_no_vertices(self):
-        p = Polytope(((Fr(1), Fr(1)),), (Fr(-1),))
-        assert vertices(p) == ()
+        assert vertices(((Fr(1), Fr(1)),), (Fr(-1),)) == ()
 
     def test_size_limit(self):
-        p = Polytope((tuple(Fr(1) for _ in range(15)),), (Fr(1),))
         with pytest.raises(SizeLimitError):
-            vertices(p)
+            vertices((tuple(Fr(1) for _ in range(15)),), (Fr(1),))
 
     def test_vertices_satisfy_system_exactly(self):
         rng = random.Random(3)
         for _ in range(25):
             a = random_assessment(rng)
-            p = sigma_polytope(a)
-            if p.dim > 12:
+            p = build_sigma(a)
+            if len(p.rows) > 12:
                 continue
-            for v in vertices(p):
+            for v in vertices(p.matrix, p.rhs):
                 assert all(x >= 0 for x in v)
                 for row, b in zip(p.matrix, p.rhs):
                     assert sum(c * x for c, x in zip(row, v)) == b
@@ -77,10 +73,10 @@ class TestVertices:
         rng = random.Random(9)
         for _ in range(30):
             a = random_assessment(rng)
-            p = sigma_polytope(a)
-            if p.dim > 12:
+            p = build_sigma(a)
+            if len(p.rows) > 12:
                 continue
-            has_vertex = len(vertices(p)) > 0
+            has_vertex = len(vertices(p.matrix, p.rhs)) > 0
             verdict_has_solution = check_coherence(a).trace[0].witness is not None
             assert has_vertex == verdict_has_solution
 
@@ -137,8 +133,8 @@ class TestExtensionAgreement:
                 assert (lp.lo, lp.hi) == (bf.lo, bf.hi)
 
 
-def _zero_on_every_vertex(system, polytope):
-    verts = vertices(polytope)
+def _zero_on_every_vertex(system, matrix, rhs):
+    verts = vertices(matrix, rhs)
     assert verts
     return tuple(
         j
@@ -161,7 +157,7 @@ class TestZeroUpperAgreement:
             witness = sigma_feasible(system).witness
             if witness is None or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
                 continue
-            expected = _zero_on_every_vertex(system, Polytope(system.matrix, system.rhs))
+            expected = _zero_on_every_vertex(system, system.matrix, system.rhs)
             assert zero_upper(system, witness) == expected, a
             plain += 1
 
@@ -171,11 +167,11 @@ class TestZeroUpperAgreement:
             den_min = _mass_lp(system, den, maximize=False)
             if den_min.objective > 0 or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
                 continue
-            polytope = Polytope(
+            expected = _zero_on_every_vertex(
+                system,
                 system.matrix + (tuple(_indicator(den, len(system.rows))),),
                 system.rhs + (Fr(0),),
             )
-            expected = _zero_on_every_vertex(system, polytope)
             assert zero_upper(system, den_min.x, den) == expected, (a, target)
             pinned += 1
         assert plain > 40 and pinned > 20

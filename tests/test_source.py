@@ -3,6 +3,8 @@
 import ast
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from cohere import cli
@@ -66,3 +68,13 @@ def test_benchmark_tracer_sees_every_layer(capsys):
     recorded = {span[0] for span in tracer.spans}
     expected = {name for _, _, name in tracer_module.TARGETS}
     assert expected - recorded == set()
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark calls the engine by attribute, so an API change can break
+    # it without failing any other test.  It writes only under bench/.out/.
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
