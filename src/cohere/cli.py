@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("lp", "qc", "both"),
         default="lp",
-        help="lp: coherence check of the target at zero; "
-        "qc: quasi-conjunction subset search",
+        help="lp: the exact route, Adams' tolerance test of the base plus the "
+        "negated target; qc: quasi-conjunction subset search",
     )
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     common(p)

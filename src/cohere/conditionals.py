@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import EventSyntaxError, ImpossibleAntecedentError, SizeLimitError
@@ -61,6 +62,19 @@ class ConditionalEvent:
 
     def __str__(self) -> str:
         return f"{self.consequent} | {self.antecedent}"
+
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """``(verifying, falsifying)`` bitsets over ``context.worlds``: bit k
+        is set when world k makes ``E & H``, respectively ``~E & H``, true."""
+        verifying = falsifying = 0
+        for k, w in enumerate(self.context.worlds):
+            if self.antecedent.evaluate(w):
+                if self.consequent.evaluate(w):
+                    verifying |= 1 << k
+                else:
+                    falsifying |= 1 << k
+        return verifying, falsifying
 
 
 def truth_value(ce: ConditionalEvent, w: World) -> TruthValue3:

@@ -1,14 +1,17 @@
 """Default-reasoning layer: p-consistency, p-entailment, and bound formulas.
 
 A knowledge base p-entails a conditional when every coherent extension of the
-all-ones assessment gives the conclusion probability one.  Two procedures are
-provided: the exact one, a single coherence check of the all-ones assessment
-extended by the target at probability zero, and a cross-check that searches
-for a subfamily whose quasi conjunction is included in the target in the
-Goodman-Nguyen order.  The closed-form bound propagation functions assume
-logically independent premises; under logical constraints the true bounds can
-only be tighter, so route constrained problems through the extension-interval
-path of ``coherence`` instead.
+all-ones assessment gives the conclusion probability one.  The coherence of an
+all-ones assessment is Adams' p-consistency (Gilio 2002, "Probabilistic
+reasoning under coherence in System P", Ann. Math. Artif. Intell. 34), so both
+questions are decided exactly by Adams' tolerance test (Adams 1975, The Logic
+of Conditionals), on the verifying and falsifying world masks of the members,
+with no linear program.  A cross-check searches instead for a subfamily whose
+quasi conjunction is included in the target in the Goodman-Nguyen order.  The
+closed-form bound propagation functions assume logically independent premises;
+under logical constraints the true bounds can only be tighter, so route
+constrained problems through the extension-interval path of ``coherence``
+instead.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .coherence import Assessment, ProbabilityInterval, check_coherence
+from .coherence import Assessment, ProbabilityInterval
 from .conditionals import (
     ConditionalEvent,
     _shared_context,
     gn_includes,
+    negate,
     quasi_conjunction,
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
@@ -64,9 +68,38 @@ def all_ones(kb: KnowledgeBase) -> Assessment:
     return Assessment(kb.conditionals, (ONE,) * len(kb))
 
 
+def _untolerated(family: Sequence[ConditionalEvent]) -> tuple[ConditionalEvent, ...]:
+    """The members that Adams' tolerance test never removes.
+
+    A member is tolerated by a family when some admissible world verifies it
+    and falsifies no member of the family.  Each round removes every member
+    tolerated by the members still left; the removed sets are the layers of
+    the System Z partition (Goldszmidt & Pearl 1996), and the family is
+    p-consistent exactly when nothing is left (Adams 1975).  Every world that
+    meets an antecedent of what is left falsifies one of its members, so a
+    stake of -1 on each of them wins on every constituent: the remainder
+    certifies that its all-ones assessment is incoherent.
+    """
+    _shared_context(family)
+    rest = tuple(family)
+    while rest:
+        unsafe = 0
+        for ce in rest:
+            unsafe |= ce.masks[1]
+        kept = tuple(ce for ce in rest if not ce.masks[0] & ~unsafe)
+        if len(kept) == len(rest):
+            break
+        rest = kept
+    return rest
+
+
 def p_consistent(kb: KnowledgeBase) -> bool:
-    """True iff assigning probability one to every member is coherent."""
-    return check_coherence(all_ones(kb)).coherent
+    """True iff assigning probability one to every member is coherent.
+
+    Decided by Adams' tolerance test, which coincides with coherence for
+    all-ones assessments (Gilio 2002).  An empty base raises ``ValueError``.
+    """
+    return not _untolerated(kb.conditionals)
 
 
 def p_entails(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
@@ -74,13 +107,15 @@ def p_entails(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
     to the target reduce to the single value one.
 
     A p-consistent base p-entails the target exactly when assigning one to
-    every member and zero to the target is incoherent (Gilio 2002,
-    "Probabilistic reasoning under coherence in System P", Ann. Math. Artif.
-    Intell. 34), so one coherence check decides it.  A coherent extension
-    contains the base as a coherent sub-assessment, so only an incoherent one
-    needs the base checked on its own.
+    every member and zero to the target, that is one to its negation, is
+    incoherent (Gilio 2002), so one tolerance test of the base plus the
+    negated target decides it.  A p-consistent extension contains the base as
+    a p-consistent subfamily, so only a failed test needs the base tested on
+    its own, to tell a p-inconsistent base (``NotPConsistentError``) from an
+    entailment.  An empty base raises ``ValueError``.
     """
-    if check_coherence(all_ones(kb).extend(target, ZERO)).coherent:
+    _shared_context(kb.conditionals)  # an empty base raises ValueError
+    if not _untolerated((*kb.conditionals, negate(target))):
         return False
     if not p_consistent(kb):
         raise NotPConsistentError("knowledge base is not p-consistent")

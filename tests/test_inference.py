@@ -1,7 +1,9 @@
 """P-consistency, p-entailment, closed-form bounds, premise regions, loops."""
 
 import random
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +17,13 @@ from cohere import (
     KnowledgeBase,
     NotPConsistentError,
     biconditional_value,
+    build_sigma,
+    check_coherence,
     compound_bounds,
     dual_compound_value,
     extension_interval,
     gn_chain_bounds,
+    implies,
     in_l_gamma_qc,
     in_l_gamma_qd,
     in_u_gamma_qc,
@@ -38,7 +43,9 @@ from cohere import (
     quasi_disjunction,
     rule_bounds,
 )
-from cohere.inference import all_ones, deranged_family, derangements
+from cohere import cli, coherence, simplex
+from cohere.inference import _untolerated, all_ones, deranged_family, derangements
+from cohere.kbfile import load_kb
 
 from helpers import (
     gn_chain_context,
@@ -87,6 +94,11 @@ class TestPConsistency:
     def test_loop(self):
         assert p_consistent(loop_family(3))
 
+    def test_empty_base_raises(self):
+        ctx = Context(("A",))
+        with pytest.raises(ValueError):
+            p_consistent(kb_of(ctx))
+
 
 class TestPEntailment:
     def test_linda_conclusions(self, linda):
@@ -127,6 +139,13 @@ class TestPEntailment:
         kb = kb_of(ctx, ce("A", "T", ctx), ce("~A", "T", ctx))
         with pytest.raises(NotPConsistentError):
             p_entails(kb, ce("A", "T", ctx))
+
+    def test_empty_base_raises(self):
+        # The tolerance test of the negated target alone would empty and
+        # answer False; an empty base has no all-ones assessment to extend.
+        ctx = Context(("A",))
+        with pytest.raises(ValueError):
+            p_entails(kb_of(ctx), ce("A", "T", ctx))
 
     def test_qc_not_p_consistent_raises(self):
         ctx = Context(("A",))
@@ -452,3 +471,88 @@ class TestFourPremiseAgreement:
         a = Assessment(family, probs)
         iv = extension_interval(a, quasi_conjunction(family))
         assert (iv.lo, iv.hi) == (qc_bounds(probs).lo, qc_bounds(probs).hi)
+
+
+# ---------------------------------------------------------------------------
+# Adams' tolerance test against the LP route
+# ---------------------------------------------------------------------------
+
+KB_DIR = Path(__file__).resolve().parent.parent / "kb"
+TOLERANCE_ATOMS = ("A", "B", "C", "D", "E")
+
+
+def _literal(rng):
+    atom = Atom(rng.choice(TOLERANCE_ATOMS))
+    return ~atom if rng.random() < 0.5 else atom
+
+
+def _tolerance_case(rng):
+    while True:
+        constraints = tuple(
+            _literal(rng) & _literal(rng) for _ in range(rng.randint(0, 2))
+        )
+        ctx = Context(TOLERANCE_ATOMS, constraints)
+        if ctx.worlds:
+            break
+    members = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(1, 5)))
+    target = random_conditional(rng, ctx)
+    if rng.random() < 0.2:
+        # The antecedent implies the consequent: entailed by any p-consistent base.
+        target = ConditionalEvent(
+            target.consequent | target.antecedent, target.antecedent, ctx
+        )
+    return kb_of(ctx, *members), target
+
+
+@pytest.fixture(scope="module")
+def tolerance_cases():
+    rng = random.Random(1975)
+    return [_tolerance_case(rng) for _ in range(500)]
+
+
+class TestToleranceRoute:
+    def test_matches_lp_route(self, tolerance_cases):
+        seen = {"inconsistent": 0, "trivial": 0, "entailed": 0, "not entailed": 0}
+        for kb, target in tolerance_cases:
+            consistent = check_coherence(all_ones(kb)).coherent
+            assert p_consistent(kb) == consistent, [str(c) for c in kb.conditionals]
+            if not consistent:
+                seen["inconsistent"] += 1
+                with pytest.raises(NotPConsistentError):
+                    p_entails(kb, target)
+                continue
+            lp = not check_coherence(all_ones(kb).extend(target, Fr(0))).coherent
+            assert p_entails(kb, target) == lp, str(target)
+            seen["entailed" if lp else "not entailed"] += 1
+            seen["trivial"] += implies(target.antecedent, target.consequent, kb.context)
+        assert all(seen.values()), seen
+
+    def test_untolerated_members_certify_incoherence(self, tolerance_cases):
+        # Staking -1 on each untolerated member wins on every constituent:
+        # every world meeting one of their antecedents falsifies one of them.
+        certified = 0
+        for kb, _ in tolerance_cases:
+            if p_consistent(kb):
+                continue
+            untolerated = _untolerated(kb.conditionals)
+            system = build_sigma(Assessment(untolerated, (Fr(1),) * len(untolerated)))
+            gains = system.gains((Fr(-1),) * len(untolerated))
+            assert gains and all(g > 0 for g in gains), [str(c) for c in untolerated]
+            certified += 1
+        assert certified > 0
+
+    def test_entailment_runs_no_lp(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("p-consistency and p-entailment must not run an LP")
+
+        originals = (simplex.solve_eq_lp, coherence.check_coherence)
+        for name, module in list(sys.modules.items()):
+            if name != "cohere" and not name.startswith("cohere."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+        assert loop_entails(4, (2, 3, 4, 1))
+        assert p_consistent(load_kb(str(KB_DIR / "linda.kb"))[0])
+        assert cli.main(["consistent", str(KB_DIR / "linda.kb")]) == 0
+        assert capsys.readouterr().out.strip() == "P-CONSISTENT"

@@ -133,6 +133,26 @@ class TestCli:
         assert main(["entails", str(LINDA), "~N | L | S", "--method", "both"]) == 0
         assert "lp and qc agree" in capsys.readouterr().out
 
+    def test_entails_both_methods_test_members_once(self, capsys, monkeypatch):
+        # p_entails leaves each member's world masks on the member, and
+        # p_entails_qc's p-consistency check reuses them.
+        real = cli.p_entails_qc
+        cached = []
+
+        def qc(kb, target):
+            masks = [ce.__dict__.get("masks") for ce in kb.conditionals]
+            verdict = real(kb, target)
+            cached.append(
+                all(m is not None and ce.__dict__["masks"] is m
+                    for m, ce in zip(masks, kb.conditionals))
+            )
+            return verdict
+
+        monkeypatch.setattr(cli, "p_entails_qc", qc)
+        assert main(["entails", str(LINDA), "~N | L", "--method", "both"]) == 0
+        assert "lp and qc agree" in capsys.readouterr().out
+        assert cached == [True]
+
     def test_entails_oracle_crosscheck(self, capsys):
         assert main(["entails", str(KB_DIR / "loop3.kb"), "A1 | A3", "--oracle"]) == 0
 
