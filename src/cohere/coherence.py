@@ -135,7 +135,7 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigmaFeasibility:
     """Outcome of solving a constituent system: exactly one of a solution
     (mass vector) or a positive-gain stake certificate."""
@@ -214,7 +214,7 @@ def _mass_lp(
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelRecord:
     """One recursion level: which original indices were examined, the
     solution found (if any), and the zero-upper-probability subset."""
@@ -224,7 +224,7 @@ class LevelRecord:
     witness: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoherenceVerdict:
     coherent: bool
     witness: tuple[Fraction, ...] | None
@@ -277,7 +277,7 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbabilityInterval:
     """Closed interval of coherent extension values.
 

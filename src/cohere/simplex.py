@@ -1,11 +1,30 @@
 """Exact two-phase simplex over rationals for equality-form programs.
 
-Solves ``optimize c.x subject to A x = b, x >= 0`` with a dense tableau of
-:class:`fractions.Fraction` entries and Bland's anti-cycling rule, so every
-run terminates and every reported number is exact.  When the constraints are
-infeasible the solver returns a Farkas vector ``y`` with ``y.A <= 0``
-componentwise and ``y.b > 0``, which downstream code turns into a
+Solves ``optimize c.x subject to A x = b, x >= 0`` with Bland's anti-cycling
+rule, so every run terminates and every reported number is exact.  When the
+constraints are infeasible the solver returns a Farkas vector ``y`` with
+``y.A <= 0`` componentwise and ``y.b > 0``, which downstream code turns into a
 positive-gain betting certificate.
+
+The tableau holds Python integers (fraction-free pivoting: Edmonds 1967,
+Bareiss 1968, Math. Comp. 22).  Scaling row i of the sign-normalized system
+``[A | I | b]`` by ``s_i``, the lcm of its denominators, gives an integer matrix
+``M``; row scaling leaves ``B^-1 A`` unchanged for every basis ``B``, so the
+true tableau is that of the rational system.  The solver stores ``T = d * (true
+tableau)``, where ``d`` is the absolute determinant of the basis columns of
+``M``, so ``T`` is ``adj(B) M`` up to sign and every entry is an integer.  It
+starts from ``d = prod(s_i)`` and, pivoting on ``p = T[r][c]``, sets ``T[i] =
+(p T[i] - T[i][c] T[r]) / d`` for every other row and then ``d = p``; the
+division is exact by Sylvester's determinant identity.  A negative pivot,
+possible only while artificials are pivoted out, is first negated with its
+row, which keeps ``d`` positive.
+
+The cost row is ``d`` times the reduced costs (times the lcm of the
+objective's denominators in phase 2), so its signs are the true ones, and
+ratios are compared by cross-multiplication with the same tie-break on the
+basis index.  The pivot sequence, and so every answer, is therefore that of a
+``fractions.Fraction`` tableau; only the answers are turned into fractions,
+and each is checked exactly against the input before it is returned.
 
 Problem sizes here are tiny (tens of columns), so no factorization or
 sparsity is attempted.
@@ -15,17 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPResult:
     status: str
     x: tuple[Fraction, ...] | None = None
@@ -41,9 +60,10 @@ def solve_eq_lp(
 ) -> LPResult:
     """Solve ``{x >= 0 : rows . x = rhs}``, optionally optimizing ``objective``.
 
-    With ``objective=None`` only feasibility is decided; the returned ``x`` is
-    then some basic feasible point.  Infeasible systems come back with an
-    exact Farkas certificate for the original (unflipped) rows.
+    Entries are ``int`` or ``Fraction``.  With ``objective=None`` only
+    feasibility is decided; the returned ``x`` is then some basic feasible
+    point.  Infeasible systems come back with an exact Farkas certificate for
+    the original (unflipped) rows.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -52,30 +72,30 @@ def solve_eq_lp(
     if m == 0:
         raise ValueError("at least one constraint row is required")
 
-    # Normalize signs so every right-hand side is nonnegative.
-    flip = [ONE if rhs[i] >= 0 else -ONE for i in range(m)]
-    tab = [[flip[i] * Fraction(rows[i][j]) for j in range(n)] for i in range(m)]
-    b = [flip[i] * Fraction(rhs[i]) for i in range(m)]
-
-    # Artificial columns n .. n+m-1 form the starting basis.
-    for i in range(m):
-        tab[i].extend(ONE if k == i else ZERO for k in range(m))
-        tab[i].append(b[i])
-    basis = list(range(n, n + m))
+    # Normalize signs so every right-hand side is nonnegative, and start from
+    # d * [A | I | b] with d the product of the rows' denominator lcms.
+    flip = [1 if b >= 0 else -1 for b in rhs]
+    d = prod(
+        lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)
+    )
     ncols = n + m
+    tab = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        scaled = [flip[i] * v.numerator * (d // v.denominator) for v in row]
+        scaled.extend(d if k == i else 0 for k in range(m))
+        scaled.append(abs(b.numerator) * (d // b.denominator))
+        tab.append(scaled)
+    basis = list(range(n, ncols))
 
     # Phase-1 reduced costs: cost 1 on artificials, priced out of the basis.
-    cost = [ZERO] * ncols + [ZERO]
-    for j in range(n):
-        cost[j] = -sum(tab[i][j] for i in range(m))
-    cost[ncols] = -sum(tab[i][ncols] for i in range(m))
+    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    cost.append(-sum(row[ncols] for row in tab))
 
-    _iterate(tab, cost, basis, ncols, allowed=range(n))
+    _, d = _iterate(tab, cost, basis, n, d)
 
-    phase1_value = -cost[ncols]
-    if phase1_value > 0:
+    if cost[ncols] < 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through flips.
-        y = tuple(flip[i] * (ONE - cost[n + i]) for i in range(m))
+        y = tuple(Fraction(flip[i] * (d - cost[n + i]), d) for i in range(m))
         _check_farkas(rows, rhs, y)
         return LPResult(status=INFEASIBLE, farkas=y)
 
@@ -89,83 +109,105 @@ def solve_eq_lp(
         col = next((j for j in range(n) if tab[r][j] != 0), None)
         if col is None:
             continue
-        _pivot(tab, cost, basis, r, col, ncols)
+        d = _pivot(tab, cost, basis, r, col, d)
         keep.append(r)
-    tab = [tab[r] for r in keep]
+    tab = [tab[r][:n] + [tab[r][ncols]] for r in keep]
     basis = [basis[r] for r in keep]
-    tab = [row[:n] + [row[ncols]] for row in tab]
 
     if objective is None:
-        return LPResult(status=OPTIMAL, x=_extract(tab, basis, n))
+        x = _extract(tab, basis, n, d)
+        _check_solution(rows, rhs, x)
+        return LPResult(status=OPTIMAL, x=x)
 
     if len(objective) != n:
         raise ValueError("objective length does not match the variable count")
-    sign = -ONE if maximize else ONE
-    cost = [sign * Fraction(c) for c in objective] + [ZERO]
-    for r, bv in enumerate(basis):
-        if cost[bv] != 0:
-            coeff = cost[bv]
-            for j in range(n + 1):
-                cost[j] -= coeff * tab[r][j]
+    # Integer phase-2 costs: the objective times the lcm of its denominators.
+    sign = -1 if maximize else 1
+    scale = lcm(*(c.denominator for c in objective))
+    weights = [sign * c.numerator * (scale // c.denominator) for c in objective]
+    cost = [d * w for w in weights] + [0]
+    for row, bv in zip(tab, basis):
+        coeff = weights[bv]
+        if coeff != 0:
+            cost = [v - coeff * w for v, w in zip(cost, row)]
 
-    status = _iterate(tab, cost, basis, n, allowed=range(n))
+    status, d = _iterate(tab, cost, basis, n, d)
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
-    value = sign * -cost[n]
-    return LPResult(status=OPTIMAL, x=_extract(tab, basis, n), objective=value)
+    x = _extract(tab, basis, n, d)
+    value = Fraction(-sign * cost[n], d * scale)
+    _check_solution(rows, rhs, x, objective, value)
+    return LPResult(status=OPTIMAL, x=x, objective=value)
 
 
-def _iterate(tab, cost, basis, rhs_col, allowed) -> str:
-    """Run Bland-rule pivots until optimality or unboundedness."""
+def _iterate(tab, cost, basis, n, d) -> tuple[str, int]:
+    """Run Bland-rule pivots on columns ``0 .. n-1`` until optimality or
+    unboundedness; return the status and the final denominator."""
     while True:
-        entering = next((j for j in allowed if cost[j] < 0), None)
+        entering = next((j for j in range(n) if cost[j] < 0), None)
         if entering is None:
-            return OPTIMAL
-        best_ratio = None
+            return OPTIMAL, d
         leaving = None
-        for r in range(len(tab)):
-            coeff = tab[r][entering]
+        for r, row in enumerate(tab):
+            coeff = row[entering]
             if coeff > 0:
-                ratio = tab[r][rhs_col] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+                # row[-1] / coeff against best_rhs / best_coeff, both > 0.
+                if leaving is None:
+                    leaving, best_rhs, best_coeff = r, row[-1], coeff
+                    continue
+                lhs = row[-1] * best_coeff
+                other = best_rhs * coeff
+                if lhs < other or (lhs == other and basis[r] < basis[leaving]):
+                    leaving, best_rhs, best_coeff = r, row[-1], coeff
         if leaving is None:
-            return UNBOUNDED
-        _pivot(tab, cost, basis, leaving, entering, rhs_col)
+            return UNBOUNDED, d
+        d = _pivot(tab, cost, basis, leaving, entering, d)
 
 
-def _pivot(tab, cost, basis, row, col, rhs_col) -> None:
-    pivot = tab[row][col]
-    if pivot == 0:
-        raise ValueError("pivot on a zero coefficient")
+def _pivot(tab, cost, basis, row, col, d) -> int:
+    """Fraction-free pivot on ``(row, col)``; return the new denominator."""
     prow = tab[row]
-    if pivot != 1:
-        for j in range(rhs_col + 1):
-            prow[j] /= pivot
+    p = prow[col]
+    if p == 0:
+        raise ValueError("pivot on a zero coefficient")
+    if p < 0:
+        prow[:] = [-v for v in prow]
+        p = -p
     for r, other in enumerate(tab):
-        if r == row or other[col] == 0:
-            continue
-        coeff = other[col]
-        for j in range(rhs_col + 1):
-            other[j] -= coeff * prow[j]
-    if cost[col] != 0:
-        coeff = cost[col]
-        for j in range(rhs_col + 1):
-            cost[j] -= coeff * prow[j]
+        if r != row:
+            _eliminate(other, prow, col, p, d)
+    _eliminate(cost, prow, col, p, d)
     basis[row] = col
+    return p
 
 
-def _extract(tab, basis, n) -> tuple[Fraction, ...]:
+def _eliminate(other, prow, col, p, d) -> None:
+    """Replace ``other`` by ``(p * other - other[col] * prow) / d`` in place."""
+    coeff = other[col]
+    if coeff != 0:
+        other[:] = [(p * v - coeff * w) // d for v, w in zip(other, prow)]
+    elif p != d:
+        other[:] = [p * v // d for v in other]
+
+
+def _extract(tab, basis, n, d) -> tuple[Fraction, ...]:
     x = [ZERO] * n
-    for r, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = tab[r][-1]
+    for row, bv in zip(tab, basis):
+        x[bv] = Fraction(row[-1], d)
     return tuple(x)
+
+
+def _check_solution(rows, rhs, x, objective=None, value=None) -> None:
+    """Raise unless ``x >= 0`` solves ``rows . x = rhs`` and, with an
+    objective, ``objective . x == value``; only nonzero entries are summed."""
+    support = [j for j, v in enumerate(x) if v != 0]
+    if any(x[j] < 0 for j in support):
+        raise AssertionError("LP solution has a negative entry")
+    for row, b in zip(rows, rhs):
+        if sum(row[j] * x[j] for j in support) != b:
+            raise AssertionError("LP solution violates rows . x = rhs")
+    if objective is not None and sum(objective[j] * x[j] for j in support) != value:
+        raise AssertionError("LP objective differs from objective . x")
 
 
 def _check_farkas(rows, rhs, y) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from cohere import (
     Assessment,
@@ -15,6 +16,7 @@ from cohere import (
     parse_event,
     truth_value,
 )
+from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
 
@@ -105,3 +107,148 @@ def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Exhaustive world-by-world comparison, independent of `equivalent`."""
     assert a.context == b.context
     return all(truth_value(a, w) == truth_value(b, w) for w in a.context.worlds)
+
+
+# ---------------------------------------------------------------------------
+# Reference LP solver: the Fraction-tableau simplex that `cohere.simplex`
+# replaced with integer pivots.  Differential tests require the engine to
+# return exactly the same `LPResult`.
+# ---------------------------------------------------------------------------
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def reference_solve_eq_lp(
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction] | None = None,
+    maximize: bool = False,
+) -> LPResult:
+    """Solve ``{x >= 0 : rows . x = rhs}``, optionally optimizing ``objective``.
+
+    With ``objective=None`` only feasibility is decided; the returned ``x`` is
+    then some basic feasible point.  Infeasible systems come back with an
+    exact Farkas certificate for the original (unflipped) rows.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if any(len(r) != n for r in rows) or len(rhs) != m:
+        raise ValueError("inconsistent system dimensions")
+    if m == 0:
+        raise ValueError("at least one constraint row is required")
+
+    # Normalize signs so every right-hand side is nonnegative.
+    flip = [ONE if rhs[i] >= 0 else -ONE for i in range(m)]
+    tab = [[flip[i] * Fraction(rows[i][j]) for j in range(n)] for i in range(m)]
+    b = [flip[i] * Fraction(rhs[i]) for i in range(m)]
+
+    # Artificial columns n .. n+m-1 form the starting basis.
+    for i in range(m):
+        tab[i].extend(ONE if k == i else ZERO for k in range(m))
+        tab[i].append(b[i])
+    basis = list(range(n, n + m))
+    ncols = n + m
+
+    # Phase-1 reduced costs: cost 1 on artificials, priced out of the basis.
+    cost = [ZERO] * ncols + [ZERO]
+    for j in range(n):
+        cost[j] = -sum(tab[i][j] for i in range(m))
+    cost[ncols] = -sum(tab[i][ncols] for i in range(m))
+
+    _reference_iterate(tab, cost, basis, ncols, allowed=range(n))
+
+    phase1_value = -cost[ncols]
+    if phase1_value > 0:
+        # y_i = 1 - reduced cost of artificial i, mapped back through flips.
+        y = tuple(flip[i] * (ONE - cost[n + i]) for i in range(m))
+        _check_farkas(rows, rhs, y)
+        return LPResult(status=INFEASIBLE, farkas=y)
+
+    # Pivot leftover artificials out of the basis; drop rows that turn out
+    # to be redundant equations.
+    keep: list[int] = []
+    for r in range(m):
+        if basis[r] < n:
+            keep.append(r)
+            continue
+        col = next((j for j in range(n) if tab[r][j] != 0), None)
+        if col is None:
+            continue
+        _reference_pivot(tab, cost, basis, r, col, ncols)
+        keep.append(r)
+    tab = [tab[r] for r in keep]
+    basis = [basis[r] for r in keep]
+    tab = [row[:n] + [row[ncols]] for row in tab]
+
+    if objective is None:
+        return LPResult(status=OPTIMAL, x=_reference_extract(tab, basis, n))
+
+    if len(objective) != n:
+        raise ValueError("objective length does not match the variable count")
+    sign = -ONE if maximize else ONE
+    cost = [sign * Fraction(c) for c in objective] + [ZERO]
+    for r, bv in enumerate(basis):
+        if cost[bv] != 0:
+            coeff = cost[bv]
+            for j in range(n + 1):
+                cost[j] -= coeff * tab[r][j]
+
+    status = _reference_iterate(tab, cost, basis, n, allowed=range(n))
+    if status == UNBOUNDED:
+        return LPResult(status=UNBOUNDED)
+    value = sign * -cost[n]
+    return LPResult(status=OPTIMAL, x=_reference_extract(tab, basis, n), objective=value)
+
+
+def _reference_iterate(tab, cost, basis, rhs_col, allowed) -> str:
+    """Run Bland-rule pivots until optimality or unboundedness."""
+    while True:
+        entering = next((j for j in allowed if cost[j] < 0), None)
+        if entering is None:
+            return OPTIMAL
+        best_ratio = None
+        leaving = None
+        for r in range(len(tab)):
+            coeff = tab[r][entering]
+            if coeff > 0:
+                ratio = tab[r][rhs_col] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving is None:
+            return UNBOUNDED
+        _reference_pivot(tab, cost, basis, leaving, entering, rhs_col)
+
+
+def _reference_pivot(tab, cost, basis, row, col, rhs_col) -> None:
+    pivot = tab[row][col]
+    if pivot == 0:
+        raise ValueError("pivot on a zero coefficient")
+    prow = tab[row]
+    if pivot != 1:
+        for j in range(rhs_col + 1):
+            prow[j] /= pivot
+    for r, other in enumerate(tab):
+        if r == row or other[col] == 0:
+            continue
+        coeff = other[col]
+        for j in range(rhs_col + 1):
+            other[j] -= coeff * prow[j]
+    if cost[col] != 0:
+        coeff = cost[col]
+        for j in range(rhs_col + 1):
+            cost[j] -= coeff * prow[j]
+    basis[row] = col
+
+
+def _reference_extract(tab, basis, n) -> tuple[Fraction, ...]:
+    x = [ZERO] * n
+    for r, bv in enumerate(basis):
+        if bv < n:
+            x[bv] = tab[r][-1]
+    return tuple(x)

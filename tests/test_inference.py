@@ -439,9 +439,10 @@ class TestProcedureAgreement:
         assert p_entails(kb, narrow) == p_entails_qc(kb, narrow) is True
 
     def test_zero_extension_route_matches_interval_and_qc(self):
-        # p_entails decides by one coherence check of the target at zero; it
-        # must agree with the full extension interval, whose endpoints for an
-        # all-ones base lie in {0, 1}, and with the quasi-conjunction route.
+        # p_entails decides by Adams' tolerance test on the base plus the
+        # negated target; it must agree with the full extension interval,
+        # whose endpoints for an all-ones base lie in {0, 1}, and with the
+        # quasi-conjunction route.
         rng = random.Random(20130)
         drawn = entailed = compared = 0
         while drawn < 60:

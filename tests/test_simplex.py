@@ -5,7 +5,12 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import cohere.coherence
+import cohere.simplex
+import helpers
+from cohere import IncoherentAssessmentError, check_coherence, extension_interval
 from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_eq_lp
+from helpers import random_assessment, random_conditional, reference_solve_eq_lp
 
 
 def F(*values):
@@ -131,3 +136,152 @@ class TestValidation:
     def test_objective_length(self):
         with pytest.raises(ValueError):
             solve_eq_lp([F(1, 1)], F(1), objective=F(1))
+
+
+def _random_system(rng):
+    """A system with m 1-7 and n 1-12, denominators up to 97, sparse entries,
+    and sometimes a duplicated row, a zero column or no objective."""
+
+    def entry():
+        if rng.random() < 0.35:
+            return Fr(0)
+        return Fr(rng.randint(-9, 9), rng.randint(1, 97))
+
+    m, n = rng.randint(1, 7), rng.randint(1, 12)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    kinds = set()
+    if m > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(m), 2)
+        factor = Fr(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
+        rows[i] = [factor * v for v in rows[j]]
+        rhs[i] = factor * rhs[j]
+        kinds.add("duplicate")
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = Fr(0)
+        kinds.add("zero column")
+    if any(b < 0 for b in rhs):
+        kinds.add("negative rhs")
+    objective = None if rng.random() < 0.3 else [entry() for _ in range(n)]
+    maximize = rng.random() < 0.5
+    if objective is None:
+        kinds.add("feasibility")
+    else:
+        kinds.add("maximize" if maximize else "minimize")
+    return rows, rhs, objective, maximize, kinds
+
+
+class TestReferenceAgreement:
+    """The integer tableau must pivot exactly as the Fraction tableau did."""
+
+    def test_random_systems_match_reference(self):
+        rng = random.Random(2013)
+        statuses = {INFEASIBLE: 0, UNBOUNDED: 0, OPTIMAL: 0}
+        kinds_seen = {}
+        for _ in range(2000):
+            rows, rhs, objective, maximize, kinds = _random_system(rng)
+            got = solve_eq_lp(rows, rhs, objective, maximize)
+            want = reference_solve_eq_lp(rows, rhs, objective, maximize)
+            assert got == want and repr(got) == repr(want)
+            statuses[got.status] += 1
+            for kind in kinds:
+                kinds_seen[kind] = kinds_seen.get(kind, 0) + 1
+        assert min(statuses.values()) > 200
+        assert len(kinds_seen) == 6 and min(kinds_seen.values()) > 200
+
+    def test_coherence_lps_match_reference(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            result = solve_eq_lp(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", recording)
+        rng = random.Random(909)
+        for _ in range(100):
+            a = random_assessment(rng, max_size=4)
+            check_coherence(a)
+            try:
+                extension_interval(a, random_conditional(rng, a.context))
+            except IncoherentAssessmentError:
+                pass
+        assert len(calls) > 500
+        for args, kwargs, result in calls:
+            assert reference_solve_eq_lp(*args, **kwargs) == result
+
+    def test_beale_cycling_example(self, monkeypatch):
+        # Beale (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 with slacks
+        # x1, x2, x3.  Its degenerate rows give ratio ties, so a tie-break or
+        # a cross-multiplied ratio that differs from the Fraction tableau's
+        # shows up as a different pivot sequence.
+        rows = [
+            F("1/4", -60, "-1/25", 9, 1, 0, 0),
+            F("1/2", -90, "-1/50", 3, 0, 1, 0),
+            F(0, 0, 1, 0, 0, 0, 1),
+        ]
+        rhs = F(0, 0, 1)
+        objective = F("-3/4", 150, "-1/50", 6, 0, 0, 0)
+        pivots = {"engine": [], "reference": []}
+
+        def recording(module, name, key):
+            pivot = getattr(module, name)
+
+            def record(tab, cost, basis, row, col, *rest):
+                pivots[key].append((row, col, tuple(basis)))
+                return pivot(tab, cost, basis, row, col, *rest)
+
+            monkeypatch.setattr(module, name, record)
+
+        recording(cohere.simplex, "_pivot", "engine")
+        recording(helpers, "_reference_pivot", "reference")
+        res = solve_eq_lp(rows, rhs, objective)
+        assert res == reference_solve_eq_lp(rows, rhs, objective)
+        assert pivots["engine"] == pivots["reference"]
+        assert len(pivots["engine"]) == 6
+        assert res.status == OPTIMAL
+        assert res.objective == Fr(-1, 20)
+        assert res.x == tuple(F("1/25", 0, 1, 0, "3/100", 0, 0))
+
+
+class TestResultChecks:
+    @pytest.mark.parametrize(
+        "rows, rhs, objective, perturb",
+        [
+            # one entry off: rows . x = rhs fails
+            ([F(1, 1, 1)], F(1), None, lambda x: (x[0] + 1,) + x[1:]),
+            ([F(1, 1, 1)], F(1), F(1, 2, 3), lambda x: (x[0] + 1,) + x[1:]),
+            # still feasible, but the objective no longer matches
+            ([F(1, 1)], F(1), F(1, 2), lambda x: x[::-1]),
+            # rows . x = rhs holds, but an entry is negative
+            ([F(1, -1)], F(0), None, lambda x: (Fr(-1), Fr(-1))),
+        ],
+    )
+    def test_corrupted_solution_raises(self, monkeypatch, rows, rhs, objective, perturb):
+        extract = cohere.simplex._extract
+        monkeypatch.setattr(
+            cohere.simplex, "_extract", lambda *args: perturb(extract(*args))
+        )
+        with pytest.raises(AssertionError):
+            solve_eq_lp(rows, rhs, objective)
+
+    def test_int_and_fraction_inputs_agree(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            rhs = [rng.randint(-4, 4) for _ in range(m)]
+            objective = [rng.randint(-4, 4) for _ in range(n)]
+            # mixed: ints, with every other entry of each row a Fraction
+            mixed = [[Fr(v) if j % 2 else v for j, v in enumerate(r)] for r in rows]
+            exact = [[Fr(v) for v in r] for r in rows]
+            frhs, fobj = [Fr(v) for v in rhs], [Fr(v) for v in objective]
+            want = [solve_eq_lp(exact, frhs)] + [
+                solve_eq_lp(exact, frhs, fobj, maximize) for maximize in (False, True)
+            ]
+            got = [solve_eq_lp(mixed, rhs)] + [
+                solve_eq_lp(mixed, rhs, objective, maximize) for maximize in (False, True)
+            ]
+            assert got == want and repr(got) == repr(want)
