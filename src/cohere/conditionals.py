@@ -5,7 +5,9 @@ where ``~E & H`` holds, and void where ``H`` fails.  Quasi conjunction and
 quasi disjunction combine families of conditionals into a single conditional
 on the disjunction of the antecedents; the constituent machinery partitions
 the admissible worlds by their joint truth-value profile, which is the input
-to all coherence computations.
+to all coherence computations.  Every semantic question here is a bit
+operation on the world masks of ``events``; :func:`truth_value` on a single
+world is kept for printing representative worlds and as the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .events import (
     max_constituents,
     or_all,
     parse_event,
-    world_equivalent,
 )
 
 
@@ -66,15 +67,12 @@ class ConditionalEvent:
     @cached_property
     def masks(self) -> tuple[int, int]:
         """``(verifying, falsifying)`` bitsets over ``context.worlds``: bit k
-        is set when world k makes ``E & H``, respectively ``~E & H``, true."""
-        verifying = falsifying = 0
-        for k, w in enumerate(self.context.worlds):
-            if self.antecedent.evaluate(w):
-                if self.consequent.evaluate(w):
-                    verifying |= 1 << k
-                else:
-                    falsifying |= 1 << k
-        return verifying, falsifying
+        is set when world k makes ``E & H``, respectively ``~E & H``, true.
+        Both come from the compiled antecedent and consequent, with no
+        world visited."""
+        antecedent = self.context.mask(self.antecedent)
+        verifying = antecedent & self.context.mask(self.consequent)
+        return verifying, antecedent ^ verifying
 
 
 def truth_value(ce: ConditionalEvent, w: World) -> TruthValue3:
@@ -162,11 +160,10 @@ def biconditional(a: Event, b: Event, context: Context) -> ConditionalEvent:
 
 def equivalent(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Semantic equality: world-equivalent antecedents and identical truth
-    values on every admissible world."""
-    ctx = _shared_context([a, b])
-    if not world_equivalent(a.antecedent, b.antecedent, ctx):
-        return False
-    return all(truth_value(a, w) == truth_value(b, w) for w in ctx.worlds)
+    values on every admissible world, that is equal verifying and falsifying
+    masks."""
+    _shared_context([a, b])
+    return a.masks == b.masks
 
 
 # ---------------------------------------------------------------------------
@@ -206,38 +203,49 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     """Group admissible worlds by their profile over ``family``.
 
     Two worlds share a class iff every conditional takes the same truth value
-    in both.  Classes are ordered by first admissible world so that derived
-    matrices are reproducible.
+    in both.  The bitset of all worlds is split by each member's falsifying,
+    void and verifying masks in turn, so every class is one bitset.  Classes
+    are ordered by their lowest set bit, which is their first admissible
+    world, so that derived matrices are reproducible.
     """
     ctx = _shared_context(family)
     bound = max_constituents()
-    if 3 ** len(family) > bound and len(ctx.worlds) > bound:
+    full = ctx.full_mask
+    if 3 ** len(family) > bound and full.bit_length() > bound:
         raise SizeLimitError(
             f"family of {len(family)} conditionals may generate more than "
             f"{bound} constituents (override with COHERE_MAX_CONSTITUENTS)"
         )
-    groups: dict[tuple[TruthValue3, ...], list[World]] = {}
-    order: list[tuple[TruthValue3, ...]] = []
-    for w in ctx.worlds:
-        profile = tuple(truth_value(ce, w) for ce in family)
-        if profile not in groups:
-            groups[profile] = []
-            order.append(profile)
-        groups[profile].append(w)
-    if len(order) > bound:
+    # Each split refines the last, so no intermediate count exceeds the final.
+    classes: list[tuple[int, tuple[TruthValue3, ...]]] = [(full, ())]
+    for ce in family:
+        verifying, falsifying = ce.masks
+        parts = (
+            (falsifying, TruthValue3.FALSE),
+            (full ^ verifying ^ falsifying, TruthValue3.VOID),
+            (verifying, TruthValue3.TRUE),
+        )
+        classes = [
+            (cls & part, profile + (value,))
+            for cls, profile in classes
+            for part, value in parts
+            if cls & part
+        ]
+    if len(classes) > bound:
         raise SizeLimitError(
-            f"{len(order)} constituents exceed the bound of {bound} "
+            f"{len(classes)} constituents exceed the bound of {bound} "
             "(override with COHERE_MAX_CONSTITUENTS)"
         )
+    classes.sort(key=lambda c: (c[0] & -c[0]).bit_length())
     all_void = tuple([TruthValue3.VOID] * len(family))
     c0 = None
     inside = []
-    for profile in order:
-        cls = Constituent(profile, tuple(groups[profile]))
+    for cls, profile in classes:
+        constituent = Constituent(profile, ctx.worlds_in(cls))
         if profile == all_void:
-            c0 = cls
+            c0 = constituent
         else:
-            inside.append(cls)
+            inside.append(constituent)
     return ConstituentSet(tuple(inside), c0)
 
 

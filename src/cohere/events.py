@@ -1,9 +1,14 @@
 """Boolean event algebra over named atomic propositions.
 
-Events are plain formula trees; nothing is simplified or compiled.  All
-semantic questions (impossibility, implication, equivalence) are answered
-by exhaustive enumeration of the admissible worlds of a :class:`Context`,
-which is exact at desk scale.
+Events are plain formula trees; nothing is simplified.  A :class:`Context`
+compiles an event, in one fold over its tree, into a bitset over its
+admissible worlds: bit k is set when ``Context.worlds[k]`` makes the event
+true.  The fold starts from one mask per atom over all 2**n assignments,
+each a repeating block of ones, restricted to the admissible assignments.
+All semantic questions (impossibility, implication, equivalence) are
+answered by bit operations on these masks, which is exact at desk scale.
+:meth:`Event.evaluate` on a single :class:`World` stays as the reference
+semantics and for printing representative worlds.
 
 Grammar accepted by :func:`parse_event`::
 
@@ -22,7 +27,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
 
@@ -58,13 +63,19 @@ def max_constituents() -> int:
 class Event:
     """Base class of event formula trees.
 
-    Structural operators never evaluate anything; evaluation happens only
-    against a :class:`World` via :meth:`evaluate`.
+    Structural operators never evaluate anything; evaluation happens against
+    a :class:`World` via :meth:`evaluate`, or against every world at once via
+    :meth:`mask`.
     """
 
     __slots__ = ()
 
     def evaluate(self, world: "World") -> bool:
+        raise NotImplementedError
+
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        """Bitset of the worlds where the event holds, given each atom's
+        bitset and the bitset of all worlds."""
         raise NotImplementedError
 
     def atoms(self) -> frozenset[str]:
@@ -87,6 +98,9 @@ class Verum(Event):
     def evaluate(self, world: "World") -> bool:
         return True
 
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        return full
+
     def atoms(self) -> frozenset[str]:
         return frozenset()
 
@@ -100,6 +114,9 @@ class Falsum(Event):
 
     def evaluate(self, world: "World") -> bool:
         return False
+
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        return 0
 
     def atoms(self) -> frozenset[str]:
         return frozenset()
@@ -123,6 +140,12 @@ class Atom(Event):
     def evaluate(self, world: "World") -> bool:
         return world.value(self.name)
 
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        try:
+            return atoms[self.name]
+        except KeyError:
+            raise UnknownAtomError(f"unknown atom {self.name!r}") from None
+
     def atoms(self) -> frozenset[str]:
         return frozenset((self.name,))
 
@@ -136,6 +159,9 @@ class Not(Event):
 
     def evaluate(self, world: "World") -> bool:
         return not self.operand.evaluate(world)
+
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        return full ^ self.operand.mask(atoms, full)
 
     def atoms(self) -> frozenset[str]:
         return self.operand.atoms()
@@ -154,6 +180,9 @@ class And(Event):
     def evaluate(self, world: "World") -> bool:
         return self.left.evaluate(world) and self.right.evaluate(world)
 
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        return self.left.mask(atoms, full) & self.right.mask(atoms, full)
+
     def atoms(self) -> frozenset[str]:
         return self.left.atoms() | self.right.atoms()
 
@@ -169,6 +198,9 @@ class Or(Event):
 
     def evaluate(self, world: "World") -> bool:
         return self.left.evaluate(world) or self.right.evaluate(world)
+
+    def mask(self, atoms: Mapping[str, int], full: int) -> int:
+        return self.left.mask(atoms, full) | self.right.mask(atoms, full)
 
     def atoms(self) -> frozenset[str]:
         return self.left.atoms() | self.right.atoms()
@@ -318,6 +350,67 @@ class World:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 
 
+_T = TypeVar("_T")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Iterable[_T], mask: int) -> Iterator[_T]:
+    """The items at the set bit positions of ``mask``, in order."""
+    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def _check_atom_count(n: int) -> None:
+    if n > MAX_ATOMS:
+        raise SizeLimitError(f"{n} atoms exceed the desk-scale cap of {MAX_ATOMS}")
+
+
+def _space(
+    atoms: tuple[str, ...], constraints: Sequence[Event]
+) -> tuple[dict[str, int], int]:
+    """Each atom's bitset over all 2**n assignments, and the bitset of the
+    assignments falsifying every constraint.
+
+    Assignment i, in lexicographic order with false before true, gives atom k
+    the value of bit n-1-k of i, so atom k's bitset repeats a block of
+    2**(n-1-k) zeros followed by as many ones.
+    """
+    size = 1 << len(atoms)
+    full = (1 << size) - 1
+    masks = {}
+    for k, name in enumerate(atoms):
+        width = size >> k
+        mask = ((1 << (width >> 1)) - 1) << (width >> 1)
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        masks[name] = mask
+    admissible = full
+    for c in constraints:
+        admissible &= ~c.mask(masks, full)
+    return masks, admissible
+
+
+_KEEP = bytes.maketrans(b"\x92\x93", b"01")
+
+
+def _restrict(masks: dict[str, int], admissible: int, n: int) -> dict[str, int]:
+    """Each mask's bits at the set positions of ``admissible``, moved down to
+    consecutive positions.
+
+    A mask and ``admissible`` are written as 2**n binary digits, one byte
+    each, and added as integers with the admissible digits doubled: bytes
+    0x92 and 0x93 then mark the admissible digits 0 and 1, and 0x90 and 0x91
+    the others, which ``bytes.translate`` drops.
+    """
+    size = 1 << n
+    marks = 2 * int.from_bytes(format(admissible, f"0{size}b").encode())
+    out = {}
+    for name, m in masks.items():
+        digits = int.from_bytes(format(m, f"0{size}b").encode()) + marks
+        out[name] = int(digits.to_bytes(size).translate(_KEEP, b"\x90\x91") or b"0", 2)
+    return out
+
+
 @dataclass(frozen=True)
 class Context:
     """Declared atoms plus logical constraints.
@@ -337,10 +430,7 @@ class Context:
             raise ValueError("atom names must be unique")
         for name in self.atoms:
             Atom(name)
-        if len(self.atoms) > MAX_ATOMS:
-            raise SizeLimitError(
-                f"{len(self.atoms)} atoms exceed the desk-scale cap of {MAX_ATOMS}"
-            )
+        _check_atom_count(len(self.atoms))
         declared = frozenset(self.atoms)
         for c in self.constraints:
             undeclared = c.atoms() - declared
@@ -352,6 +442,27 @@ class Context:
     @cached_property
     def worlds(self) -> tuple[World, ...]:
         return tuple(enumerate_worlds(self.atoms, self.constraints))
+
+    @cached_property
+    def _masks(self) -> tuple[dict[str, int], int]:
+        masks, admissible = _space(self.atoms, self.constraints)
+        count = admissible.bit_count()
+        if count < 1 << len(self.atoms):
+            masks = _restrict(masks, admissible, len(self.atoms))
+        return masks, (1 << count) - 1
+
+    @property
+    def full_mask(self) -> int:
+        """Bitset of all admissible worlds: its bit k stands for ``worlds[k]``."""
+        return self._masks[1]
+
+    def mask(self, e: Event) -> int:
+        """Bitset of the admissible worlds where ``e`` holds."""
+        return e.mask(*self._masks)
+
+    def worlds_in(self, mask: int) -> tuple[World, ...]:
+        """The admissible worlds whose bits are set in ``mask``, in order."""
+        return tuple(_select(self.worlds, mask))
 
     def check_event(self, e: Event) -> None:
         undeclared = e.atoms() - frozenset(self.atoms)
@@ -365,21 +476,22 @@ def enumerate_worlds(
     """Yield every assignment falsifying all constraints.
 
     Order is lexicographic over the atom order with false before true, so the
-    result is deterministic.
+    result is deterministic.  The constraints are compiled to one bitset over
+    all assignments, which selects the admissible ones.
     """
     atom_tuple = tuple(atoms)
     if not atom_tuple:
         raise ValueError("enumerate_worlds requires at least one atom")
-    for values in itertools.product((False, True), repeat=len(atom_tuple)):
-        world = World(atom_tuple, values)
-        if all(not c.evaluate(world) for c in constraints):
-            yield world
+    _check_atom_count(len(atom_tuple))
+    _, admissible = _space(atom_tuple, constraints)
+    product = itertools.product((False, True), repeat=len(atom_tuple))
+    for values in _select(product, admissible):
+        yield World(atom_tuple, values)
 
 
 def is_impossible(e: Event, context: Context) -> bool:
-    """True iff ``e`` evaluates false in every admissible world."""
-    context.check_event(e)
-    return all(not e.evaluate(w) for w in context.worlds)
+    """True iff ``e`` is false in every admissible world."""
+    return not context.mask(e)
 
 
 def implies(a: Event, b: Event, context: Context) -> bool:
@@ -389,6 +501,4 @@ def implies(a: Event, b: Event, context: Context) -> bool:
 
 def world_equivalent(a: Event, b: Event, context: Context) -> bool:
     """True iff ``a`` and ``b`` take the same value in every admissible world."""
-    context.check_event(a)
-    context.check_event(b)
-    return all(a.evaluate(w) == b.evaluate(w) for w in context.worlds)
+    return context.mask(a) == context.mask(b)

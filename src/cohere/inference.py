@@ -26,7 +26,6 @@ from .conditionals import (
     ConditionalEvent,
     _shared_context,
     gn_includes,
-    negate,
     quasi_conjunction,
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
@@ -68,29 +67,37 @@ def all_ones(kb: KnowledgeBase) -> Assessment:
     return Assessment(kb.conditionals, (ONE,) * len(kb))
 
 
-def _untolerated(family: Sequence[ConditionalEvent]) -> tuple[ConditionalEvent, ...]:
-    """The members that Adams' tolerance test never removes.
+def _tolerance_test(masks: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions of the ``(verifying, falsifying)`` mask pairs that Adams'
+    tolerance test never removes.
 
     A member is tolerated by a family when some admissible world verifies it
     and falsifies no member of the family.  Each round removes every member
     tolerated by the members still left; the removed sets are the layers of
     the System Z partition (Goldszmidt & Pearl 1996), and the family is
-    p-consistent exactly when nothing is left (Adams 1975).  Every world that
-    meets an antecedent of what is left falsifies one of its members, so a
-    stake of -1 on each of them wins on every constituent: the remainder
-    certifies that its all-ones assessment is incoherent.
+    p-consistent exactly when nothing is left (Adams 1975).
     """
-    _shared_context(family)
-    rest = tuple(family)
+    rest = list(range(len(masks)))
     while rest:
         unsafe = 0
-        for ce in rest:
-            unsafe |= ce.masks[1]
-        kept = tuple(ce for ce in rest if not ce.masks[0] & ~unsafe)
+        for i in rest:
+            unsafe |= masks[i][1]
+        kept = [i for i in rest if not masks[i][0] & ~unsafe]
         if len(kept) == len(rest):
             break
         rest = kept
     return rest
+
+
+def _untolerated(family: Sequence[ConditionalEvent]) -> tuple[ConditionalEvent, ...]:
+    """The members that Adams' tolerance test never removes.
+
+    Every world that meets an antecedent of what is left falsifies one of its
+    members, so a stake of -1 on each of them wins on every constituent: the
+    remainder certifies that its all-ones assessment is incoherent.
+    """
+    _shared_context(family)
+    return tuple(family[i] for i in _tolerance_test([ce.masks for ce in family]))
 
 
 def p_consistent(kb: KnowledgeBase) -> bool:
@@ -109,13 +116,17 @@ def p_entails(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
     A p-consistent base p-entails the target exactly when assigning one to
     every member and zero to the target, that is one to its negation, is
     incoherent (Gilio 2002), so one tolerance test of the base plus the
-    negated target decides it.  A p-consistent extension contains the base as
-    a p-consistent subfamily, so only a failed test needs the base tested on
-    its own, to tell a p-inconsistent base (``NotPConsistentError``) from an
-    entailment.  An empty base raises ``ValueError``.
+    negated target decides it.  The negation verifies where the target
+    falsifies and the other way round, so its masks are the target's swapped.
+    A p-consistent extension contains the base as a p-consistent subfamily,
+    so only a failed test needs the base tested on its own, to tell a
+    p-inconsistent base (``NotPConsistentError``) from an entailment.  An
+    empty base, or a target from another context, raises ``ValueError``.
     """
     _shared_context(kb.conditionals)  # an empty base raises ValueError
-    if not _untolerated((*kb.conditionals, negate(target))):
+    _shared_context((*kb.conditionals, target))  # so does a foreign target
+    verifying, falsifying = target.masks
+    if not _tolerance_test([*(ce.masks for ce in kb.conditionals), (falsifying, verifying)]):
         return False
     if not p_consistent(kb):
         raise NotPConsistentError("knowledge base is not p-consistent")

@@ -10,12 +10,16 @@ from cohere import (
     Assessment,
     Atom,
     ConditionalEvent,
+    ConstituentSet,
     Context,
     Event,
+    TruthValue3,
+    World,
     is_impossible,
     parse_event,
     truth_value,
 )
+from cohere.conditionals import Constituent
 from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
@@ -107,6 +111,39 @@ def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Exhaustive world-by-world comparison, independent of `equivalent`."""
     assert a.context == b.context
     return all(truth_value(a, w) == truth_value(b, w) for w in a.context.worlds)
+
+
+# ---------------------------------------------------------------------------
+# Reference semantics: the per-world loops that the world bitsets of
+# `cohere.events` replaced.  Differential tests require the engine to return
+# exactly the same masks and constituents.
+# ---------------------------------------------------------------------------
+
+
+def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:
+    """``(verifying, falsifying)`` bitsets over ``ce.context.worlds``, one
+    world at a time."""
+    verifying = falsifying = 0
+    for k, w in enumerate(ce.context.worlds):
+        if ce.antecedent.evaluate(w):
+            if ce.consequent.evaluate(w):
+                verifying |= 1 << k
+            else:
+                falsifying |= 1 << k
+    return verifying, falsifying
+
+
+def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
+    """Admissible worlds grouped by profile, classes in order of first world."""
+    groups: dict[tuple[TruthValue3, ...], list[World]] = {}
+    for w in family[0].context.worlds:
+        groups.setdefault(tuple(truth_value(ce, w) for ce in family), []).append(w)
+    all_void = (TruthValue3.VOID,) * len(family)
+    classes = [Constituent(profile, tuple(ws)) for profile, ws in groups.items()]
+    return ConstituentSet(
+        tuple(c for c in classes if c.profile != all_void),
+        next((c for c in classes if c.profile == all_void), None),
+    )
 
 
 # ---------------------------------------------------------------------------
