@@ -141,10 +141,7 @@ class Atom(Event):
         return world.value(self.name)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
-        try:
-            return atoms[self.name]
-        except KeyError:
-            raise UnknownAtomError(f"unknown atom {self.name!r}") from None
+        return atoms[self.name]
 
     def atoms(self) -> frozenset[str]:
         return frozenset((self.name,))
@@ -390,25 +387,36 @@ def _space(
     return masks, admissible
 
 
-_KEEP = bytes.maketrans(b"\x92\x93", b"01")
+_TWOS = bytes.maketrans(b"01", b"\0\2")
+_KEPT = bytes.maketrans(b"23", b"01")
 
 
 def _restrict(masks: dict[str, int], admissible: int, n: int) -> dict[str, int]:
     """Each mask's bits at the set positions of ``admissible``, moved down to
     consecutive positions.
 
-    A mask and ``admissible`` are written as 2**n binary digits, one byte
-    each, and added as integers with the admissible digits doubled: bytes
-    0x92 and 0x93 then mark the admissible digits 0 and 1, and 0x90 and 0x91
-    the others, which ``bytes.translate`` drops.
+    Every mask is written as 2**n ASCII digits, and 2 is added to the digits
+    at admissible positions in one integer addition (the bytes never carry):
+    those digits read ``2`` or ``3``, and ``bytes.translate`` deletes the
+    remaining ``0`` and ``1`` digits and maps ``2`` and ``3`` back.  Each
+    step runs over the whole byte string at once, where picking the digits
+    with :func:`_select` would step through them one Python object at a time.
     """
     size = 1 << n
-    marks = 2 * int.from_bytes(format(admissible, f"0{size}b").encode())
+    twos = int.from_bytes(format(admissible, f"0{size}b").encode().translate(_TWOS), "big")
     out = {}
     for name, m in masks.items():
-        digits = int.from_bytes(format(m, f"0{size}b").encode()) + marks
-        out[name] = int(digits.to_bytes(size).translate(_KEEP, b"\x90\x91") or b"0", 2)
+        digits = int.from_bytes(format(m, f"0{size}b").encode(), "big") + twos
+        out[name] = int(digits.to_bytes(size, "big").translate(_KEPT, b"01") or b"0", 2)
     return out
+
+
+def _check_constraints(atoms: Sequence[str], constraints: Iterable[Event]) -> None:
+    declared = frozenset(atoms)
+    for c in constraints:
+        undeclared = c.atoms() - declared
+        if undeclared:
+            raise UnknownAtomError(f"constraint {c} uses undeclared atoms {sorted(undeclared)}")
 
 
 @dataclass(frozen=True)
@@ -431,21 +439,21 @@ class Context:
         for name in self.atoms:
             Atom(name)
         _check_atom_count(len(self.atoms))
-        declared = frozenset(self.atoms)
-        for c in self.constraints:
-            undeclared = c.atoms() - declared
-            if undeclared:
-                raise UnknownAtomError(
-                    f"constraint {c} uses undeclared atoms {sorted(undeclared)}"
-                )
+        _check_constraints(self.atoms, self.constraints)
+
+    @cached_property
+    def _assignments(self) -> tuple[dict[str, int], int]:
+        """Each atom's bitset over all 2**n assignments, and the bitset of
+        the admissible ones."""
+        return _space(self.atoms, self.constraints)
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
-        return tuple(enumerate_worlds(self.atoms, self.constraints))
+        return tuple(enumerate_worlds(self.atoms, admissible=self._assignments[1]))
 
     @cached_property
     def _masks(self) -> tuple[dict[str, int], int]:
-        masks, admissible = _space(self.atoms, self.constraints)
+        masks, admissible = self._assignments
         count = admissible.bit_count()
         if count < 1 << len(self.atoms):
             masks = _restrict(masks, admissible, len(self.atoms))
@@ -458,6 +466,7 @@ class Context:
 
     def mask(self, e: Event) -> int:
         """Bitset of the admissible worlds where ``e`` holds."""
+        self.check_event(e)
         return e.mask(*self._masks)
 
     def worlds_in(self, mask: int) -> tuple[World, ...]:
@@ -471,19 +480,24 @@ class Context:
 
 
 def enumerate_worlds(
-    atoms: Sequence[str], constraints: Sequence[Event] = ()
+    atoms: Sequence[str], constraints: Sequence[Event] = (), *, admissible: int | None = None
 ) -> Iterator[World]:
     """Yield every assignment falsifying all constraints.
 
     Order is lexicographic over the atom order with false before true, so the
     result is deterministic.  The constraints are compiled to one bitset over
-    all assignments, which selects the admissible ones.
+    all assignments, which selects the admissible ones; a caller that has
+    compiled them already passes that bitset as ``admissible`` instead.
     """
     atom_tuple = tuple(atoms)
     if not atom_tuple:
         raise ValueError("enumerate_worlds requires at least one atom")
     _check_atom_count(len(atom_tuple))
-    _, admissible = _space(atom_tuple, constraints)
+    if admissible is None:
+        _check_constraints(atom_tuple, constraints)
+        admissible = _space(atom_tuple, constraints)[1]
+    elif constraints:
+        raise ValueError("pass the constraints or their admissible bitset, not both")
     product = itertools.product((False, True), repeat=len(atom_tuple))
     for values in _select(product, admissible):
         yield World(atom_tuple, values)

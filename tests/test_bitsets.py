@@ -99,10 +99,28 @@ class TestCompiledEnumeration:
         assert list(enumerate_worlds(atoms, constraints)) == expected
 
     def test_undeclared_constraint_atom_raises(self):
-        with pytest.raises(UnknownAtomError):
+        with pytest.raises(UnknownAtomError, match=r"constraint C uses undeclared atoms \['C'\]"):
             list(enumerate_worlds(("A", "B"), (Atom("C"),)))
-        with pytest.raises(UnknownAtomError):
+        with pytest.raises(UnknownAtomError, match="uses undeclared atoms"):
             list(enumerate_worlds(("A",), (Atom("A") & ~Atom("Z"),)))
+
+    def test_undeclared_event_atom_names_the_event(self):
+        ctx = Context(("A", "B"))
+        message = r"event A & Z uses undeclared atoms \['Z'\]"
+        with pytest.raises(UnknownAtomError, match=message):
+            is_impossible(parse_event("A & Z"), ctx)
+        with pytest.raises(UnknownAtomError, match=message):
+            world_equivalent(Atom("B"), parse_event("A & Z"), ctx)
+        with pytest.raises(UnknownAtomError, match=message):
+            ConditionalEvent(Atom("A"), parse_event("A & Z"), ctx)
+
+    def test_admissible_bitset_replaces_constraints(self):
+        atoms, constraints = ("A", "B"), (Atom("A") & Atom("B"),)
+        expected = list(enumerate_worlds(atoms, constraints))
+        assert list(enumerate_worlds(atoms, admissible=0b0111)) == expected
+        assert Context(atoms, constraints).worlds == tuple(expected)
+        with pytest.raises(ValueError):
+            list(enumerate_worlds(atoms, constraints, admissible=0b0111))
 
     def test_no_admissible_world(self):
         ctx = Context(("A", "B"), (Atom("A"), ~Atom("A")))

@@ -47,6 +47,24 @@ def test_no_unused_imports_in_package():
     assert not found, found
 
 
+def test_byte_conversions_name_their_byte_order():
+    # int.from_bytes and int.to_bytes default the byte order only from
+    # Python 3.11, and the package supports 3.10.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("from_bytes", "to_bytes")
+            and len(node.args) < 2
+            and not any(k.arg == "byteorder" for k in node.keywords)
+        ]
+    assert not found, found
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "bench" / "tracer.py"
