@@ -22,11 +22,11 @@ from .coherence import (
     verdict_to_json,
 )
 from .conditionals import (
+    TruthValue3,
     constituents,
     parse_conditional,
     quasi_conjunction,
     quasi_disjunction,
-    truth_value,
 )
 from .errors import CohereError
 from .inference import (
@@ -320,18 +320,20 @@ def _cmd_truth_table(args) -> int:
     cs = constituents(members)
     qc = quasi_conjunction(members)
     qd = quasi_disjunction(members)
-    rows = []
     ordered = ([cs.c0] if cs.c0 is not None else []) + list(cs.inside)
-    for c in ordered:
-        w = c.representative
-        rows.append(
-            {
-                "world": str(w),
-                "values": [str(v) for v in c.profile],
-                "C": str(truth_value(qc, w)),
-                "D": str(truth_value(qd, w)),
-            }
-        )
+    # Each row is read at its class's lowest set bit; the classes are
+    # disjoint, so one decoding yields every representative in bit order.
+    firsts = [c.mask & -c.mask for c in ordered]
+    world = dict(zip(sorted(firsts), kb.context.worlds_in(sum(firsts))))
+    rows = [
+        {
+            "world": str(world[bit]),
+            "values": [str(v) for v in c.profile],
+            "C": _value_at(qc, bit),
+            "D": _value_at(qd, bit),
+        }
+        for c, bit in zip(ordered, firsts)
+    ]
     if args.json:
         print(json.dumps({"conditionals": names, "rows": rows}, sort_keys=True))
         return 0
@@ -341,6 +343,13 @@ def _cmd_truth_table(args) -> int:
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return 0
+
+
+def _value_at(ce, bit: int) -> str:
+    """``ce``'s truth value at the assignment whose bit is ``bit``: VOID,
+    raised by one where ``ce`` is verified and lowered by one where falsified."""
+    verifying, falsifying = ce.masks
+    return str(TruthValue3(1 + bool(verifying & bit) - bool(falsifying & bit)))
 
 
 def _cmd_tnorm(args) -> int:
@@ -382,15 +391,22 @@ _HANDLERS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    # Built on the first call, so that importing stays cheap, and kept:
+    # building it costs more than answering a small query.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args, extra = _parser.parse_known_args(argv)
     # argparse stops filling a zero-or-more positional at the first flag, so
     # region probabilities written after --gamma come back as leftovers.
     if args.command == "region" and not any(t.startswith("-") for t in extra):
         args.probs += extra
     elif extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _HANDLERS[args.command](args)
     except (CohereError, ValueError, OSError) as exc:

@@ -6,8 +6,8 @@ quasi disjunction combine families of conditionals into a single conditional
 on the disjunction of the antecedents; the constituent machinery partitions
 the admissible worlds by their joint truth-value profile, which is the input
 to all coherence computations.  Every semantic question here is a bit
-operation on the world masks of ``events``; :func:`truth_value` on a single
-world is kept for printing representative worlds and as the reference.
+operation on the assignment masks of ``events``, and no world is built;
+:func:`truth_value` on a single world is kept as the reference semantics.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class ConditionalEvent:
 
     @cached_property
     def masks(self) -> tuple[int, int]:
-        """``(verifying, falsifying)`` bitsets over ``context.worlds``: bit k
-        is set when world k makes ``E & H``, respectively ``~E & H``, true.
-        Both come from the compiled antecedent and consequent, with no
-        world visited."""
+        """``(verifying, falsifying)`` bitsets over the context's assignments:
+        bit k is set when assignment k is admissible and makes ``E & H``,
+        respectively ``~E & H``, true.  Both come from the compiled
+        antecedent and consequent, with no world visited."""
         antecedent = self.context.mask(self.antecedent)
         verifying = antecedent & self.context.mask(self.consequent)
         return verifying, antecedent ^ verifying
@@ -173,14 +173,25 @@ def equivalent(a: ConditionalEvent, b: ConditionalEvent) -> bool:
 
 @dataclass(frozen=True)
 class Constituent:
-    """A maximal class of admissible worlds sharing one truth-value profile."""
+    """A maximal class of admissible worlds sharing one truth-value profile.
+
+    ``mask`` is the class as a bitset over the context's assignments, with
+    one bit set per admissible world in the class; its worlds are decoded
+    only on demand.
+    """
 
     profile: tuple[TruthValue3, ...]
-    worlds: tuple[World, ...]
+    mask: int
+    context: Context
+
+    @property
+    def worlds(self) -> tuple[World, ...]:
+        return self.context.worlds_in(self.mask)
 
     @property
     def representative(self) -> World:
-        return self.worlds[0]
+        """The class's first world, decoded from its lowest set bit."""
+        return self.context.worlds_in(self.mask & -self.mask)[0]
 
 
 @dataclass(frozen=True)
@@ -188,8 +199,10 @@ class ConstituentSet:
     """Partition of the admissible worlds induced by a family of conditionals.
 
     ``inside`` lists the classes meeting at least one antecedent, ordered by
-    their lexicographically first world; ``c0`` is the all-antecedents-false
-    class when it is nonempty.
+    the lowest set bit of their masks, which is their lexicographically
+    first world; ``c0`` is the all-antecedents-false class when it is
+    nonempty.  Each class is one assignment bitset, so the masks of all
+    classes partition the context's ``full_mask``.
     """
 
     inside: tuple[Constituent, ...]
@@ -203,15 +216,16 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     """Group admissible worlds by their profile over ``family``.
 
     Two worlds share a class iff every conditional takes the same truth value
-    in both.  The bitset of all worlds is split by each member's falsifying,
-    void and verifying masks in turn, so every class is one bitset.  Classes
-    are ordered by their lowest set bit, which is their first admissible
-    world, so that derived matrices are reproducible.
+    in both.  The bitset of all admissible assignments is split by each
+    member's falsifying, void and verifying masks in turn, so every class
+    is one bitset and no world is built.  Classes are ordered by their
+    lowest set bit, which is their first admissible world, so that derived
+    matrices are reproducible.
     """
     ctx = _shared_context(family)
     bound = max_constituents()
     full = ctx.full_mask
-    if 3 ** len(family) > bound and full.bit_length() > bound:
+    if 3 ** len(family) > bound and full.bit_count() > bound:
         raise SizeLimitError(
             f"family of {len(family)} conditionals may generate more than "
             f"{bound} constituents (override with COHERE_MAX_CONSTITUENTS)"
@@ -241,7 +255,7 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     c0 = None
     inside = []
     for cls, profile in classes:
-        constituent = Constituent(profile, ctx.worlds_in(cls))
+        constituent = Constituent(profile, cls, ctx)
         if profile == all_void:
             c0 = constituent
         else:

@@ -1,14 +1,16 @@
 """Boolean event algebra over named atomic propositions.
 
 Events are plain formula trees; nothing is simplified.  A :class:`Context`
-compiles an event, in one fold over its tree, into a bitset over its
-admissible worlds: bit k is set when ``Context.worlds[k]`` makes the event
-true.  The fold starts from one mask per atom over all 2**n assignments,
-each a repeating block of ones, restricted to the admissible assignments.
-All semantic questions (impossibility, implication, equivalence) are
-answered by bit operations on these masks, which is exact at desk scale.
-:meth:`Event.evaluate` on a single :class:`World` stays as the reference
-semantics and for printing representative worlds.
+compiles an event, in one fold over its tree, into a bitset over the 2**n
+assignments of its atoms: bit k is set when assignment k, in
+:func:`enumerate_worlds` order, is admissible and makes the event true.
+The fold starts from one mask per atom, a repeating block of ones ANDed
+with the admissible bitset, so inadmissible bits are never set.  All
+semantic questions (impossibility, implication, equivalence) are answered
+by bit operations on these masks, which is exact at desk scale, and no
+:class:`World` is built for them.  :meth:`Event.evaluate` on a single
+:class:`World` stays as the reference semantics, and
+:meth:`Context.worlds_in` decodes a bitset into worlds on demand.
 
 Grammar accepted by :func:`parse_event`::
 
@@ -27,7 +29,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
 
@@ -74,8 +76,8 @@ class Event:
         raise NotImplementedError
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
-        """Bitset of the worlds where the event holds, given each atom's
-        bitset and the bitset of all worlds."""
+        """Bitset of the assignments where the event holds, given each
+        atom's bitset and the bitset of all admissible assignments."""
         raise NotImplementedError
 
     def atoms(self) -> frozenset[str]:
@@ -347,13 +349,7 @@ class World:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 
 
-_T = TypeVar("_T")
 _BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _select(items: Iterable[_T], mask: int) -> Iterator[_T]:
-    """The items at the set bit positions of ``mask``, in order."""
-    return itertools.compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 def _check_atom_count(n: int) -> None:
@@ -364,12 +360,14 @@ def _check_atom_count(n: int) -> None:
 def _space(
     atoms: tuple[str, ...], constraints: Sequence[Event]
 ) -> tuple[dict[str, int], int]:
-    """Each atom's bitset over all 2**n assignments, and the bitset of the
-    assignments falsifying every constraint.
+    """Each atom's bitset over the 2**n assignments, and the bitset of the
+    admissible assignments, those falsifying every constraint.
 
     Assignment i, in lexicographic order with false before true, gives atom k
     the value of bit n-1-k of i, so atom k's bitset repeats a block of
-    2**(n-1-k) zeros followed by as many ones.
+    2**(n-1-k) zeros followed by as many ones.  The atom bitsets returned
+    are ANDed with the admissible bitset, so that complementing within it
+    (``Not``) never sets an inadmissible bit.
     """
     size = 1 << len(atoms)
     full = (1 << size) - 1
@@ -384,31 +382,7 @@ def _space(
     admissible = full
     for c in constraints:
         admissible &= ~c.mask(masks, full)
-    return masks, admissible
-
-
-_TWOS = bytes.maketrans(b"01", b"\0\2")
-_KEPT = bytes.maketrans(b"23", b"01")
-
-
-def _restrict(masks: dict[str, int], admissible: int, n: int) -> dict[str, int]:
-    """Each mask's bits at the set positions of ``admissible``, moved down to
-    consecutive positions.
-
-    Every mask is written as 2**n ASCII digits, and 2 is added to the digits
-    at admissible positions in one integer addition (the bytes never carry):
-    those digits read ``2`` or ``3``, and ``bytes.translate`` deletes the
-    remaining ``0`` and ``1`` digits and maps ``2`` and ``3`` back.  Each
-    step runs over the whole byte string at once, where picking the digits
-    with :func:`_select` would step through them one Python object at a time.
-    """
-    size = 1 << n
-    twos = int.from_bytes(format(admissible, f"0{size}b").encode().translate(_TWOS), "big")
-    out = {}
-    for name, m in masks.items():
-        digits = int.from_bytes(format(m, f"0{size}b").encode(), "big") + twos
-        out[name] = int(digits.to_bytes(size, "big").translate(_KEPT, b"01") or b"0", 2)
-    return out
+    return {name: m & admissible for name, m in masks.items()}, admissible
 
 
 def _check_constraints(atoms: Sequence[str], constraints: Iterable[Event]) -> None:
@@ -442,36 +416,28 @@ class Context:
         _check_constraints(self.atoms, self.constraints)
 
     @cached_property
-    def _assignments(self) -> tuple[dict[str, int], int]:
-        """Each atom's bitset over all 2**n assignments, and the bitset of
-        the admissible ones."""
-        return _space(self.atoms, self.constraints)
-
-    @cached_property
-    def worlds(self) -> tuple[World, ...]:
-        return tuple(enumerate_worlds(self.atoms, admissible=self._assignments[1]))
-
-    @cached_property
     def _masks(self) -> tuple[dict[str, int], int]:
-        masks, admissible = self._assignments
-        count = admissible.bit_count()
-        if count < 1 << len(self.atoms):
-            masks = _restrict(masks, admissible, len(self.atoms))
-        return masks, (1 << count) - 1
+        return _space(self.atoms, self.constraints)
 
     @property
     def full_mask(self) -> int:
-        """Bitset of all admissible worlds: its bit k stands for ``worlds[k]``."""
+        """Bitset of the admissible assignments: bit k is set when assignment
+        k, in :func:`enumerate_worlds` order over all 2**n, is admissible."""
         return self._masks[1]
 
+    @cached_property
+    def worlds(self) -> tuple[World, ...]:
+        return self.worlds_in(self.full_mask)
+
     def mask(self, e: Event) -> int:
-        """Bitset of the admissible worlds where ``e`` holds."""
+        """Bitset of the admissible assignments where ``e`` holds."""
         self.check_event(e)
         return e.mask(*self._masks)
 
     def worlds_in(self, mask: int) -> tuple[World, ...]:
-        """The admissible worlds whose bits are set in ``mask``, in order."""
-        return tuple(_select(self.worlds, mask))
+        """The worlds of the assignments whose bits are set in ``mask``, in
+        order; ``mask`` must lie within :attr:`full_mask`."""
+        return tuple(enumerate_worlds(self.atoms, admissible=mask))
 
     def check_event(self, e: Event) -> None:
         undeclared = e.atoms() - frozenset(self.atoms)
@@ -499,7 +465,8 @@ def enumerate_worlds(
     elif constraints:
         raise ValueError("pass the constraints or their admissible bitset, not both")
     product = itertools.product((False, True), repeat=len(atom_tuple))
-    for values in _select(product, admissible):
+    selectors = bin(admissible)[:1:-1].encode().translate(_BITS)
+    for values in itertools.compress(product, selectors):
         yield World(atom_tuple, values)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -114,17 +115,29 @@ def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference semantics: the per-world loops that the world bitsets of
-# `cohere.events` replaced.  Differential tests require the engine to return
-# exactly the same masks and constituents.
+# Reference semantics: the per-world loops that the assignment bitsets of
+# `cohere.events` replaced.  Bit k stands for assignment k of all 2**n, in
+# enumeration order, and is set only on admissible assignments.  Differential
+# tests require the engine to return exactly the same masks and constituents.
 # ---------------------------------------------------------------------------
 
 
+def reference_worlds(ctx: Context) -> list[tuple[int, World]]:
+    """Each admissible world with its assignment number, found by evaluating
+    every constraint on every assignment."""
+    out = []
+    everything = itertools.product((False, True), repeat=len(ctx.atoms))
+    for k, values in enumerate(everything):
+        w = World(ctx.atoms, values)
+        if not any(c.evaluate(w) for c in ctx.constraints):
+            out.append((k, w))
+    return out
+
+
 def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:
-    """``(verifying, falsifying)`` bitsets over ``ce.context.worlds``, one
-    world at a time."""
+    """``(verifying, falsifying)`` assignment bitsets, one world at a time."""
     verifying = falsifying = 0
-    for k, w in enumerate(ce.context.worlds):
+    for k, w in reference_worlds(ce.context):
         if ce.antecedent.evaluate(w):
             if ce.consequent.evaluate(w):
                 verifying |= 1 << k
@@ -135,11 +148,13 @@ def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:
 
 def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     """Admissible worlds grouped by profile, classes in order of first world."""
-    groups: dict[tuple[TruthValue3, ...], list[World]] = {}
-    for w in family[0].context.worlds:
-        groups.setdefault(tuple(truth_value(ce, w) for ce in family), []).append(w)
+    ctx = family[0].context
+    groups: dict[tuple[TruthValue3, ...], int] = {}
+    for k, w in reference_worlds(ctx):
+        profile = tuple(truth_value(ce, w) for ce in family)
+        groups[profile] = groups.get(profile, 0) | 1 << k
     all_void = (TruthValue3.VOID,) * len(family)
-    classes = [Constituent(profile, tuple(ws)) for profile, ws in groups.items()]
+    classes = [Constituent(profile, mask, ctx) for profile, mask in groups.items()]
     return ConstituentSet(
         tuple(c for c in classes if c.profile != all_void),
         next((c for c in classes if c.profile == all_void), None),

@@ -3,6 +3,7 @@ edge cases of the compiled enumeration, and the paths that enumerate no
 world at all."""
 
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -23,11 +24,14 @@ from cohere import (
     implies,
     is_impossible,
     parse_event,
+    quasi_conjunction,
+    quasi_disjunction,
     truth_value,
     world_equivalent,
 )
 from cohere import cli, coherence, events
 from cohere.coherence import build_sigma
+from cohere.kbfile import load_kb
 
 from helpers import (
     random_conditional,
@@ -63,7 +67,8 @@ def _sigma_tables(assessment, target=None):
 def test_bitsets_match_per_world_reference(seed, monkeypatch):
     rng = random.Random(seed)
     ctx = _random_context(rng)
-    assert ctx.full_mask == (1 << len(ctx.worlds)) - 1
+    assert ctx.worlds_in(ctx.full_mask) == ctx.worlds
+    assert ctx.full_mask.bit_count() == len(ctx.worlds)
     evs = [random_event(rng, ctx.atoms, depth=3) for _ in range(6)]
     for a, b in itertools.product(evs, repeat=2):
         assert is_impossible(a, ctx) == _impossible(a, ctx)
@@ -133,14 +138,45 @@ class TestCompiledEnumeration:
     def test_one_admissible_world(self):
         ctx = Context(("A", "B", "C"), (Atom("A"), Atom("B"), ~Atom("C")))
         assert ctx.worlds == (World(("A", "B", "C"), (False, False, True)),)
-        assert ctx.full_mask == 1
+        # The one admissible world is assignment 0b001.
+        assert ctx.full_mask == 2
         assert is_impossible(Atom("A"), ctx)
         assert not is_impossible(Atom("C"), ctx)
         assert world_equivalent(Atom("C"), parse_event("T"), ctx)
         ce = ConditionalEvent(~Atom("B"), Atom("C"), ctx)
-        assert ce.masks == reference_masks(ce) == (1, 0)
+        assert ce.masks == reference_masks(ce) == (2, 0)
         assert constituents([ce]) == reference_constituents([ce])
         assert len(constituents([ce])) == 1
+
+
+def test_size_guard_counts_admissible_worlds():
+    # Only 1024 of the 4096 assignments are admissible, and they are the
+    # highest ones: the guard must count set bits, not the highest bit.
+    atoms = tuple(f"X{i}" for i in range(12))
+    ctx = Context(atoms, (parse_event("~X0 | ~X1"),))
+    family = [
+        ConditionalEvent(Atom(f"X{i + 2}"), Atom(f"X{(i + 3) % 10 + 2}"), ctx)
+        for i in range(8)
+    ]
+    cs = constituents(family)
+    assert len(cs) == 576
+    assert cs == reference_constituents(family)
+
+
+def test_truth_table_rows_match_per_world_reference(capsys):
+    # One row per profile, shown at the first world that has it, with the
+    # quasi conjunction's and disjunction's values at that world.
+    for path in sorted(KB_DIR.glob("*.kb")):
+        kb, _ = load_kb(str(path))
+        members = [kb.get(name) for name in kb.names]
+        family = members + [quasi_conjunction(members), quasi_disjunction(members)]
+        first = {}
+        for w in kb.context.worlds:
+            first.setdefault(tuple(str(truth_value(ce, w)) for ce in family), str(w))
+        assert cli.main(["truth-table", str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        shown = {(*row["values"], row["C"], row["D"]): row["world"] for row in rows}
+        assert len(shown) == len(rows) and shown == first, path.name
 
 
 def _rebind(monkeypatch, original, replacement) -> None:
@@ -166,16 +202,22 @@ def test_tolerance_commands_enumerate_no_world(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["check", "truth-table"])
 def test_constituent_commands_enumerate_once_per_file(command, monkeypatch, capsys):
+    # `check` decodes no world; `truth-table` decodes its row representatives
+    # in one call and nothing more.
     original = events.enumerate_worlds
-    calls = []
+    yielded = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        worlds = list(original(*args, **kwargs))
+        yielded.append(len(worlds))
+        return iter(worlds)
 
     _rebind(monkeypatch, original, counted)
     for path in sorted(KB_DIR.glob("*.kb")):
-        calls.clear()
+        yielded.clear()
         assert cli.main([command, str(path)]) == 0, path.name
-        assert len(calls) <= 1, path.name
-    capsys.readouterr()
+        rows = len(capsys.readouterr().out.splitlines()) - 1
+        if command == "check":
+            assert yielded == [], path.name
+        else:
+            assert len(yielded) == 1 and yielded[0] <= rows, path.name

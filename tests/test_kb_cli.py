@@ -242,6 +242,32 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5 and set("".join(lines)) <= {"#", "."}
 
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        assert main(["bounds", "qc", "1/2", "1/2"]) == 0
+        assert main(["region", "Lqc", "--gamma", "3/5", "8/10", "9/10"]) == 0
+        assert main(["check", str(KB_DIR / "gn_chain.kb")]) == 0
+        assert len(built) == 1
+
+    def test_shared_parser_carries_no_state_between_calls(self, capsys):
+        # Probabilities after --gamma come back as leftovers and are appended
+        # to the parsed ones; a second call must not see the first's.  At
+        # gamma 1/4 the pair is in the region and any longer list is not.
+        argv = ["region", "Lqc", "--gamma", "1/4", "3/4", "1/2"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["IN REGION\n"] * 2
+
     def test_loop_with_derangement(self, capsys):
         assert main(["loop", "--n", "3", "--derangement", "3,1,2"]) == 0
         assert "MUTUALLY P-ENTAILED" in capsys.readouterr().out

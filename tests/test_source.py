@@ -81,8 +81,11 @@ def test_benchmark_tracer_sees_every_layer(capsys):
         code = cli.main(
             ["entails", str(LINDA), "~N | L", "--method", "both", "--oracle", "--json"]
         )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["p_entailed"] is True
+        assert json.loads(capsys.readouterr().out)["p_entailed"] is True
+        # Only truth-table decodes worlds, one per printed row.
+        table = cli.main(["truth-table", str(LINDA), "--json"])
+    assert (code, table) == (0, 0)
+    assert json.loads(capsys.readouterr().out)["rows"]
     recorded = {span[0] for span in tracer.spans}
     expected = {name for _, _, name in tracer_module.TARGETS}
     assert expected - recorded == set()
