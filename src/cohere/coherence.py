@@ -16,12 +16,17 @@ zero-probability subfamily with one routine, :func:`zero_upper`: starting
 from a solution at hand, it maximizes the mass of the union of the
 antecedents that no solution found so far charges, until that maximum is
 zero (Biazzo & Gilio 2000).
+
+Every one of these LPs optimizes over one constituent matrix, so phase 1
+runs once per matrix: :attr:`SigmaSystem.phase1` keeps the feasible tableau
+and each objective starts from a copy of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .conditionals import (
@@ -89,6 +94,12 @@ class SigmaSystem:
     supports: tuple[tuple[int, ...], ...]
     target_true: tuple[int, ...] = ()
 
+    @cached_property
+    def phase1(self) -> LPResult:
+        """Phase 1 of the system, run once; every mass LP over it starts from
+        this result's tableau."""
+        return solve_eq_lp(self.matrix, self.rhs)
+
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Betting gain on each constituent for the given stake vector."""
         return tuple(
@@ -147,7 +158,7 @@ class SigmaFeasibility:
 def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     """Solve the system, or refute it with stakes whose gain is positive on
     every constituent."""
-    result = solve_eq_lp(system.matrix, system.rhs)
+    result = system.phase1
     if result.status == OPTIMAL:
         return SigmaFeasibility(witness=result.x)
     if result.status != INFEASIBLE or result.farkas is None:
@@ -171,17 +182,26 @@ def zero_upper(
     ``solution`` is one such solution.  An antecedent that a known solution
     charges has positive upper probability; the others all have zero upper
     probability exactly when the maximum mass on the union of their supports
-    is zero, and otherwise the maximizer charges at least one of them.
+    is zero, and otherwise the maximizer charges at least one of them.  Every
+    round optimizes from one phase 1: the system's own, or one run with the
+    ``extra_zero`` columns barred.
     """
     remaining = tuple(range(len(system.probs)))
+    start = None
     while True:
         remaining = tuple(
             j for j in remaining if all(solution[h] == 0 for h in system.supports[j])
         )
         if not remaining:
             return ()
+        if start is None:
+            start = (
+                system.phase1
+                if extra_zero is None
+                else solve_eq_lp(system.matrix, system.rhs, barred=extra_zero)
+            )
         union = sorted({h for j in remaining for h in system.supports[j]})
-        best = _mass_lp(system, union, maximize=True, extra_zero=extra_zero)
+        best = _mass_lp(system, union, maximize=True, start=start)
         if best.objective == 0:
             return remaining
         solution = best.x
@@ -198,20 +218,15 @@ def _mass_lp(
     system: SigmaSystem,
     support: Sequence[int],
     maximize: bool,
-    extra_zero: Sequence[int] | None = None,
+    start: LPResult | None = None,
 ) -> LPResult:
-    """Optimize total mass on ``support`` over the system's solutions,
-    optionally pinning another support set to zero mass via an extra
-    equality row."""
-    matrix, rhs = system.matrix, system.rhs
-    m = len(system.rows)
-    if extra_zero is not None:
-        matrix = matrix + (_indicator(extra_zero, m),)
-        rhs = rhs + (ZERO,)
-    result = solve_eq_lp(matrix, rhs, _indicator(support, m), maximize=maximize)
-    if result.status != OPTIMAL:
+    """Optimize total mass on ``support`` over the system's solutions, from
+    the system's phase 1 or from ``start``, a phase 1 of the same matrix
+    with some columns barred (pinned to zero mass)."""
+    start = system.phase1 if start is None else start
+    if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
-    return result
+    return start.optimize(_indicator(support, len(system.rows)), maximize)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,20 +333,19 @@ def _fractional_bounds(
 
     Homogenization: scale solutions so the denominator is one, carrying the
     scale as an extra variable; each original equality becomes homogeneous in
-    the scaled variables.
+    the scaled variables.  One phase 1 of the homogenized matrix serves both
+    extremes.
     """
     m = len(system.rows)
     hom_matrix = [list(row) + [-b] for row, b in zip(system.matrix, system.rhs)]
     hom_matrix.append(_indicator(den, m + 1))
     hom_rhs = [ZERO] * len(system.matrix) + [ONE]
+    start = solve_eq_lp(hom_matrix, hom_rhs)
+    if start.status != OPTIMAL:
+        raise AssertionError("fractional program failed despite a positive denominator")
     objective = _indicator(num, m + 1)
-    bounds = []
-    for maximize in (False, True):
-        result = solve_eq_lp(hom_matrix, hom_rhs, objective, maximize=maximize)
-        if result.status != OPTIMAL:
-            raise AssertionError("fractional program failed despite a positive denominator")
-        bounds.append(result.objective)
-    return bounds[0], bounds[1]
+    lo, hi = (start.optimize(objective, maximize).objective for maximize in (False, True))
+    return lo, hi
 
 
 def _interval_levels(

@@ -24,11 +24,11 @@ Grammar accepted by :func:`parse_event`::
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
@@ -349,9 +349,6 @@ class World:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _check_atom_count(n: int) -> None:
     if n > MAX_ATOMS:
         raise SizeLimitError(f"{n} atoms exceed the desk-scale cap of {MAX_ATOMS}")
@@ -464,10 +461,25 @@ def enumerate_worlds(
         admissible = _space(atom_tuple, constraints)[1]
     elif constraints:
         raise ValueError("pass the constraints or their admissible bitset, not both")
-    product = itertools.product((False, True), repeat=len(atom_tuple))
-    selectors = bin(admissible)[:1:-1].encode().translate(_BITS)
-    for values in itertools.compress(product, selectors):
-        yield World(atom_tuple, values)
+    low, high_values, low_values = _assignment_halves(len(atom_tuple))
+    below = (1 << low) - 1
+    bits = bin(admissible)[:1:-1]
+    k = bits.find("1")
+    while k >= 0:
+        yield World(atom_tuple, high_values[k >> low] + low_values[k & below])
+        k = bits.find("1", k + 1)
+
+
+@lru_cache(maxsize=None)
+def _assignment_halves(n: int) -> tuple[int, tuple, tuple]:
+    """Decoding tables for assignment numbers over ``n`` atoms: the width w
+    of the low half, and the truth values of every high and every low half,
+    so that assignment k is ``high[k >> w] + low[k & (2**w - 1)]`` (the
+    binary digits of k, the first atom most significant).  One entry per
+    atom count, so at most ``MAX_ATOMS`` are kept."""
+    low = n // 2
+    high_values = tuple(product((False, True), repeat=n - low))
+    return low, high_values, tuple(product((False, True), repeat=low))
 
 
 def is_impossible(e: Event, context: Context) -> bool:

@@ -26,16 +26,24 @@ basis index.  The pivot sequence, and so every answer, is therefore that of a
 ``fractions.Fraction`` tableau; only the answers are turned into fractions,
 and each is checked exactly against the input before it is returned.
 
+Phase 1 runs once per system.  A feasibility call keeps its final tableau,
+artificials and redundant rows dropped, on the returned :class:`LPResult`,
+and :meth:`LPResult.optimize` runs phase 2 on a copy of it, so every
+objective over the same matrix starts from the same basis and takes the pivots
+a fresh solve would take.  Columns pinned to zero are barred rather than
+given an extra equation: they are left out of the tableau, so they never
+enter the basis.
+
 Problem sizes here are tiny (tens of columns), so no factorization or
 sparsity is attempted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from typing import Collection, Sequence
 
 ZERO = Fraction(0)
 
@@ -46,10 +54,22 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, slots=True)
 class LPResult:
+    """Outcome of one LP.  A feasibility call that finds a feasible point
+    also keeps phase 1's final ``tableau``, which :meth:`optimize` reuses."""
+
     status: str
     x: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
     farkas: tuple[Fraction, ...] | None = None
+    tableau: _Tableau | None = field(default=None, compare=False, repr=False)
+
+    def optimize(self, objective: Sequence[Fraction], maximize: bool = False) -> LPResult:
+        """Optimize ``objective`` over the system this feasibility result
+        solved, by phase 2 on a copy of its tableau; ``self`` is unchanged,
+        so any number of objectives can start from it."""
+        if self.tableau is None:
+            raise ValueError("only a feasible phase-1 result can be optimized")
+        return self.tableau.optimize(objective, maximize)
 
 
 def solve_eq_lp(
@@ -57,13 +77,18 @@ def solve_eq_lp(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction] | None = None,
     maximize: bool = False,
+    *,
+    barred: Collection[int] = (),
 ) -> LPResult:
     """Solve ``{x >= 0 : rows . x = rhs}``, optionally optimizing ``objective``.
 
     Entries are ``int`` or ``Fraction``.  With ``objective=None`` only
-    feasibility is decided; the returned ``x`` is then some basic feasible
-    point.  Infeasible systems come back with an exact Farkas certificate for
-    the original (unflipped) rows.
+    feasibility is decided (phase 1); the returned ``x`` is then some basic
+    feasible point, and the result can :meth:`~LPResult.optimize` objectives.
+    The ``barred`` columns are fixed at zero: they never enter the basis, so
+    every ``x`` is zero on them.  Infeasible systems come back with an exact
+    Farkas certificate for the original (unflipped) rows, over the columns
+    that are not barred.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -71,73 +96,100 @@ def solve_eq_lp(
         raise ValueError("inconsistent system dimensions")
     if m == 0:
         raise ValueError("at least one constraint row is required")
+    if barred:
+        barred = set(barred)
+        columns = [j for j in range(n) if j not in barred]
+    else:
+        columns = range(n)
 
     # Normalize signs so every right-hand side is nonnegative, and start from
-    # d * [A | I | b] with d the product of the rows' denominator lcms.
+    # d * [A | I | b] over the columns that are not barred, with d the
+    # product of the rows' denominator lcms.
     flip = [1 if b >= 0 else -1 for b in rhs]
     d = prod(
         lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)
     )
-    ncols = n + m
+    k = len(columns)
+    ncols = k + m
     tab = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
-        scaled = [flip[i] * v.numerator * (d // v.denominator) for v in row]
-        scaled.extend(d if k == i else 0 for k in range(m))
+        scaled = [flip[i] * row[j].numerator * (d // row[j].denominator) for j in columns]
+        scaled.extend(d if r == i else 0 for r in range(m))
         scaled.append(abs(b.numerator) * (d // b.denominator))
         tab.append(scaled)
-    basis = list(range(n, ncols))
+    basis = list(range(k, ncols))
 
     # Phase-1 reduced costs: cost 1 on artificials, priced out of the basis.
-    cost = [-sum(row[j] for row in tab) for j in range(n)] + [0] * m
+    cost = [-sum(row[j] for row in tab) for j in range(k)] + [0] * m
     cost.append(-sum(row[ncols] for row in tab))
 
-    _, d = _iterate(tab, cost, basis, n, d)
+    _, d = _iterate(tab, cost, basis, k, d)
 
     if cost[ncols] < 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through flips.
-        y = tuple(Fraction(flip[i] * (d - cost[n + i]), d) for i in range(m))
-        _check_farkas(rows, rhs, y)
+        y = tuple(Fraction(flip[i] * (d - cost[k + i]), d) for i in range(m))
+        _check_farkas(rows, rhs, y, columns)
         return LPResult(status=INFEASIBLE, farkas=y)
 
     # Pivot leftover artificials out of the basis; drop rows that turn out
-    # to be redundant equations.
+    # to be redundant equations once the barred columns are zero.
     keep: list[int] = []
     for r in range(m):
-        if basis[r] < n:
+        if basis[r] < k:
             keep.append(r)
             continue
-        col = next((j for j in range(n) if tab[r][j] != 0), None)
+        col = next((j for j in range(k) if tab[r][j] != 0), None)
         if col is None:
             continue
         d = _pivot(tab, cost, basis, r, col, d)
         keep.append(r)
-    tab = [tab[r][:n] + [tab[r][ncols]] for r in keep]
-    basis = [basis[r] for r in keep]
+    start = _Tableau(
+        rows, rhs, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
+        [basis[r] for r in keep], d,
+    )
+    x = _extract(start.tab, start.basis, columns, n, d)
+    _check_solution(rows, rhs, x)
+    result = LPResult(status=OPTIMAL, x=x, tableau=start)
+    return result if objective is None else result.optimize(objective, maximize)
 
-    if objective is None:
-        x = _extract(tab, basis, n, d)
-        _check_solution(rows, rhs, x)
-        return LPResult(status=OPTIMAL, x=x)
 
-    if len(objective) != n:
-        raise ValueError("objective length does not match the variable count")
-    # Integer phase-2 costs: the objective times the lcm of its denominators.
-    sign = -1 if maximize else 1
-    scale = lcm(*(c.denominator for c in objective))
-    weights = [sign * c.numerator * (scale // c.denominator) for c in objective]
-    cost = [d * w for w in weights] + [0]
-    for row, bv in zip(tab, basis):
-        coeff = weights[bv]
-        if coeff != 0:
-            cost = [v - coeff * w for v, w in zip(cost, row)]
+class _Tableau:
+    """Phase 1's feasible integer tableau ``d * [B^-1 A | B^-1 b]`` over the
+    columns that are not barred, with its basis, and the system it solves."""
 
-    status, d = _iterate(tab, cost, basis, n, d)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED)
-    x = _extract(tab, basis, n, d)
-    value = Fraction(-sign * cost[n], d * scale)
-    _check_solution(rows, rhs, x, objective, value)
-    return LPResult(status=OPTIMAL, x=x, objective=value)
+    __slots__ = ("rows", "rhs", "columns", "tab", "basis", "d")
+
+    def __init__(self, rows, rhs, columns, tab, basis, d):
+        self.rows, self.rhs, self.columns = rows, rhs, columns
+        self.tab, self.basis, self.d = tab, basis, d
+
+    def optimize(self, objective, maximize) -> LPResult:
+        n = len(self.rows[0])
+        if len(objective) != n:
+            raise ValueError("objective length does not match the variable count")
+        # Integer phase-2 costs: the objective times the lcm of its denominators.
+        sign = -1 if maximize else 1
+        scale = lcm(*(c.denominator for c in objective))
+        weights = [
+            sign * objective[j].numerator * (scale // objective[j].denominator)
+            for j in self.columns
+        ]
+        d = self.d
+        tab = [row[:] for row in self.tab]
+        basis = self.basis[:]
+        cost = [d * w for w in weights] + [0]
+        for row, bv in zip(tab, basis):
+            coeff = weights[bv]
+            if coeff != 0:
+                cost = [v - coeff * w for v, w in zip(cost, row)]
+
+        status, d = _iterate(tab, cost, basis, len(weights), d)
+        if status == UNBOUNDED:
+            return LPResult(status=UNBOUNDED)
+        x = _extract(tab, basis, self.columns, n, d)
+        value = Fraction(-sign * cost[-1], d * scale)
+        _check_solution(self.rows, self.rhs, x, objective, value)
+        return LPResult(status=OPTIMAL, x=x, objective=value)
 
 
 def _iterate(tab, cost, basis, n, d) -> tuple[str, int]:
@@ -190,10 +242,10 @@ def _eliminate(other, prow, col, p, d) -> None:
         other[:] = [p * v // d for v in other]
 
 
-def _extract(tab, basis, n, d) -> tuple[Fraction, ...]:
+def _extract(tab, basis, columns, n, d) -> tuple[Fraction, ...]:
     x = [ZERO] * n
     for row, bv in zip(tab, basis):
-        x[bv] = Fraction(row[-1], d)
+        x[columns[bv]] = Fraction(row[-1], d)
     return tuple(x)
 
 
@@ -210,10 +262,10 @@ def _check_solution(rows, rhs, x, objective=None, value=None) -> None:
         raise AssertionError("LP objective differs from objective . x")
 
 
-def _check_farkas(rows, rhs, y) -> None:
+def _check_farkas(rows, rhs, y, columns=None) -> None:
+    """Raise unless ``y.A <= 0`` on ``columns`` (default: all) and ``y.b > 0``."""
     m = len(rows)
-    n = len(rows[0])
-    for j in range(n):
+    for j in range(len(rows[0])) if columns is None else columns:
         if sum(y[i] * rows[i][j] for i in range(m)) > 0:
             raise AssertionError("Farkas certificate violates y.A <= 0")
     if sum(y[i] * rhs[i] for i in range(m)) <= 0:

@@ -39,6 +39,7 @@ from helpers import (
     random_unit,
     reference_constituents,
     reference_masks,
+    reference_worlds,
 )
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
@@ -67,8 +68,9 @@ def _sigma_tables(assessment, target=None):
 def test_bitsets_match_per_world_reference(seed, monkeypatch):
     rng = random.Random(seed)
     ctx = _random_context(rng)
-    assert ctx.worlds_in(ctx.full_mask) == ctx.worlds
-    assert ctx.full_mask.bit_count() == len(ctx.worlds)
+    reference = reference_worlds(ctx)
+    assert ctx.worlds == tuple(w for _, w in reference)
+    assert ctx.full_mask == sum(1 << k for k, _ in reference)
     evs = [random_event(rng, ctx.atoms, depth=3) for _ in range(6)]
     for a, b in itertools.product(evs, repeat=2):
         assert is_impossible(a, ctx) == _impossible(a, ctx)
@@ -102,6 +104,25 @@ class TestCompiledEnumeration:
         everything = (World(atoms, v) for v in itertools.product((False, True), repeat=len(atoms)))
         expected = [w for w in everything if not any(c.evaluate(w) for c in constraints)]
         assert list(enumerate_worlds(atoms, constraints)) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_decodes_each_set_bit(self, seed):
+        rng = random.Random(seed)
+        ctx = _random_context(rng)
+        reference = reference_worlds(ctx)
+        subsets = [[], reference[:1], reference[-1:], rng.sample(reference, len(reference) // 3)]
+        if len(reference) > 1:
+            subsets.append(rng.sample(reference, 2))
+        for subset in subsets:
+            mask = sum(1 << k for k, _ in subset)
+            assert ctx.worlds_in(mask) == tuple(w for _, w in sorted(subset))
+        # Every assignment, and the top one alone, admissible or not.
+        top = (1 << 2 ** len(ctx.atoms)) - 1
+        worlds = tuple(enumerate_worlds(ctx.atoms, admissible=top))
+        assert worlds == tuple(
+            World(ctx.atoms, v) for v in itertools.product((False, True), repeat=len(ctx.atoms))
+        )
+        assert tuple(enumerate_worlds(ctx.atoms, admissible=top ^ (top >> 1))) == worlds[-1:]
 
     def test_undeclared_constraint_atom_raises(self):
         with pytest.raises(UnknownAtomError, match=r"constraint C uses undeclared atoms \['C'\]"):

@@ -21,7 +21,8 @@ from cohere import (
     sigma_feasible,
     zero_upper,
 )
-from cohere.coherence import interval_to_json, verdict_to_json
+from cohere.coherence import _mass_lp, interval_to_json, verdict_to_json
+from cohere.simplex import INFEASIBLE, solve_eq_lp
 
 from helpers import (
     gn_chain_context,
@@ -325,3 +326,34 @@ class TestSerialization:
         a = Assessment(family, (Fr(1, 2), Fr(1, 2)))
         payload = interval_to_json(extension_interval(a, quasi_conjunction(family)))
         assert payload == {"lo": "0", "hi": "2/3", "vacuous": False}
+
+
+class TestOnePhase1PerSystem:
+    """Every mass LP over a constituent system starts from its one phase 1."""
+
+    def test_mass_lp_on_an_unsolvable_system_raises(self):
+        ctx = Context(("A",))
+        a = Assessment((ce("A", "T", ctx), ce("~A", "T", ctx)), (Fr(1), Fr(1)))
+        system = build_sigma(a)
+        assert system.phase1.status == INFEASIBLE
+        with pytest.raises(IncoherentAssessmentError):
+            _mass_lp(system, [0], maximize=True)
+
+    @pytest.mark.parametrize("probs", [(0, "1/2"), (0, 1)])
+    def test_check_runs_one_phase1_per_level(self, monkeypatch, probs):
+        # B|T = 0 leaves A|B to a zero-probability layer below the top level.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_eq_lp(*args, **kwargs)
+
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        ctx = Context(("A", "B"))
+        a = Assessment(
+            (ce("B", "T", ctx), ce("A", "B", ctx)), tuple(Fr(p) for p in probs)
+        )
+        verdict = check_coherence(a)
+        assert verdict.coherent
+        assert [rec.indices for rec in verdict.trace] == [(0, 1), (1,)]
+        assert len(calls) == len(verdict.trace)

@@ -9,7 +9,14 @@ import cohere.coherence
 import cohere.simplex
 import helpers
 from cohere import IncoherentAssessmentError, check_coherence, extension_interval
-from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_eq_lp
+from cohere.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LPResult,
+    _check_farkas,
+    solve_eq_lp,
+)
 from helpers import random_assessment, random_conditional, reference_solve_eq_lp
 
 
@@ -192,14 +199,26 @@ class TestReferenceAgreement:
         assert len(kinds_seen) == 6 and min(kinds_seen.values()) > 200
 
     def test_coherence_lps_match_reference(self, monkeypatch):
-        calls = []
+        # Coherence runs phase 1 through solve_eq_lp and every optimisation
+        # through LPResult.optimize on a phase-1 result; each is replayed on
+        # the reference.  A barred phase 1 is compared with the reference on
+        # the system plus a row pinning the barred columns' sum to zero.
+        starts, optima = {}, []
 
-        def recording(*args, **kwargs):
-            result = solve_eq_lp(*args, **kwargs)
-            calls.append((args, kwargs, result))
+        def solving(rows, rhs, *args, **kwargs):
+            result = solve_eq_lp(rows, rhs, *args, **kwargs)
+            starts[id(result)] = (rows, rhs, kwargs.get("barred", ()), result)
             return result
 
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", recording)
+        optimize = LPResult.optimize
+
+        def optimizing(self, objective, maximize=False):
+            result = optimize(self, objective, maximize)
+            optima.append((starts[id(self)], objective, maximize, result))
+            return result
+
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
+        monkeypatch.setattr(LPResult, "optimize", optimizing)
         rng = random.Random(909)
         for _ in range(100):
             a = random_assessment(rng, max_size=4)
@@ -208,9 +227,31 @@ class TestReferenceAgreement:
                 extension_interval(a, random_conditional(rng, a.context))
             except IncoherentAssessmentError:
                 pass
-        assert len(calls) > 500
-        for args, kwargs, result in calls:
-            assert reference_solve_eq_lp(*args, **kwargs) == result
+        assert len(optima) > 500
+
+        def pinned(rows, rhs, barred):
+            row = [Fr(1) if j in barred else Fr(0) for j in range(len(rows[0]))]
+            return tuple(rows) + (row,), tuple(rhs) + (Fr(0),)
+
+        for rows, rhs, barred, result in starts.values():
+            if not barred:
+                want = reference_solve_eq_lp(rows, rhs)
+                assert want == result and repr(want) == repr(result)
+                continue
+            assert reference_solve_eq_lp(*pinned(rows, rhs, barred)).status == result.status
+            if result.x is not None:
+                assert all(result.x[j] == 0 for j in barred)
+        barred_optima = 0
+        for (rows, rhs, barred, _), objective, maximize, result in optima:
+            if not barred:
+                want = reference_solve_eq_lp(rows, rhs, objective, maximize)
+                assert want == result and repr(want) == repr(result)
+                continue
+            barred_optima += 1
+            want = reference_solve_eq_lp(*pinned(rows, rhs, barred), objective, maximize)
+            assert (want.status, want.objective) == (result.status, result.objective)
+            assert all(result.x[j] == 0 for j in barred)
+        assert barred_optima > 10
 
     def test_beale_cycling_example(self, monkeypatch):
         # Beale (1955): minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 with slacks
@@ -244,6 +285,62 @@ class TestReferenceAgreement:
         assert res.status == OPTIMAL
         assert res.objective == Fr(-1, 20)
         assert res.x == tuple(F("1/25", 0, 1, 0, "3/100", 0, 0))
+
+
+class TestPhase1Reuse:
+    """One phase 1 per system: optimisations start from a copy of its tableau."""
+
+    def test_optimize_leaves_its_start_unchanged(self):
+        rng = random.Random(12)
+        optimized = 0
+        for _ in range(300):
+            rows, rhs, objective, _, _ = _random_system(rng)
+            start = solve_eq_lp(rows, rhs)
+            if start.status != OPTIMAL:
+                continue
+            objectives = (objective or [Fr(1)] * len(rows[0]), [Fr(-1)] * len(rows[0]))
+            for obj, maximize in zip(objectives, (True, False)):
+                got = [start.optimize(obj, maximize) for _ in range(2)]
+                want = solve_eq_lp(rows, rhs, obj, maximize)
+                assert got == [want, want] and repr(got) == repr([want, want])
+                assert want == reference_solve_eq_lp(rows, rhs, obj, maximize)
+            assert start == solve_eq_lp(rows, rhs)
+            optimized += 1
+        assert optimized > 50
+
+    def test_optimize_needs_a_feasible_start(self):
+        infeasible = solve_eq_lp([F(1, 1)], F(-1))
+        with pytest.raises(ValueError):
+            infeasible.optimize(F(1, 0))
+        optimum = solve_eq_lp([F(1, 1)], F(1), F(1, 0))
+        with pytest.raises(ValueError):
+            optimum.optimize(F(1, 0))
+
+    def test_barred_columns_stay_zero(self):
+        rows, rhs = [F(1, 1, 1), F(0, 1, 2)], F(1, "1/2")
+        assert solve_eq_lp(rows, rhs, F(0, 1, 1), maximize=True).objective == Fr(1, 2)
+        res = solve_eq_lp(rows, rhs, barred={1})
+        assert res.status == OPTIMAL and res.x[1] == 0
+        best = res.optimize(F(0, 1, 1), maximize=True)
+        assert best.objective == Fr(1, 4) and best.x == (Fr(3, 4), 0, Fr(1, 4))
+
+    @pytest.mark.parametrize(
+        "rows, rhs, barred",
+        [
+            # every column barred: the right-hand side cannot be met
+            ([F(1, 1, 1)], F(1), {0, 1, 2}),
+            # the second row forces column 1 to 1/2; barring it leaves no solution
+            ([F(1, 1, 1), F(0, 1, 0)], F(1, "1/2"), {1}),
+            # the first row needs mass on columns 0 or 1, both barred
+            ([F(1, 1, 0), F(1, 1, 1)], F("1/3", 1), [0, 1]),
+        ],
+    )
+    def test_barring_a_needed_support_is_infeasible(self, rows, rhs, barred):
+        res = solve_eq_lp(rows, rhs, barred=barred)
+        assert res.status == INFEASIBLE
+        allowed = [j for j in range(len(rows[0])) if j not in barred]
+        _check_farkas([[row[j] for j in allowed] for row in rows], rhs, res.farkas)
+        assert solve_eq_lp(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
 
 
 class TestResultChecks:
