@@ -28,7 +28,7 @@ from .conditionals import (
     quasi_conjunction,
     quasi_disjunction,
 )
-from .errors import CohereError
+from .errors import CohereError, SizeLimitError
 from .inference import (
     GammaRegion,
     RULE_KINDS,
@@ -62,6 +62,8 @@ _FAMILIES = {
 }
 
 REGION_NAMES = ("Lqc", "Uqc", "Lqd", "Uqd")
+# A grid costs N**2 membership tests.
+MAX_GRID = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         metavar="N",
-        help="print an N x N textual sampling of the two-premise region",
+        help=f"print an N x N sampling of the two-premise region, 2 <= N <= {MAX_GRID}",
     )
     common(p)
 
@@ -247,7 +249,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_region(args) -> int:
     gamma = parse_rational(args.gamma)
     region = GammaRegion(args.region[0], args.region[1:], gamma)
-    if args.grid:
+    if args.grid is not None:
         if args.probs:
             raise CohereError("--grid ignores explicit premise probabilities")
         return _region_grid(region, args.grid, args.json)
@@ -266,6 +268,8 @@ def _cmd_region(args) -> int:
 def _region_grid(region: GammaRegion, n: int, as_json: bool) -> int:
     if n < 2:
         raise CohereError("--grid needs at least 2 samples per axis")
+    if n > MAX_GRID:
+        raise SizeLimitError(f"--grid takes at most {MAX_GRID} samples per axis")
     steps = [Fraction(i, n - 1) for i in range(n)]
     rows = []
     for y in reversed(steps):

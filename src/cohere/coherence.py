@@ -31,14 +31,13 @@ from typing import Sequence
 
 from .conditionals import (
     ConditionalEvent,
-    ConstituentSet,
     TruthValue3,
     _shared_context,
     constituents,
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context, is_impossible
-from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_eq_lp
+from .simplex import OPTIMAL, LPResult, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,7 +85,6 @@ class SigmaSystem:
     target's last; ``target_true`` lists those where the target is true.
     """
 
-    constituents: ConstituentSet
     rows: tuple[tuple[Fraction, ...], ...]
     probs: tuple[Fraction, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -136,7 +134,6 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
             h for h, c in enumerate(cs.inside) if c.profile[-1] == TruthValue3.TRUE
         )
     return SigmaSystem(
-        constituents=cs,
         rows=rows,
         probs=probs,
         matrix=matrix + ((ONE,) * len(rows),),
@@ -161,8 +158,6 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     result = system.phase1
     if result.status == OPTIMAL:
         return SigmaFeasibility(witness=result.x)
-    if result.status != INFEASIBLE or result.farkas is None:
-        raise AssertionError(f"feasibility LP ended with status {result.status}")
     n = len(system.probs)
     stakes = tuple(-result.farkas[j] for j in range(n))
     gains = system.gains(stakes)
@@ -241,10 +236,18 @@ class LevelRecord:
 
 @dataclass(frozen=True, slots=True)
 class CoherenceVerdict:
-    coherent: bool
-    witness: tuple[Fraction, ...] | None
+    """The levels examined, and stakes refuting the last one, if any."""
+
     certificate: tuple[Fraction, ...] | None
     trace: tuple[LevelRecord, ...]
+
+    @property
+    def coherent(self) -> bool:
+        return self.certificate is None
+
+    @property
+    def witness(self) -> tuple[Fraction, ...] | None:
+        return self.trace[-1].witness
 
     @property
     def deciding_indices(self) -> tuple[int, ...]:
@@ -267,21 +270,11 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
         feasibility = sigma_feasible(system)
         if feasibility.certificate is not None:
             trace.append(LevelRecord(indices, (), None))
-            return CoherenceVerdict(
-                coherent=False,
-                witness=None,
-                certificate=feasibility.certificate,
-                trace=tuple(trace),
-            )
+            return CoherenceVerdict(feasibility.certificate, tuple(trace))
         i0 = tuple(indices[j] for j in zero_upper(system, feasibility.witness))
         trace.append(LevelRecord(indices, i0, feasibility.witness))
         if not i0:
-            return CoherenceVerdict(
-                coherent=True,
-                witness=feasibility.witness,
-                certificate=None,
-                trace=tuple(trace),
-            )
+            return CoherenceVerdict(None, tuple(trace))
         if len(i0) >= len(indices):
             raise AssertionError("zero-probability layer failed to shrink")
         indices = i0

@@ -9,8 +9,10 @@ with the admissible bitset, so inadmissible bits are never set.  All
 semantic questions (impossibility, implication, equivalence) are answered
 by bit operations on these masks, which is exact at desk scale, and no
 :class:`World` is built for them.  :meth:`Event.evaluate` on a single
-:class:`World` stays as the reference semantics, and
-:meth:`Context.worlds_in` decodes a bitset into worlds on demand.
+:class:`World` stays as the reference semantics.  :func:`enumerate_worlds`
+only decodes a bitset into worlds, on demand through
+:meth:`Context.worlds_in`; ``Context(atoms, constraints).worlds`` lists the
+admissible worlds.
 
 Grammar accepted by :func:`parse_event`::
 
@@ -382,14 +384,6 @@ def _space(
     return {name: m & admissible for name, m in masks.items()}, admissible
 
 
-def _check_constraints(atoms: Sequence[str], constraints: Iterable[Event]) -> None:
-    declared = frozenset(atoms)
-    for c in constraints:
-        undeclared = c.atoms() - declared
-        if undeclared:
-            raise UnknownAtomError(f"constraint {c} uses undeclared atoms {sorted(undeclared)}")
-
-
 @dataclass(frozen=True)
 class Context:
     """Declared atoms plus logical constraints.
@@ -410,7 +404,8 @@ class Context:
         for name in self.atoms:
             Atom(name)
         _check_atom_count(len(self.atoms))
-        _check_constraints(self.atoms, self.constraints)
+        for c in self.constraints:
+            self.check_event(c, "constraint")
 
     @cached_property
     def _masks(self) -> tuple[dict[str, int], int]:
@@ -436,31 +431,24 @@ class Context:
         order; ``mask`` must lie within :attr:`full_mask`."""
         return tuple(enumerate_worlds(self.atoms, admissible=mask))
 
-    def check_event(self, e: Event) -> None:
+    def check_event(self, e: Event, role: str = "event") -> None:
         undeclared = e.atoms() - frozenset(self.atoms)
         if undeclared:
-            raise UnknownAtomError(f"event {e} uses undeclared atoms {sorted(undeclared)}")
+            raise UnknownAtomError(f"{role} {e} uses undeclared atoms {sorted(undeclared)}")
 
 
-def enumerate_worlds(
-    atoms: Sequence[str], constraints: Sequence[Event] = (), *, admissible: int | None = None
-) -> Iterator[World]:
-    """Yield every assignment falsifying all constraints.
+def enumerate_worlds(atoms: Sequence[str], *, admissible: int) -> Iterator[World]:
+    """Yield the world of each assignment whose bit is set in ``admissible``.
 
-    Order is lexicographic over the atom order with false before true, so the
-    result is deterministic.  The constraints are compiled to one bitset over
-    all assignments, which selects the admissible ones; a caller that has
-    compiled them already passes that bitset as ``admissible`` instead.
+    Bit k stands for assignment k in lexicographic order over the atoms,
+    false before true, and the worlds come in that order.  This only
+    decodes; ``Context(atoms, constraints).worlds`` lists the worlds that
+    constraints admit.
     """
     atom_tuple = tuple(atoms)
     if not atom_tuple:
         raise ValueError("enumerate_worlds requires at least one atom")
     _check_atom_count(len(atom_tuple))
-    if admissible is None:
-        _check_constraints(atom_tuple, constraints)
-        admissible = _space(atom_tuple, constraints)[1]
-    elif constraints:
-        raise ValueError("pass the constraints or their admissible bitset, not both")
     low, high_values, low_values = _assignment_halves(len(atom_tuple))
     below = (1 << low) - 1
     bits = bin(admissible)[:1:-1]

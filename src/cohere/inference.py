@@ -30,7 +30,9 @@ from .conditionals import (
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
 from .events import Atom, Context, implies, is_impossible
-from .tnorms import ONE, ZERO, as_unit, hamacher0_conary, hamacher0_nary
+from .tnorms import (
+    LUKASIEWICZ, ONE, PRODUCT, as_unit, hamacher0_conary, hamacher0_nary, tconorm, tnorm
+)
 
 SUBSET_SEARCH_LIMIT = 12
 LOOP_MAX = 5
@@ -179,15 +181,14 @@ def qc_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Quasi conjunction of independent premises: Lukasiewicz lower bound,
     Hamacher (parameter 0) conorm upper bound."""
     p = _units(probs)
-    lo = max(sum(p) - (len(p) - 1), ZERO)
-    return ProbabilityInterval(lo, hamacher0_conary(p))
+    return ProbabilityInterval(tnorm(LUKASIEWICZ, p), hamacher0_conary(p))
 
 
 def qd_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Quasi disjunction: Hamacher (parameter 0) lower bound, Lukasiewicz
     conorm upper bound."""
     p = _units(probs)
-    return ProbabilityInterval(hamacher0_nary(p), min(sum(p), ONE))
+    return ProbabilityInterval(hamacher0_nary(p), tconorm(LUKASIEWICZ, p))
 
 
 def or_rule_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
@@ -208,18 +209,14 @@ def gn_chain_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 
 def compound_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Chained conditioning: the extension is uniquely the product."""
-    p = _units(probs)
-    value = ONE
-    for v in p:
-        value *= v
+    value = tnorm(PRODUCT, _units(probs))
     return ProbabilityInterval(value, value)
 
 
 def dual_compound_value(x: Fraction, y: Fraction) -> Fraction:
     """Disjunction built from a conditional and its complement-conditioned
-    companion: the probabilistic sum."""
-    x, y = as_unit(x, "x"), as_unit(y, "y")
-    return x + y - x * y
+    companion: the probabilistic sum, the product t-conorm."""
+    return tconorm(PRODUCT, [as_unit(x, "x"), as_unit(y, "y")])
 
 
 def biconditional_value(x: Fraction, y: Fraction) -> Fraction:

@@ -19,16 +19,20 @@ must be given for all conditionals or for none.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coherence import Assessment
 from .conditionals import ConditionalEvent, parse_conditional
-from .errors import CohereError, KBFormatError
+from .errors import CohereError, KBFormatError, SizeLimitError
 from .events import Context, Event, parse_event
 from .inference import KnowledgeBase
 
 _SECTIONS = ("atoms", "constraints", "conditionals", "queries")
+# CPython's default limit on the digits of an int converted from a string.
+MAX_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?([0-9_]+)$")
 
 
 @dataclass(frozen=True)
@@ -43,11 +47,19 @@ class KnowledgeBaseFile:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational from ``a/b``, integer, or decimal notation."""
+    """Exact rational from ``a/b``, integer, or decimal notation.  A decimal
+    exponent beyond ``MAX_EXPONENT`` raises ``SizeLimitError`` before
+    ``Fraction`` builds a power of ten with that many digits."""
+    text = text.strip()
+    exponent = _EXPONENT_RE.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise SizeLimitError(f"decimal exponent beyond {MAX_EXPONENT}: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CohereError(f"not a rational number: {text.strip()!r}") from exc
+        raise CohereError(f"not a rational number: {text!r}") from exc
 
 
 def parse_kb_text(text: str) -> KnowledgeBaseFile:

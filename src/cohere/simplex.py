@@ -1,10 +1,11 @@
 """Exact two-phase simplex over rationals for equality-form programs.
 
-Solves ``optimize c.x subject to A x = b, x >= 0`` with Bland's anti-cycling
-rule, so every run terminates and every reported number is exact.  When the
-constraints are infeasible the solver returns a Farkas vector ``y`` with
-``y.A <= 0`` componentwise and ``y.b > 0``, which downstream code turns into a
-positive-gain betting certificate.
+:func:`solve_eq_lp` runs phase 1 on ``A x = b, x >= 0``, and every optimum
+of ``c.x`` comes from :meth:`LPResult.optimize` on its result (phase 2).
+Bland's anti-cycling rule makes every run terminate, and every number is
+exact.  An infeasible system comes back with a Farkas vector ``y``,
+``y.A <= 0`` componentwise and ``y.b > 0``, which downstream code turns into
+a positive-gain betting certificate.
 
 The tableau holds Python integers (fraction-free pivoting: Edmonds 1967,
 Bareiss 1968, Math. Comp. 22).  Scaling row i of the sign-normalized system
@@ -26,13 +27,12 @@ basis index.  The pivot sequence, and so every answer, is therefore that of a
 ``fractions.Fraction`` tableau; only the answers are turned into fractions,
 and each is checked exactly against the input before it is returned.
 
-Phase 1 runs once per system.  A feasibility call keeps its final tableau,
-artificials and redundant rows dropped, on the returned :class:`LPResult`,
-and :meth:`LPResult.optimize` runs phase 2 on a copy of it, so every
-objective over the same matrix starts from the same basis and takes the pivots
-a fresh solve would take.  Columns pinned to zero are barred rather than
-given an extra equation: they are left out of the tableau, so they never
-enter the basis.
+Phase 1 runs once per system.  It keeps its final tableau, artificials and
+redundant rows dropped, on the returned :class:`LPResult`, and
+:meth:`LPResult.optimize` runs phase 2 on a copy of it, so every objective
+over the same matrix starts from the same basis.  Columns pinned to zero are
+barred rather than given an extra equation: they are left out of the
+tableau, so they never enter the basis.
 
 Problem sizes here are tiny (tens of columns), so no factorization or
 sparsity is attempted.
@@ -54,8 +54,8 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True, slots=True)
 class LPResult:
-    """Outcome of one LP.  A feasibility call that finds a feasible point
-    also keeps phase 1's final ``tableau``, which :meth:`optimize` reuses."""
+    """Outcome of phase 1 or of one optimisation.  A feasible phase-1 result
+    also keeps its final ``tableau``, which :meth:`optimize` reuses."""
 
     status: str
     x: tuple[Fraction, ...] | None = None
@@ -75,20 +75,17 @@ class LPResult:
 def solve_eq_lp(
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
-    objective: Sequence[Fraction] | None = None,
-    maximize: bool = False,
     *,
     barred: Collection[int] = (),
 ) -> LPResult:
-    """Solve ``{x >= 0 : rows . x = rhs}``, optionally optimizing ``objective``.
+    """Decide whether ``{x >= 0 : rows . x = rhs}`` is empty, by phase 1 only.
 
-    Entries are ``int`` or ``Fraction``.  With ``objective=None`` only
-    feasibility is decided (phase 1); the returned ``x`` is then some basic
-    feasible point, and the result can :meth:`~LPResult.optimize` objectives.
-    The ``barred`` columns are fixed at zero: they never enter the basis, so
-    every ``x`` is zero on them.  Infeasible systems come back with an exact
-    Farkas certificate for the original (unflipped) rows, over the columns
-    that are not barred.
+    Entries are ``int`` or ``Fraction``.  A feasible system comes back with
+    some basic feasible point ``x``, and every optimum over it comes from
+    :meth:`LPResult.optimize` on that result.  The ``barred`` columns are
+    fixed at zero: they never enter the basis, so every ``x`` is zero on
+    them.  Infeasible systems come back with an exact Farkas certificate for
+    the original (unflipped) rows, over the columns that are not barred.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -149,8 +146,7 @@ def solve_eq_lp(
     )
     x = _extract(start.tab, start.basis, columns, n, d)
     _check_solution(rows, rhs, x)
-    result = LPResult(status=OPTIMAL, x=x, tableau=start)
-    return result if objective is None else result.optimize(objective, maximize)
+    return LPResult(status=OPTIMAL, x=x, tableau=start)
 
 
 class _Tableau:

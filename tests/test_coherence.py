@@ -15,6 +15,7 @@ from cohere import (
     ProbabilityRangeError,
     build_sigma,
     check_coherence,
+    constituents,
     extension_interval,
     parse_event,
     quasi_conjunction,
@@ -74,7 +75,7 @@ class TestBuildSigma:
         by_region = {}
         for formula, point in TWO_COND_POINTS:
             region = parse_event(formula, ctx.atoms)
-            for h, c in enumerate(system.constituents.inside):
+            for h, c in enumerate(constituents(a.family).inside):
                 if all(region.evaluate(w) for w in c.worlds):
                     by_region[formula] = system.rows[h]
                     assert system.rows[h] == tuple(Fr(v) for v in point(x, y))

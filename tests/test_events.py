@@ -13,7 +13,6 @@ from cohere import (
     SizeLimitError,
     TRUE,
     UnknownAtomError,
-    enumerate_worlds,
     implies,
     is_impossible,
     parse_event,
@@ -78,10 +77,10 @@ def test_roundtrip_random_trees(seed):
 
 class TestEnumerateWorlds:
     def test_two_free_atoms(self):
-        assert len(list(enumerate_worlds(("A", "B")))) == 4
+        assert len(Context(("A", "B")).worlds) == 4
 
     def test_conjunction_constraint_leaves_three(self):
-        worlds = list(enumerate_worlds(("A", "B"), (parse_event("A & B"),)))
+        worlds = Context(("A", "B"), (parse_event("A & B"),)).worlds
         assert [(w.value("A"), w.value("B")) for w in worlds] == [
             (False, False),
             (False, True),
@@ -89,10 +88,10 @@ class TestEnumerateWorlds:
         ]
 
     def test_three_free_atoms(self):
-        assert len(list(enumerate_worlds(("A", "B", "C")))) == 8
+        assert len(Context(("A", "B", "C")).worlds) == 8
 
     def test_order_is_lexicographic(self):
-        worlds = list(enumerate_worlds(("A", "B")))
+        worlds = Context(("A", "B")).worlds
         assert [w.values for w in worlds] == [
             (False, False),
             (False, True),
@@ -105,7 +104,7 @@ class TestEnumerateWorlds:
 def test_no_world_satisfies_a_constraint(seed):
     rng = random.Random(seed)
     constraint = random_event(rng, ("A", "B", "C"))
-    for w in enumerate_worlds(("A", "B", "C"), (constraint,)):
+    for w in Context(("A", "B", "C"), (constraint,)).worlds:
         assert not constraint.evaluate(w)
 
 

@@ -6,9 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from cohere import KBFormatError, cli
-from cohere.cli import main
-from cohere.kbfile import dump_kb, load_kb, load_kb_file, parse_kb_text, parse_rational
+from cohere import KBFormatError, SizeLimitError, cli
+from cohere.cli import MAX_GRID, main
+from cohere.kbfile import (
+    MAX_EXPONENT,
+    dump_kb,
+    load_kb,
+    load_kb_file,
+    parse_kb_text,
+    parse_rational,
+)
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -27,6 +34,35 @@ class TestParseRational:
     def test_garbage_rejected(self):
         with pytest.raises(Exception):
             parse_rational("one half")
+
+    def test_exponent_beyond_the_cap_is_refused(self):
+        # Fraction would build 10**exponent first: 1e-10000000 takes seconds.
+        assert parse_rational(f"1e-{MAX_EXPONENT}") == Fr(1, 10**MAX_EXPONENT)
+        assert parse_rational(" 25E-0_1 ") == Fr(5, 2)
+        assert parse_rational("1e-000000000000000000001") == Fr(1, 10)
+        for text in (
+            f"1e-{MAX_EXPONENT + 1}",
+            "1e-999999999",
+            "0.5E+00000099999",
+            "1e" + "9" * 5000,
+        ):
+            with pytest.raises(SizeLimitError, match="decimal exponent beyond"):
+                parse_rational(text)
+
+    def test_exponent_beyond_the_cap_exits_2(self, capsys):
+        assert main(["bounds", "qc", "1e-999999999", "1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: decimal exponent beyond {MAX_EXPONENT}: '1e-999999999'\n"
+
+    def test_exponent_beyond_the_cap_in_a_file(self, tmp_path, capsys):
+        path = tmp_path / "huge.kb"
+        path.write_text("atoms: A\nconditionals:\n  c: A | T = 1e-999999999\n")
+        with pytest.raises(KBFormatError, match="decimal exponent beyond") as err:
+            load_kb(str(path))
+        assert err.value.line == 3
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: decimal exponent beyond")
 
 
 class TestLoadKb:
@@ -242,6 +278,25 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5 and set("".join(lines)) <= {"#", "."}
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([], "--grid needs at least 2 samples per axis"),
+            (["1/2", "1/2"], "--grid ignores explicit premise probabilities"),
+        ],
+    )
+    def test_region_grid_zero_exits_2(self, capsys, probs, message):
+        assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "0", *probs]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_region_grid_is_capped(self, capsys):
+        argv = ["region", "Uqd", "--gamma", "1/2", "--grid"]
+        assert main(argv + [str(MAX_GRID + 1)]) == 2
+        expected = f"error: --grid takes at most {MAX_GRID} samples per axis\n"
+        assert capsys.readouterr() == ("", expected)
+        assert main(argv + [str(MAX_GRID)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == MAX_GRID
+
     def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
         built = []
         original = cli.build_parser
@@ -312,6 +367,41 @@ class TestJsonOutput:
         payload = json.loads(first)
         assert payload["coherent"] is True
         assert all(isinstance(v, str) for v in payload["witness"])
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "linda.kb",
+                '{"certificate": null, "coherent": true, "trace": [{"I0": [0, 1, 2, 3], '
+                '"indices": [0, 1, 2, 3, 4]}, {"I0": [], "indices": [0, 1, 2, 3]}], '
+                '"witness": ["0", "0", "0", "0", "0", "1", "0"]}',
+            ),
+            (
+                "gn_chain.kb",
+                '{"certificate": null, "coherent": true, "trace": [{"I0": [], '
+                '"indices": [0, 1]}], "witness": ["2/3", "0", "1/4", "0", "1/12"]}',
+            ),
+            # Solvable at the top level, refuted one level down: the verdict's
+            # witness is the deciding level's, so it is null.
+            (
+                None,
+                '{"certificate": ["-1", "-1"], "coherent": false, "trace": [{"I0": [1, 2], '
+                '"indices": [0, 1, 2]}, {"I0": [], "indices": [1, 2]}], "witness": null}',
+            ),
+        ],
+    )
+    def test_check_json_bytes(self, capsys, tmp_path, name, expected):
+        if name is None:
+            path = tmp_path / "incoherent.kb"
+            path.write_text(
+                "atoms: A B\nconditionals:\n"
+                "  c1: B | T = 0\n  c2: A | B = 1\n  c3: ~A | B = 1\n"
+            )
+        else:
+            path = KB_DIR / name
+        main(["check", str(path), "--json"])
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_bounds_json(self, capsys):
         main(["bounds", "or", "9/10", "9/10", "--json"])

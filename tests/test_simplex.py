@@ -24,6 +24,15 @@ def F(*values):
     return [Fr(v) for v in values]
 
 
+def solve(rows, rhs, objective=None, maximize=False, **kwargs):
+    """Phase 1, then phase 2 of ``objective`` from its result when the
+    system is feasible: the shape of ``reference_solve_eq_lp``'s answers."""
+    start = solve_eq_lp(rows, rhs, **kwargs)
+    if objective is None or start.status != OPTIMAL:
+        return start
+    return start.optimize(objective, maximize)
+
+
 class TestFeasibility:
     def test_simplex_point(self):
         res = solve_eq_lp([F(1, 1, 1)], F(1))
@@ -89,30 +98,30 @@ class TestFarkas:
 
 class TestOptimization:
     def test_maximize_on_simplex(self):
-        res = solve_eq_lp([F(1, 1, 1)], F(1), objective=F(1, 2, 3), maximize=True)
+        res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=True)
         assert res.status == OPTIMAL
         assert res.objective == 3
         assert res.x == (0, 0, 1)
 
     def test_minimize_on_simplex(self):
-        res = solve_eq_lp([F(1, 1, 1)], F(1), objective=F(1, 2, 3), maximize=False)
+        res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=False)
         assert res.objective == 1
 
     def test_degenerate_optimum(self):
         # second equation pins x3 = 0; Bland's rule must still terminate
         rows = [F(1, 1, 1), F(0, 0, 1)]
-        res = solve_eq_lp(rows, F(1, 0), objective=F(0, 0, 1), maximize=True)
+        res = solve_eq_lp(rows, F(1, 0)).optimize(F(0, 0, 1), maximize=True)
         assert res.objective == 0
 
     def test_unbounded_detected(self):
         # x1 - x2 = 0 leaves the ray (t, t) free; maximize x1
-        res = solve_eq_lp([F(1, -1)], F(0), objective=F(1, 0), maximize=True)
+        res = solve_eq_lp([F(1, -1)], F(0)).optimize(F(1, 0), maximize=True)
         assert res.status == UNBOUNDED
 
     def test_fractional_data_stays_exact(self):
         rows = [F("1/3", "2/7", "5/11"), F(1, 1, 1)]
         rhs = F("2/5", 1)
-        res = solve_eq_lp(rows, rhs, objective=F("1/13", "3/5", "7/17"), maximize=True)
+        res = solve_eq_lp(rows, rhs).optimize(F("1/13", "3/5", "7/17"), maximize=True)
         assert res.status == OPTIMAL
         for row, b in zip(rows, rhs):
             assert sum(c * v for c, v in zip(row, res.x)) == b
@@ -128,8 +137,8 @@ class TestOptimization:
             feas = solve_eq_lp(rows, rhs)
             if feas.status != OPTIMAL:
                 continue
-            hi = solve_eq_lp(rows, rhs, obj, maximize=True)
-            lo = solve_eq_lp(rows, rhs, obj, maximize=False)
+            hi = feas.optimize(obj, maximize=True)
+            lo = feas.optimize(obj, maximize=False)
             assert hi.status == lo.status == OPTIMAL
             value = sum(c * v for c, v in zip(obj, feas.x))
             assert lo.objective <= value <= hi.objective
@@ -142,7 +151,7 @@ class TestValidation:
 
     def test_objective_length(self):
         with pytest.raises(ValueError):
-            solve_eq_lp([F(1, 1)], F(1), objective=F(1))
+            solve_eq_lp([F(1, 1)], F(1)).optimize(F(1))
 
 
 def _random_system(rng):
@@ -189,7 +198,7 @@ class TestReferenceAgreement:
         kinds_seen = {}
         for _ in range(2000):
             rows, rhs, objective, maximize, kinds = _random_system(rng)
-            got = solve_eq_lp(rows, rhs, objective, maximize)
+            got = solve(rows, rhs, objective, maximize)
             want = reference_solve_eq_lp(rows, rhs, objective, maximize)
             assert got == want and repr(got) == repr(want)
             statuses[got.status] += 1
@@ -205,8 +214,8 @@ class TestReferenceAgreement:
         # the system plus a row pinning the barred columns' sum to zero.
         starts, optima = {}, []
 
-        def solving(rows, rhs, *args, **kwargs):
-            result = solve_eq_lp(rows, rhs, *args, **kwargs)
+        def solving(rows, rhs, **kwargs):
+            result = solve_eq_lp(rows, rhs, **kwargs)
             starts[id(result)] = (rows, rhs, kwargs.get("barred", ()), result)
             return result
 
@@ -278,7 +287,7 @@ class TestReferenceAgreement:
 
         recording(cohere.simplex, "_pivot", "engine")
         recording(helpers, "_reference_pivot", "reference")
-        res = solve_eq_lp(rows, rhs, objective)
+        res = solve_eq_lp(rows, rhs).optimize(objective)
         assert res == reference_solve_eq_lp(rows, rhs, objective)
         assert pivots["engine"] == pivots["reference"]
         assert len(pivots["engine"]) == 6
@@ -301,7 +310,7 @@ class TestPhase1Reuse:
             objectives = (objective or [Fr(1)] * len(rows[0]), [Fr(-1)] * len(rows[0]))
             for obj, maximize in zip(objectives, (True, False)):
                 got = [start.optimize(obj, maximize) for _ in range(2)]
-                want = solve_eq_lp(rows, rhs, obj, maximize)
+                want = solve_eq_lp(rows, rhs).optimize(obj, maximize)
                 assert got == [want, want] and repr(got) == repr([want, want])
                 assert want == reference_solve_eq_lp(rows, rhs, obj, maximize)
             assert start == solve_eq_lp(rows, rhs)
@@ -312,13 +321,13 @@ class TestPhase1Reuse:
         infeasible = solve_eq_lp([F(1, 1)], F(-1))
         with pytest.raises(ValueError):
             infeasible.optimize(F(1, 0))
-        optimum = solve_eq_lp([F(1, 1)], F(1), F(1, 0))
+        optimum = solve_eq_lp([F(1, 1)], F(1)).optimize(F(1, 0))
         with pytest.raises(ValueError):
             optimum.optimize(F(1, 0))
 
     def test_barred_columns_stay_zero(self):
         rows, rhs = [F(1, 1, 1), F(0, 1, 2)], F(1, "1/2")
-        assert solve_eq_lp(rows, rhs, F(0, 1, 1), maximize=True).objective == Fr(1, 2)
+        assert solve_eq_lp(rows, rhs).optimize(F(0, 1, 1), maximize=True).objective == Fr(1, 2)
         res = solve_eq_lp(rows, rhs, barred={1})
         assert res.status == OPTIMAL and res.x[1] == 0
         best = res.optimize(F(0, 1, 1), maximize=True)
@@ -340,7 +349,7 @@ class TestPhase1Reuse:
         assert res.status == INFEASIBLE
         allowed = [j for j in range(len(rows[0])) if j not in barred]
         _check_farkas([[row[j] for j in allowed] for row in rows], rhs, res.farkas)
-        assert solve_eq_lp(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
+        assert solve(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
 
 
 class TestResultChecks:
@@ -362,7 +371,7 @@ class TestResultChecks:
             cohere.simplex, "_extract", lambda *args: perturb(extract(*args))
         )
         with pytest.raises(AssertionError):
-            solve_eq_lp(rows, rhs, objective)
+            solve(rows, rhs, objective)
 
     def test_int_and_fraction_inputs_agree(self):
         rng = random.Random(31)
@@ -376,9 +385,9 @@ class TestResultChecks:
             exact = [[Fr(v) for v in r] for r in rows]
             frhs, fobj = [Fr(v) for v in rhs], [Fr(v) for v in objective]
             want = [solve_eq_lp(exact, frhs)] + [
-                solve_eq_lp(exact, frhs, fobj, maximize) for maximize in (False, True)
+                solve(exact, frhs, fobj, maximize) for maximize in (False, True)
             ]
             got = [solve_eq_lp(mixed, rhs)] + [
-                solve_eq_lp(mixed, rhs, objective, maximize) for maximize in (False, True)
+                solve(mixed, rhs, objective, maximize) for maximize in (False, True)
             ]
             assert got == want and repr(got) == repr(want)

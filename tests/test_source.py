@@ -47,6 +47,37 @@ def test_no_unused_imports_in_package():
     assert not found, found
 
 
+def test_no_unreferenced_private_helpers():
+    # A retired public path must not leave its private helper behind: every
+    # `_name` function or class is read somewhere in the package outside
+    # its own body (a recursive call does not count).
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    trees = [
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    total = {}
+    for _, tree in trees:
+        for name in reads(tree):
+            total[name] = total.get(name, 0) + 1
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and total.get(node.name, 0) == sum(name == node.name for name in reads(node))
+    ]
+    assert not found, found
+
+
 def test_byte_conversions_name_their_byte_order():
     # int.from_bytes and int.to_bytes default the byte order only from
     # Python 3.11, and the package supports 3.10.
