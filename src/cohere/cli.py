@@ -17,7 +17,6 @@ from .coherence import (
     build_sigma,
     check_coherence,
     extension_interval,
-    fraction_str,
     interval_to_json,
     verdict_to_json,
 )
@@ -40,8 +39,9 @@ from .inference import (
     p_entails_qc,
     rule_bounds,
 )
-from .kbfile import load_kb, parse_rational
+from .kbfile import load_kb
 from .oracle import extension_interval_bruteforce, vertices
+from .rationals import fraction_str, parse_rational
 from .tnorms import (
     DRASTIC,
     INF,
@@ -378,7 +378,7 @@ def _cmd_tnorm(args) -> int:
         "exact": fraction_str(result),
         "decimal": float(result),
     }
-    _emit(payload, f"exact: {result}\ndecimal: {float(result):.12g}", args.json)
+    _emit(payload, f"exact: {fraction_str(result)}\ndecimal: {float(result):.12g}", args.json)
     return 0
 
 

@@ -20,6 +20,14 @@ zero (Biazzo & Gilio 2000).
 Every one of these LPs optimizes over one constituent matrix, so phase 1
 runs once per matrix: :attr:`SigmaSystem.phase1` keeps the feasible tableau
 and each objective starts from a copy of it.
+
+An extension interval's endpoints are proved by the solutions those LPs
+already found, not by running the recursion on the extended family: a
+solution that meets the target's equation at the endpoint leaves a set of
+members without mass that contains the zero-probability layer, so by
+heredity their coherence completes the proof.  The solutions are checked
+exactly, and one coherence check of the base members they leave open
+closes it.
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ from .conditionals import (
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context, is_impossible
-from .simplex import OPTIMAL, LPResult, solve_eq_lp
+from .rationals import fraction_str
+from .simplex import OPTIMAL, LPResult, check_solution, integer_rows, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,7 +67,7 @@ class Assessment:
         _shared_context(self.family)
         for p in self.probs:
             if not 0 <= p <= 1:
-                raise ProbabilityRangeError(f"probability {p} outside [0, 1]")
+                raise ProbabilityRangeError(f"probability {fraction_str(p)} outside [0, 1]")
 
     @property
     def context(self) -> Context:
@@ -97,6 +106,12 @@ class SigmaSystem:
         """Phase 1 of the system, run once; every mass LP over it starts from
         this result's tableau."""
         return solve_eq_lp(self.matrix, self.rhs)
+
+    @cached_property
+    def integer_rows(self) -> list[list[int]]:
+        """The system's equations as integer rows, for exact checks of
+        solutions found elsewhere."""
+        return integer_rows(self.matrix, self.rhs)[0]
 
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Betting gain on each constituent for the given stake vector."""
@@ -170,25 +185,28 @@ def zero_upper(
     system: SigmaSystem,
     solution: Sequence[Fraction],
     extra_zero: Sequence[int] | None = None,
-) -> tuple[int, ...]:
+) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """Indices of the antecedents with zero upper probability over the
-    system's solutions, or over those with no mass on ``extra_zero``.
+    system's solutions, or over those with no mass on ``extra_zero``, and
+    the average of the solutions visited on the way.
 
     ``solution`` is one such solution.  An antecedent that a known solution
     charges has positive upper probability; the others all have zero upper
     probability exactly when the maximum mass on the union of their supports
     is zero, and otherwise the maximizer charges at least one of them.  Every
     round optimizes from one phase 1: the system's own, or one run with the
-    ``extra_zero`` columns barred.
+    ``extra_zero`` columns barred.  The average is itself such a solution,
+    and it charges every antecedent outside the returned indices.
     """
     remaining = tuple(range(len(system.probs)))
+    visited = [solution]
     start = None
     while True:
         remaining = tuple(
             j for j in remaining if all(solution[h] == 0 for h in system.supports[j])
         )
         if not remaining:
-            return ()
+            return (), _average(visited)
         if start is None:
             start = (
                 system.phase1
@@ -198,8 +216,20 @@ def zero_upper(
         union = sorted({h for j in remaining for h in system.supports[j]})
         best = _mass_lp(system, union, maximize=True, start=start)
         if best.objective == 0:
-            return remaining
+            return remaining, _average(visited)
         solution = best.x
+        visited.append(solution)
+
+
+def _average(solutions: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+    if len(solutions) == 1:
+        return tuple(solutions[0])
+    total = [ZERO] * len(solutions[0])
+    for solution in solutions:
+        for h, v in enumerate(solution):
+            if v:
+                total[h] += v
+    return tuple(t / len(solutions) if t else ZERO for t in total)
 
 
 def _indicator(support: Sequence[int], width: int) -> list[Fraction]:
@@ -271,7 +301,7 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
         if feasibility.certificate is not None:
             trace.append(LevelRecord(indices, (), None))
             return CoherenceVerdict(feasibility.certificate, tuple(trace))
-        i0 = tuple(indices[j] for j in zero_upper(system, feasibility.witness))
+        i0 = tuple(indices[j] for j in zero_upper(system, feasibility.witness)[0])
         trace.append(LevelRecord(indices, i0, feasibility.witness))
         if not i0:
             return CoherenceVerdict(None, tuple(trace))
@@ -305,7 +335,7 @@ class ProbabilityInterval:
         return self.lo <= z <= self.hi
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{fraction_str(self.lo)}, {fraction_str(self.hi)}]"
 
 
 def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, bool]:
@@ -320,14 +350,16 @@ def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, 
 
 def _fractional_bounds(
     system: SigmaSystem, num: Sequence[int], den: Sequence[int]
-) -> tuple[Fraction, Fraction]:
+) -> tuple[tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]]:
     """Extremes of mass(num)/mass(den) over the system's solutions, taken on
-    the part where the denominator is positive.
+    the part where the denominator is positive, each with a solution that
+    attains it.
 
     Homogenization: scale solutions so the denominator is one, carrying the
-    scale as an extra variable; each original equality becomes homogeneous in
-    the scaled variables.  One phase 1 of the homogenized matrix serves both
-    extremes.
+    scale as an extra variable t; each original equality becomes homogeneous
+    in the scaled variables.  One phase 1 of the homogenized matrix serves
+    both extremes.  The unit-mass row forces t > 0 at every optimum (y, t),
+    and y / t is a solution whose ratio is the optimum.
     """
     m = len(system.rows)
     hom_matrix = [list(row) + [-b] for row, b in zip(system.matrix, system.rhs)]
@@ -337,40 +369,81 @@ def _fractional_bounds(
     if start.status != OPTIMAL:
         raise AssertionError("fractional program failed despite a positive denominator")
     objective = _indicator(num, m + 1)
-    lo, hi = (start.optimize(objective, maximize).objective for maximize in (False, True))
-    return lo, hi
+    lo, hi = (start.optimize(objective, maximize) for maximize in (False, True))
+    return tuple(
+        (best.objective, tuple(v / best.x[m] if v else ZERO for v in best.x[:m]))
+        for best in (lo, hi)
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class _Link:
+    """One level of an endpoint's proof: the base indices the level
+    examined, its system with the target, and a solution of that system
+    whose target-true mass is the endpoint times its target-antecedent
+    mass."""
+
+    indices: tuple[int, ...]
+    system: SigmaSystem
+    solution: tuple[Fraction, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _Endpoint:
+    """An interval endpoint and the levels that prove it, from the top."""
+
+    value: Fraction
+    chain: tuple[_Link, ...]
+
+    def below(self, link: _Link) -> "_Endpoint":
+        return _Endpoint(self.value, (link,) + self.chain)
 
 
 def _interval_levels(
-    a: Assessment | None, target: ConditionalEvent
-) -> tuple[Fraction, Fraction, bool]:
-    """Interval of values solving the layered constituent conditions.
+    a: Assessment | None, target: ConditionalEvent, indices: tuple[int, ...]
+) -> tuple[_Endpoint, _Endpoint, bool]:
+    """Interval of values solving the layered constituent conditions, each
+    endpoint with its proof.
 
     At each level the target contributes no equation; its value is the ratio
     of target-true mass to antecedent mass.  When the antecedent's upper
     probability vanishes, or the ratio constraint can be escaped through
     zero-denominator solutions, descend to the subfamily that still has zero
     upper probability there and merge the deeper interval.  ``None`` stands
-    for the empty family left at the bottom of a descent.
+    for the empty family left at the bottom of a descent; ``indices`` maps
+    ``a``'s members to the base's.
+
+    An endpoint met at a fractional level is proved there by the optimum's
+    solution.  One taken from below is proved by the descent's average
+    solution, which leaves the target's antecedent uncharged, so it meets
+    the target's row for every value, followed by the deeper proof.
     """
     if a is None:
-        return _standalone_interval(target)
+        lo, hi, vacuous = _standalone_interval(target)
+        return _Endpoint(lo, ()), _Endpoint(hi, ()), vacuous
 
     system = build_sigma(a, target)
     den = system.supports[-1]
 
     def descend(
         solution: Sequence[Fraction], extra_zero: Sequence[int] | None = None
-    ) -> tuple[Fraction, Fraction, bool]:
-        next_indices = zero_upper(system, solution, extra_zero)
+    ) -> tuple[_Endpoint, _Endpoint, bool]:
+        next_indices, average = zero_upper(system, solution, extra_zero)
         deeper = a.restrict(next_indices) if next_indices else None
-        return _interval_levels(deeper, target)
+        lo, hi, vacuous = _interval_levels(
+            deeper, target, tuple(indices[j] for j in next_indices)
+        )
+        link = _Link(indices, system, average)
+        return lo.below(link), hi.below(link), vacuous
 
     den_max = _mass_lp(system, den, maximize=True)
     if den_max.objective == 0:
         return descend(den_max.x)
 
-    lo, hi = _fractional_bounds(system, system.target_true, den)
+    lo, hi = (
+        _Endpoint(value, (_Link(indices, system, solution),))
+        for value, solution in _fractional_bounds(system, system.target_true, den)
+    )
     den_min = _mass_lp(system, den, maximize=False)
     if den_min.objective > 0:
         return lo, hi, False
@@ -379,43 +452,79 @@ def _interval_levels(
     # exactly when the subfamily with zero upper probability on that part
     # admits them, so merge the deeper interval.
     deep_lo, deep_hi, _ = descend(den_min.x, den)
-    return min(lo, deep_lo), max(hi, deep_hi), False
+    return (
+        lo if lo.value <= deep_lo.value else deep_lo,
+        hi if hi.value >= deep_hi.value else deep_hi,
+        False,
+    )
+
+
+def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
+    """Check an endpoint's proof exactly, and return the base indices whose
+    coherence it leaves open.
+
+    Each level's solution must solve its system and meet the target's row at
+    the endpoint.  The members it leaves uncharged contain that level's
+    zero-probability layer, so by heredity their coherence completes the
+    level (Biazzo & Gilio 2000): the target among them hands over to the
+    next level, which must examine exactly the others, or to the target's
+    standalone values below the last level; a level that charges the target
+    ends the chain and leaves its uncharged members open.
+    """
+    z = end.value
+    expected = None
+    for depth, link in enumerate(end.chain):
+        system, w = link.system, link.solution
+        if expected is not None and link.indices != expected:
+            raise AssertionError("extension proof skips a zero-probability level")
+        # target-true mass == z * target-antecedent mass, times z's denominator
+        target_row = [0] * (len(w) + 1)
+        for h in system.supports[-1]:
+            target_row[h] -= z.numerator
+        for h in system.target_true:
+            target_row[h] += z.denominator
+        check_solution(system.integer_rows + [target_row], w)
+        charged = {h for h, v in enumerate(w) if v}
+        uncharged = tuple(
+            i for i, support in zip(link.indices, system.supports) if charged.isdisjoint(support)
+        )
+        if not charged.isdisjoint(system.supports[-1]):
+            if depth != len(end.chain) - 1:
+                raise AssertionError("extension proof continues past a charged target")
+            return uncharged
+        expected = uncharged
+    if expected:
+        raise AssertionError("extension proof stops above a zero-probability level")
+    lo, hi, _ = _standalone_interval(target)
+    if not lo <= z <= hi:
+        raise AssertionError(
+            f"extension endpoint {fraction_str(z)} is not a value of the target alone"
+        )
+    return ()
 
 
 def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityInterval:
     """Interval of values z such that appending ``target = z`` to the
     assessment stays coherent.
 
-    The base assessment must itself be coherent.  Both endpoints are
-    re-validated through the full coherence recursion; a coherent extension
-    contains the base as a coherent sub-assessment, so the base is checked
-    on its own only after an endpoint fails.  An incoherent base raises
-    ``IncoherentAssessmentError``, here or from the interval descent; an
-    endpoint that fails on a coherent base is an engine fault and raises
-    ``AssertionError``.
+    The base assessment must itself be coherent.  Each endpoint comes with
+    solutions, one per level it descended through, that prove it up to the
+    coherence of a subfamily of the base; they are checked exactly, and the
+    union of those subfamilies is checked once.  A coherent base passes that
+    check, so an incoherent base raises ``IncoherentAssessmentError``, there
+    or from the interval descent, and a proof that fails its exact check is
+    an engine fault and raises ``AssertionError``.
     """
-    lo, hi, vacuous = _interval_levels(a, target)
-    for z in (lo,) if lo == hi else (lo, hi):
-        if not check_coherence(a.extend(target, z)).coherent:
-            if not check_coherence(a).coherent:
-                raise IncoherentAssessmentError(
-                    "cannot extend an incoherent base assessment"
-                )
-            raise AssertionError(
-                f"extension endpoint {z} of [{lo}, {hi}] failed coherence re-validation"
-            )
-    return ProbabilityInterval(lo, hi, vacuous=vacuous)
+    lo, hi, vacuous = _interval_levels(a, target, tuple(range(len(a.family))))
+    open_indices = sorted({j for end in (lo, hi) for j in _open_indices(end, target)})
+    if open_indices and not check_coherence(a.restrict(open_indices)).coherent:
+        raise IncoherentAssessmentError("cannot extend an incoherent base assessment")
+    return ProbabilityInterval(lo.value, hi.value, vacuous=vacuous)
 
 
 # ---------------------------------------------------------------------------
 # JSON shapes
 # ---------------------------------------------------------------------------
-
-
-def fraction_str(x: Fraction) -> str:
-    """Rational rendering used by every serialized surface: ``num/den``, or
-    a bare integer when the denominator is one."""
-    return str(x)
 
 
 def verdict_to_json(v: CoherenceVerdict) -> dict:

@@ -19,20 +19,17 @@ must be given for all conditionals or for none.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coherence import Assessment
 from .conditionals import ConditionalEvent, parse_conditional
-from .errors import CohereError, KBFormatError, SizeLimitError
+from .errors import CohereError, KBFormatError
 from .events import Context, Event, parse_event
 from .inference import KnowledgeBase
+from .rationals import fraction_str, parse_rational
 
 _SECTIONS = ("atoms", "constraints", "conditionals", "queries")
-# CPython's default limit on the digits of an int converted from a string.
-MAX_EXPONENT = 4300
-_EXPONENT_RE = re.compile(r"[eE][-+]?([0-9_]+)$")
 
 
 @dataclass(frozen=True)
@@ -44,22 +41,6 @@ class KnowledgeBaseFile:
     conditionals: tuple[ConditionalEvent, ...]
     probs: tuple[Fraction | None, ...]
     queries: tuple[str, ...]
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from ``a/b``, integer, or decimal notation.  A decimal
-    exponent beyond ``MAX_EXPONENT`` raises ``SizeLimitError`` before
-    ``Fraction`` builds a power of ten with that many digits."""
-    text = text.strip()
-    exponent = _EXPONENT_RE.search(text)
-    if exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise SizeLimitError(f"decimal exponent beyond {MAX_EXPONENT}: {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CohereError(f"not a rational number: {text!r}") from exc
 
 
 def parse_kb_text(text: str) -> KnowledgeBaseFile:
@@ -130,7 +111,7 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
             except CohereError as exc:
                 raise KBFormatError(str(exc), lineno) from exc
             if not 0 <= p <= 1:
-                raise KBFormatError(f"probability {p} outside [0, 1]", lineno)
+                raise KBFormatError(f"probability {fraction_str(p)} outside [0, 1]", lineno)
             probs.append(p)
         names.append(name)
 

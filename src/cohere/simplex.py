@@ -25,7 +25,8 @@ objective's denominators in phase 2), so its signs are the true ones, and
 ratios are compared by cross-multiplication with the same tie-break on the
 basis index.  The pivot sequence, and so every answer, is therefore that of a
 ``fractions.Fraction`` tableau; only the answers are turned into fractions,
-and each is checked exactly against the input before it is returned.
+and each is checked exactly before it is returned: cleared to one
+denominator, in integers, against the input rows ``s_i * [A_i | b_i]``.
 
 Phase 1 runs once per system.  It keeps its final tableau, artificials and
 redundant rows dropped, on the returned :class:`LPResult`, and
@@ -101,18 +102,18 @@ def solve_eq_lp(
 
     # Normalize signs so every right-hand side is nonnegative, and start from
     # d * [A | I | b] over the columns that are not barred, with d the
-    # product of the rows' denominator lcms.
+    # product of the rows' scales s_i.
     flip = [1 if b >= 0 else -1 for b in rhs]
-    d = prod(
-        lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)
-    )
+    integer, scales = integer_rows(rows, rhs)
+    d = prod(scales)
     k = len(columns)
     ncols = k + m
     tab = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        scaled = [flip[i] * row[j].numerator * (d // row[j].denominator) for j in columns]
+    for i, (row, s) in enumerate(zip(integer, scales)):
+        up = d // s
+        scaled = [flip[i] * row[j] * up for j in columns]
         scaled.extend(d if r == i else 0 for r in range(m))
-        scaled.append(abs(b.numerator) * (d // b.denominator))
+        scaled.append(abs(row[n]) * up)
         tab.append(scaled)
     basis = list(range(k, ncols))
 
@@ -141,35 +142,45 @@ def solve_eq_lp(
         d = _pivot(tab, cost, basis, r, col, d)
         keep.append(r)
     start = _Tableau(
-        rows, rhs, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
+        integer, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
         [basis[r] for r in keep], d,
     )
     x = _extract(start.tab, start.basis, columns, n, d)
-    _check_solution(rows, rhs, x)
+    check_solution(integer, x)
     return LPResult(status=OPTIMAL, x=x, tableau=start)
+
+
+def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int]]:
+    """The rows ``s_i * [A_i | b_i]``, with ``s_i`` the lcm of row i's
+    denominators, and the scales ``s_i``."""
+    scales = [lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)]
+    integer = [
+        [v.numerator * (s // v.denominator) for v in row] + [b.numerator * (s // b.denominator)]
+        for row, b, s in zip(rows, rhs, scales)
+    ]
+    return integer, scales
 
 
 class _Tableau:
     """Phase 1's feasible integer tableau ``d * [B^-1 A | B^-1 b]`` over the
-    columns that are not barred, with its basis, and the system it solves."""
+    columns that are not barred, with its basis, and the system it solves as
+    integer rows ``s_i * [A_i | b_i]``."""
 
-    __slots__ = ("rows", "rhs", "columns", "tab", "basis", "d")
+    __slots__ = ("rows", "columns", "tab", "basis", "d")
 
-    def __init__(self, rows, rhs, columns, tab, basis, d):
-        self.rows, self.rhs, self.columns = rows, rhs, columns
+    def __init__(self, rows, columns, tab, basis, d):
+        self.rows, self.columns = rows, columns
         self.tab, self.basis, self.d = tab, basis, d
 
     def optimize(self, objective, maximize) -> LPResult:
-        n = len(self.rows[0])
+        n = len(self.rows[0]) - 1
         if len(objective) != n:
             raise ValueError("objective length does not match the variable count")
         # Integer phase-2 costs: the objective times the lcm of its denominators.
         sign = -1 if maximize else 1
         scale = lcm(*(c.denominator for c in objective))
-        weights = [
-            sign * objective[j].numerator * (scale // objective[j].denominator)
-            for j in self.columns
-        ]
+        scaled = [c.numerator * (scale // c.denominator) for c in objective]
+        weights = [sign * scaled[j] for j in self.columns]
         d = self.d
         tab = [row[:] for row in self.tab]
         basis = self.basis[:]
@@ -184,7 +195,7 @@ class _Tableau:
             return LPResult(status=UNBOUNDED)
         x = _extract(tab, basis, self.columns, n, d)
         value = Fraction(-sign * cost[-1], d * scale)
-        _check_solution(self.rows, self.rhs, x, objective, value)
+        check_solution(self.rows, x, scaled, value * scale)
         return LPResult(status=OPTIMAL, x=x, objective=value)
 
 
@@ -245,17 +256,24 @@ def _extract(tab, basis, columns, n, d) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-def _check_solution(rows, rhs, x, objective=None, value=None) -> None:
-    """Raise unless ``x >= 0`` solves ``rows . x = rhs`` and, with an
-    objective, ``objective . x == value``; only nonzero entries are summed."""
+def check_solution(rows, x, objective=None, value=None) -> None:
+    """Raise ``AssertionError`` unless ``x >= 0`` solves the integer system
+    ``rows`` (each row ``[A_i | b_i]``, as :func:`integer_rows` makes them)
+    and, with an integer objective, ``objective . x == value``.  ``x`` is
+    cleared to one denominator ``D``, so the check is ``A_i . (D x) == b_i D``
+    in integers over the nonzero entries."""
     support = [j for j, v in enumerate(x) if v != 0]
     if any(x[j] < 0 for j in support):
-        raise AssertionError("LP solution has a negative entry")
-    for row, b in zip(rows, rhs):
-        if sum(row[j] * x[j] for j in support) != b:
-            raise AssertionError("LP solution violates rows . x = rhs")
-    if objective is not None and sum(objective[j] * x[j] for j in support) != value:
-        raise AssertionError("LP objective differs from objective . x")
+        raise AssertionError("solution has a negative entry")
+    D = lcm(*(x[j].denominator for j in support))
+    X = {j: x[j].numerator * (D // x[j].denominator) for j in support}
+    for row in rows:
+        if sum(row[j] * X[j] for j in support) != row[-1] * D:
+            raise AssertionError("solution violates rows . x = rhs")
+    if objective is not None and Fraction(
+        sum(objective[j] * X[j] for j in support), D
+    ) != value:
+        raise AssertionError("objective differs from objective . x")
 
 
 def _check_farkas(rows, rhs, y, columns=None) -> None:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ProbabilityRangeError
+from .rationals import fraction_str, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,10 +34,11 @@ HamacherParam = Union[Fraction, _Infinity]
 
 
 def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
-    """Coerce to an exact rational in [0, 1]."""
-    f = Fraction(value)
+    """Coerce to an exact rational in [0, 1]; a string goes through
+    :func:`~cohere.rationals.parse_rational` and its exponent cap."""
+    f = parse_rational(value) if isinstance(value, str) else Fraction(value)
     if f < 0 or f > 1:
-        raise ProbabilityRangeError(f"{name} must lie in [0, 1], got {f}")
+        raise ProbabilityRangeError(f"{name} must lie in [0, 1], got {fraction_str(f)}")
     return f
 
 
@@ -75,7 +77,9 @@ DRASTIC = OperatorFamily("drastic")
 
 
 def hamacher(parameter: HamacherParam | int | str) -> OperatorFamily:
-    if not isinstance(parameter, _Infinity):
+    if isinstance(parameter, str):
+        parameter = parse_rational(parameter)
+    elif not isinstance(parameter, _Infinity):
         parameter = Fraction(parameter)
     return OperatorFamily("hamacher", parameter)
 

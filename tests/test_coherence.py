@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -13,6 +14,7 @@ from cohere import (
     ConditionalEvent,
     IncoherentAssessmentError,
     ProbabilityRangeError,
+    SizeLimitError,
     build_sigma,
     check_coherence,
     constituents,
@@ -22,13 +24,21 @@ from cohere import (
     sigma_feasible,
     zero_upper,
 )
-from cohere.coherence import _mass_lp, interval_to_json, verdict_to_json
+from cohere.coherence import (
+    _interval_levels,
+    _mass_lp,
+    _open_indices,
+    interval_to_json,
+    verdict_to_json,
+)
+from cohere.oracle import extension_interval_bruteforce
 from cohere.simplex import INFEASIBLE, solve_eq_lp
 
 from helpers import (
     gn_chain_context,
     independent_pairs,
     random_assessment,
+    random_conditional,
     random_unit,
 )
 
@@ -192,7 +202,7 @@ class TestRandomizedSoundness:
             witness = sigma_feasible(system).witness
             if witness is None:
                 continue
-            i0 = set(zero_upper(system, witness))
+            i0 = set(zero_upper(system, witness)[0])
             n = len(a.family)
             for size in range(1, n + 1):
                 for subset in itertools.combinations(range(n), size):
@@ -211,7 +221,7 @@ class TestRandomizedSoundness:
             witness = sigma_feasible(system).witness
             if witness is None:
                 continue
-            assert set(zero_upper(system, witness)) < set(range(len(a.family)))
+            assert set(zero_upper(system, witness)[0]) < set(range(len(a.family)))
 
 
 class TestExtensionInterval:
@@ -276,29 +286,56 @@ class TestExtensionInterval:
 
 
     def test_base_checked_only_inside_extended_family(self, monkeypatch):
-        # A coherent extension contains its base, so on a coherent base the
-        # endpoint re-validations are the only coherence checks.
-        calls = []
-        real = cohere.coherence.check_coherence
+        # The endpoints' proofs leave at most one coherence check, on a
+        # subfamily of the base: the extended family is neither re-validated
+        # nor has its constituents built twice.
+        checks, builds = [], []
+        real_check = cohere.coherence.check_coherence
+        real_constituents = cohere.coherence.constituents
 
-        def counting(a):
-            calls.append(a)
-            return real(a)
+        def checking(a):
+            checks.append(a.family)
+            return real_check(a)
 
-        monkeypatch.setattr(cohere.coherence, "check_coherence", counting)
-        ctx, family = independent_pairs(2)
-        target = quasi_conjunction(family)
-        iv = extension_interval(Assessment(family, (Fr(1, 2), Fr(1, 2))), target)
-        assert iv.lo < iv.hi
-        assert [a.family for a in calls] == [family + (target,)] * 2
+        def building(members):
+            builds.append(tuple(members))
+            return real_constituents(members)
 
-        calls.clear()
-        ctx = Context(("A", "B", "H"))
-        family = (ce("A", "H", ctx), ce("B", "A & H", ctx))
-        target = ce("A & B", "H", ctx)
-        iv = extension_interval(Assessment(family, (Fr(1, 2), Fr(1, 3))), target)
-        assert iv.lo == iv.hi
-        assert [a.family for a in calls] == [family + (target,)]
+        monkeypatch.setattr(cohere.coherence, "check_coherence", checking)
+        monkeypatch.setattr(cohere.coherence, "constituents", building)
+        ctx, pairs = independent_pairs(2)
+        chain_ctx = Context(("A", "B", "H"))
+        layered_ctx = Context(("A", "B", "C"))
+        cases = [
+            (pairs, (Fr(1, 2), Fr(1, 2)), quasi_conjunction(pairs)),
+            (
+                (ce("A", "H", chain_ctx), ce("B", "A & H", chain_ctx)),
+                (Fr(1, 2), Fr(1, 3)),
+                ce("A & B", "H", chain_ctx),
+            ),
+            # B|T = 0 sends the target C|B down to the layer below.
+            (
+                (ce("B", "T", layered_ctx), ce("A", "B", layered_ctx)),
+                (Fr(0), Fr(1, 2)),
+                ce("C", "B", layered_ctx),
+            ),
+            # C|T is met at the top, by a solution that leaves B uncharged.
+            (
+                (ce("B", "T", layered_ctx), ce("A", "B", layered_ctx)),
+                (Fr(0), Fr(1, 2)),
+                ce("C", "T", layered_ctx),
+            ),
+        ]
+        for family, probs, target in cases:
+            checks.clear()
+            builds.clear()
+            iv = extension_interval(Assessment(family, probs), target)
+            assert 0 <= iv.lo <= iv.hi <= 1
+            assert len(checks) <= 1
+            assert all(set(checked) <= set(family) for checked in checks)
+            extended = [members for members in builds if target in members]
+            assert extended and len(set(extended)) == len(extended)
+        assert checks == [(family[1],)]
 
     def test_base_incoherent_below_top_level_rejected(self):
         # B|T = 0 leaves the top level solvable; A|B = ~A|B = 1 fails below it.
@@ -310,6 +347,125 @@ class TestExtensionInterval:
         for target in ("A | T", "C | B", "A | B", "C | ~B", "B | T"):
             with pytest.raises(IncoherentAssessmentError):
                 extension_interval(a, ce(*target.split(" | "), ctx))
+
+
+class TestEndpointProofs:
+    """Each endpoint is proved by the interval LPs' own solutions, checked
+    exactly, plus at most one check of a subfamily of the base."""
+
+    def test_intervals_match_brute_force_and_revalidation(self, monkeypatch):
+        # The removed re-validation, check_coherence(a.extend(target, z)), is
+        # the reference for every endpoint; probabilities drawn from {0, 1}
+        # reach the descents and bases refuted below the top level.
+        checks = []
+        real_check = cohere.coherence.check_coherence
+
+        def checking(a):
+            checks.append(a.family)
+            return real_check(a)
+
+        monkeypatch.setattr(cohere.coherence, "check_coherence", checking)
+        rng = random.Random(1409)
+        coherent = refuted_below = compared = descended = 0
+        while coherent < 300 or refuted_below < 40:
+            a = random_assessment(rng, max_size=3)
+            if rng.random() < 0.5:
+                a = Assessment(a.family, tuple(Fr(rng.randint(0, 1)) for _ in a.family))
+            target = random_conditional(rng, a.context)
+            verdict = check_coherence(a)
+            checks.clear()
+            if not verdict.coherent:
+                if len(verdict.trace) == 1 or refuted_below >= 40:
+                    continue
+                with pytest.raises(IncoherentAssessmentError):
+                    extension_interval(a, target)
+                refuted_below += 1
+                continue
+            if coherent >= 300:
+                continue
+            iv = extension_interval(a, target)
+            assert len(checks) <= 1
+            assert all(set(checked) <= set(a.family) for checked in checks)
+            for z in (iv.lo, iv.hi):
+                assert check_coherence(a.extend(target, z)).coherent, (a, target, z)
+            try:
+                bf = extension_interval_bruteforce(a, target)
+            except SizeLimitError:
+                pass
+            else:
+                assert (iv.lo, iv.hi, iv.vacuous) == (bf.lo, bf.hi, bf.vacuous)
+                compared += 1
+            system = build_sigma(a, target)
+            descended += _mass_lp(system, system.supports[-1], maximize=False).objective == 0
+            coherent += 1
+        assert compared > 250 and descended > 100
+
+    @pytest.mark.parametrize("fault", ["shifted", "swapped", "shifted average", "skipped level"])
+    def test_corrupted_proof_raises(self, monkeypatch, fault):
+        ctx = Context(("A", "B", "C"))
+        family = (ce("B", "T", ctx), ce("A", "B", ctx))
+        a = Assessment(family, (Fr(0), Fr(1, 2)))
+        if fault in ("shifted", "swapped"):
+            # C|T is met at the top, where the optimum's solution proves both
+            # endpoints: off the system, or proving the other endpoint.
+            target = ce("C", "T", ctx)
+            real = cohere.coherence._fractional_bounds
+
+            def corrupt(*args):
+                (lo, w_lo), (hi, w_hi) = real(*args)
+                assert lo < hi
+                if fault == "swapped":
+                    return (lo, w_hi), (hi, w_lo)
+                return (lo, _shifted(w_lo)), (hi, w_hi)
+
+            monkeypatch.setattr(cohere.coherence, "_fractional_bounds", corrupt)
+        else:
+            # B|T = 0 leaves no mass on B, so C|B is taken from the level
+            # below, through the descent's average solution.
+            target = ce("C", "B", ctx)
+            real = cohere.coherence.zero_upper
+
+            def corrupt(*args):
+                indices, average = real(*args)
+                assert indices == (1,)
+                if fault == "skipped level":
+                    return (), average
+                return indices, _shifted(average)
+
+            monkeypatch.setattr(cohere.coherence, "zero_upper", corrupt)
+        with pytest.raises(AssertionError, match="solution|extension proof"):
+            extension_interval(a, target)
+
+
+    def test_chain_check_follows_the_levels(self):
+        ctx = Context(("A", "B", "C"))
+        # B|T = 0 leaves no mass on B: C|B is taken from the level below.
+        a = Assessment((ce("B", "T", ctx), ce("A", "B", ctx)), (Fr(0), Fr(1, 2)))
+        target = ce("C", "B", ctx)
+        lo, _, _ = _interval_levels(a, target, (0, 1))
+        assert [link.indices for link in lo.chain] == [(0, 1), (1,)]
+        assert _open_indices(lo, target) == ()
+        top, below = lo.chain
+        with pytest.raises(AssertionError, match="skips a zero-probability level"):
+            _open_indices(replace(lo, chain=(top, replace(below, indices=(0,)))), target)
+        # C|T is met at the top, whose solution charges T: nothing follows.
+        top_target = ce("C", "T", ctx)
+        met, _, _ = _interval_levels(a, top_target, (0, 1))
+        assert len(met.chain) == 1 and _open_indices(met, top_target) == (1,)
+        with pytest.raises(AssertionError, match="continues past a charged target"):
+            _open_indices(replace(met, chain=met.chain + (below,)), top_target)
+        # B|B is 1 on its own, the bottom of a descent from B|T = 0.
+        sure = ce("B", "B", ctx)
+        end, _, _ = _interval_levels(a.restrict((0,)), sure, (0,))
+        assert (end.value, len(end.chain)) == (1, 1)
+        assert _open_indices(end, sure) == ()
+        with pytest.raises(AssertionError, match="not a value of the target alone"):
+            _open_indices(replace(end, value=Fr(1, 2)), sure)
+
+
+def _shifted(solution):
+    """``solution`` with one more unit of mass on its first constituent."""
+    return (solution[0] + 1,) + tuple(solution[1:])
 
 
 class TestSerialization:

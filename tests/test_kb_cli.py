@@ -8,8 +8,8 @@ import pytest
 
 from cohere import KBFormatError, SizeLimitError, cli
 from cohere.cli import MAX_GRID, main
+from cohere.rationals import MAX_DIGITS
 from cohere.kbfile import (
-    MAX_EXPONENT,
     dump_kb,
     load_kb,
     load_kb_file,
@@ -37,11 +37,11 @@ class TestParseRational:
 
     def test_exponent_beyond_the_cap_is_refused(self):
         # Fraction would build 10**exponent first: 1e-10000000 takes seconds.
-        assert parse_rational(f"1e-{MAX_EXPONENT}") == Fr(1, 10**MAX_EXPONENT)
+        assert parse_rational(f"1e-{MAX_DIGITS}") == Fr(1, 10**MAX_DIGITS)
         assert parse_rational(" 25E-0_1 ") == Fr(5, 2)
         assert parse_rational("1e-000000000000000000001") == Fr(1, 10)
         for text in (
-            f"1e-{MAX_EXPONENT + 1}",
+            f"1e-{MAX_DIGITS + 1}",
             "1e-999999999",
             "0.5E+00000099999",
             "1e" + "9" * 5000,
@@ -53,7 +53,7 @@ class TestParseRational:
         assert main(["bounds", "qc", "1e-999999999", "1/2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: decimal exponent beyond {MAX_EXPONENT}: '1e-999999999'\n"
+        assert captured.err == f"error: decimal exponent beyond {MAX_DIGITS}: '1e-999999999'\n"
 
     def test_exponent_beyond_the_cap_in_a_file(self, tmp_path, capsys):
         path = tmp_path / "huge.kb"
@@ -63,6 +63,32 @@ class TestParseRational:
         assert err.value.line == 3
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: line 3: decimal exponent beyond")
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the exponent is within the cap, the product's denominator is not
+            ["bounds", "qc", "1e-4300", "1/2"],
+            # a result that outgrows the limit from smaller inputs
+            ["bounds", "compound", "1e-2200", "1e-2200"],
+            ["bounds", "compound", "1e-2200", "1e-2200", "--json"],
+            ["tnorm", "product", "1e-2200", "1e-2200"],
+        ],
+    )
+    def test_printing_beyond_the_digit_limit_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot print a rational whose numerator or denominator has "
+            f"more than {MAX_DIGITS} digits\n"
+        )
+
+    def test_printing_at_the_digit_limit(self, capsys):
+        # 1/10**4299 * 1/2 has 4300 digits in its denominator: printable.
+        assert main(["tnorm", "product", "1e-4299", "1/2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == f"1/{2 * 10**4299}"
 
 
 class TestLoadKb:

@@ -158,7 +158,9 @@ class TestZeroUpperAgreement:
             if witness is None or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
                 continue
             expected = _zero_on_every_vertex(system, system.matrix, system.rhs)
-            assert zero_upper(system, witness) == expected, a
+            found, average = zero_upper(system, witness)
+            assert found == expected, a
+            _assert_charges_all_but(system, average, expected)
             plain += 1
 
             target = random_conditional(rng, a.context)
@@ -172,6 +174,23 @@ class TestZeroUpperAgreement:
                 system.matrix + (tuple(_indicator(den, len(system.rows))),),
                 system.rhs + (Fr(0),),
             )
-            assert zero_upper(system, den_min.x, den) == expected, (a, target)
+            found, average = zero_upper(system, den_min.x, den)
+            assert found == expected, (a, target)
+            _assert_charges_all_but(system, average, expected)
+            assert all(average[h] == 0 for h in den)
             pinned += 1
         assert plain > 40 and pinned > 20
+
+
+def _assert_charges_all_but(system, solution, indices):
+    """``solution`` solves the system and charges exactly the antecedents
+    outside ``indices``."""
+    assert all(v >= 0 for v in solution)
+    for row, b in zip(system.matrix, system.rhs):
+        assert sum(q * v for q, v in zip(row, solution)) == b
+    uncharged = tuple(
+        j
+        for j in range(len(system.probs))
+        if all(solution[h] == 0 for h in system.supports[j])
+    )
+    assert uncharged == indices

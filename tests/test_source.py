@@ -115,8 +115,11 @@ def test_benchmark_tracer_sees_every_layer(capsys):
         assert json.loads(capsys.readouterr().out)["p_entailed"] is True
         # Only truth-table decodes worlds, one per printed row.
         table = cli.main(["truth-table", str(LINDA), "--json"])
-    assert (code, table) == (0, 0)
-    assert json.loads(capsys.readouterr().out)["rows"]
+        assert json.loads(capsys.readouterr().out)["rows"]
+        # The interval proves this entailment without a coherence check.
+        checked = cli.main(["check", str(LINDA), "--json"])
+    assert (code, table, checked) == (0, 0, 0)
+    assert json.loads(capsys.readouterr().out)["coherent"] is True
     recorded = {span[0] for span in tracer.spans}
     expected = {name for _, _, name in tracer_module.TARGETS}
     assert expected - recorded == set()

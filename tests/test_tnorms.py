@@ -14,6 +14,7 @@ from cohere import (
     PRODUCT,
     OperatorFamily,
     ProbabilityRangeError,
+    SizeLimitError,
     dual_eval,
     hamacher,
     hamacher0_conary,
@@ -21,6 +22,7 @@ from cohere import (
     tconorm,
     tnorm,
 )
+from cohere.tnorms import as_unit
 
 FAMILIES = [MINIMUM, PRODUCT, LUKASIEWICZ, DRASTIC, HAMACHER0,
             hamacher(Fr(1, 2)), hamacher(1), hamacher(2), hamacher(INF)]
@@ -97,6 +99,15 @@ class TestNAry:
     def test_out_of_range_rejected(self):
         with pytest.raises(ProbabilityRangeError):
             tnorm(MINIMUM, [Fr(3, 2)])
+
+    def test_strings_obey_the_exponent_cap(self):
+        # Fraction would build 10**1000000 first, taking a third of a second.
+        assert as_unit("1e-3") == Fr(1, 1000)
+        assert hamacher("5e-1") == hamacher(Fr(1, 2))
+        with pytest.raises(SizeLimitError, match="decimal exponent beyond 4300"):
+            as_unit("1e-1000000")
+        with pytest.raises(SizeLimitError, match="decimal exponent beyond 4300"):
+            hamacher("1e-1000000")
 
     @given(st.lists(units, min_size=2, max_size=6))
     @settings(max_examples=60)
