@@ -13,13 +13,15 @@ homogenization that descends through zero-probability layers.
 
 Both the coherence recursion and the interval descent find that
 zero-probability subfamily with one routine, :func:`zero_upper`: starting
-from a solution at hand, it maximizes the mass of the union of the
+from a phase 1 of the system, it maximizes the mass of the union of the
 antecedents that no solution found so far charges, until that maximum is
 zero (Biazzo & Gilio 2000).
 
-Every one of these LPs optimizes over one constituent matrix, so phase 1
-runs once per matrix: :attr:`SigmaSystem.phase1` keeps the feasible tableau
-and each objective starts from a copy of it.
+Each objective starts from a copy of a phase 1's feasible tableau, and
+:attr:`SigmaSystem.phase1` runs once per system.  An interval level adds a
+homogenized phase 1 and one with the target's antecedent barred: whether
+some solution charges that antecedent, and whether some leaves it
+uncharged, are their verdicts, so the level optimizes only the ratio.
 
 An extension interval's endpoints are proved by the solutions those LPs
 already found, not by running the recursion on the extended family: a
@@ -181,40 +183,31 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     return SigmaFeasibility(certificate=stakes)
 
 
-def zero_upper(
-    system: SigmaSystem,
-    solution: Sequence[Fraction],
-    extra_zero: Sequence[int] | None = None,
-) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """Indices of the antecedents with zero upper probability over the
-    system's solutions, or over those with no mass on ``extra_zero``, and
-    the average of the solutions visited on the way.
+    solutions of ``start``, a phase 1 of the system's matrix (some columns
+    possibly barred), and the average of the solutions visited on the way.
 
-    ``solution`` is one such solution.  An antecedent that a known solution
-    charges has positive upper probability; the others all have zero upper
-    probability exactly when the maximum mass on the union of their supports
-    is zero, and otherwise the maximizer charges at least one of them.  Every
-    round optimizes from one phase 1: the system's own, or one run with the
-    ``extra_zero`` columns barred.  The average is itself such a solution,
-    and it charges every antecedent outside the returned indices.
+    An antecedent that a known solution charges, ``start.x`` first, has
+    positive upper probability; the others all have zero upper probability
+    exactly when the maximum mass on the union of their supports is zero,
+    and otherwise the maximizer charges at least one of them.  Every round
+    optimizes from ``start``.  The average is itself such a solution, and it
+    charges every antecedent outside the returned indices.
     """
+    if start.status != OPTIMAL:
+        raise IncoherentAssessmentError("mass optimization on an unsolvable system")
     remaining = tuple(range(len(system.probs)))
+    solution = start.x
     visited = [solution]
-    start = None
     while True:
         remaining = tuple(
             j for j in remaining if all(solution[h] == 0 for h in system.supports[j])
         )
         if not remaining:
             return (), _average(visited)
-        if start is None:
-            start = (
-                system.phase1
-                if extra_zero is None
-                else solve_eq_lp(system.matrix, system.rhs, barred=extra_zero)
-            )
         union = sorted({h for j in remaining for h in system.supports[j]})
-        best = _mass_lp(system, union, maximize=True, start=start)
+        best = start.optimize(_indicator(union, len(system.rows)), maximize=True)
         if best.objective == 0:
             return remaining, _average(visited)
         solution = best.x
@@ -237,21 +230,6 @@ def _indicator(support: Sequence[int], width: int) -> list[Fraction]:
     for h in support:
         vector[h] = ONE
     return vector
-
-
-def _mass_lp(
-    system: SigmaSystem,
-    support: Sequence[int],
-    maximize: bool,
-    start: LPResult | None = None,
-) -> LPResult:
-    """Optimize total mass on ``support`` over the system's solutions, from
-    the system's phase 1 or from ``start``, a phase 1 of the same matrix
-    with some columns barred (pinned to zero mass)."""
-    start = system.phase1 if start is None else start
-    if start.status != OPTIMAL:
-        raise IncoherentAssessmentError("mass optimization on an unsolvable system")
-    return start.optimize(_indicator(support, len(system.rows)), maximize)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +279,7 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
         if feasibility.certificate is not None:
             trace.append(LevelRecord(indices, (), None))
             return CoherenceVerdict(feasibility.certificate, tuple(trace))
-        i0 = tuple(indices[j] for j in zero_upper(system, feasibility.witness)[0])
+        i0 = tuple(indices[j] for j in zero_upper(system, system.phase1)[0])
         trace.append(LevelRecord(indices, i0, feasibility.witness))
         if not i0:
             return CoherenceVerdict(None, tuple(trace))
@@ -350,16 +328,17 @@ def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, 
 
 def _fractional_bounds(
     system: SigmaSystem, num: Sequence[int], den: Sequence[int]
-) -> tuple[tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]]:
+) -> tuple[tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]] | None:
     """Extremes of mass(num)/mass(den) over the system's solutions, taken on
     the part where the denominator is positive, each with a solution that
-    attains it.
+    attains it, or ``None`` when no solution charges ``den``.
 
-    Homogenization: scale solutions so the denominator is one, carrying the
-    scale as an extra variable t; each original equality becomes homogeneous
-    in the scaled variables.  One phase 1 of the homogenized matrix serves
-    both extremes.  The unit-mass row forces t > 0 at every optimum (y, t),
-    and y / t is a solution whose ratio is the optimum.
+    Homogenization (Charnes & Cooper 1962): scale solutions so the
+    denominator is one, carrying the scale as an extra variable t; each
+    original equality becomes homogeneous in the scaled variables.  The
+    unit-mass row forces t > 0 at every feasible (y, t), and y / t is a
+    solution charging ``den``, so one phase 1 decides that case and serves
+    both extremes; at an optimum, y / t attains the ratio.
     """
     m = len(system.rows)
     hom_matrix = [list(row) + [-b] for row, b in zip(system.matrix, system.rhs)]
@@ -367,7 +346,7 @@ def _fractional_bounds(
     hom_rhs = [ZERO] * len(system.matrix) + [ONE]
     start = solve_eq_lp(hom_matrix, hom_rhs)
     if start.status != OPTIMAL:
-        raise AssertionError("fractional program failed despite a positive denominator")
+        return None
     objective = _indicator(num, m + 1)
     lo, hi = (start.optimize(objective, maximize) for maximize in (False, True))
     return tuple(
@@ -406,12 +385,14 @@ def _interval_levels(
     endpoint with its proof.
 
     At each level the target contributes no equation; its value is the ratio
-    of target-true mass to antecedent mass.  When the antecedent's upper
-    probability vanishes, or the ratio constraint can be escaped through
-    zero-denominator solutions, descend to the subfamily that still has zero
-    upper probability there and merge the deeper interval.  ``None`` stands
-    for the empty family left at the bottom of a descent; ``indices`` maps
-    ``a``'s members to the base's.
+    of target-true mass to antecedent mass.  Two phase-1 runs decide the
+    level: the homogenized one of :func:`_fractional_bounds`, then one with
+    the antecedent's columns barred.  When no solution charges the
+    antecedent, or some solution leaves it uncharged and so escapes the ratio
+    constraint, descend from the feasible phase 1 to the subfamily that has
+    zero upper probability there and merge the deeper interval.  ``None``
+    stands for the empty family left at the bottom of a descent; ``indices``
+    maps ``a``'s members to the base's.
 
     An endpoint met at a fractional level is proved there by the optimum's
     solution.  One taken from below is proved by the descent's average
@@ -425,10 +406,8 @@ def _interval_levels(
     system = build_sigma(a, target)
     den = system.supports[-1]
 
-    def descend(
-        solution: Sequence[Fraction], extra_zero: Sequence[int] | None = None
-    ) -> tuple[_Endpoint, _Endpoint, bool]:
-        next_indices, average = zero_upper(system, solution, extra_zero)
+    def descend(start: LPResult) -> tuple[_Endpoint, _Endpoint, bool]:
+        next_indices, average = zero_upper(system, start)
         deeper = a.restrict(next_indices) if next_indices else None
         lo, hi, vacuous = _interval_levels(
             deeper, target, tuple(indices[j] for j in next_indices)
@@ -436,22 +415,21 @@ def _interval_levels(
         link = _Link(indices, system, average)
         return lo.below(link), hi.below(link), vacuous
 
-    den_max = _mass_lp(system, den, maximize=True)
-    if den_max.objective == 0:
-        return descend(den_max.x)
+    bounds = _fractional_bounds(system, system.target_true, den)
+    if bounds is None:
+        return descend(system.phase1)
 
     lo, hi = (
-        _Endpoint(value, (_Link(indices, system, solution),))
-        for value, solution in _fractional_bounds(system, system.target_true, den)
+        _Endpoint(value, (_Link(indices, system, solution),)) for value, solution in bounds
     )
-    den_min = _mass_lp(system, den, maximize=False)
-    if den_min.objective > 0:
+    zero_den = solve_eq_lp(system.matrix, system.rhs, barred=den)
+    if zero_den.status != OPTIMAL:
         return lo, hi, False
 
     # Zero-denominator solutions exist: values outside [lo, hi] stay coherent
     # exactly when the subfamily with zero upper probability on that part
     # admits them, so merge the deeper interval.
-    deep_lo, deep_hi, _ = descend(den_min.x, den)
+    deep_lo, deep_hi, _ = descend(zero_den)
     return (
         lo if lo.value <= deep_lo.value else deep_lo,
         hi if hi.value >= deep_hi.value else deep_hi,

@@ -153,7 +153,7 @@ def dump_kb(f: KnowledgeBaseFile) -> str:
         lines.extend(f"  {c}" for c in f.context.constraints)
     lines.append("conditionals:")
     for name, ce, p in zip(f.names, f.conditionals, f.probs):
-        suffix = f" = {p}" if p is not None else ""
+        suffix = f" = {fraction_str(p)}" if p is not None else ""
         lines.append(f"  {name}: {ce}{suffix}")
     if f.queries:
         lines.append("queries:")

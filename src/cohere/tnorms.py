@@ -66,7 +66,8 @@ class OperatorFamily:
 
     def __str__(self) -> str:
         if self.kind == "hamacher":
-            return f"hamacher({self.parameter})"
+            p = self.parameter
+            return f"hamacher({p if isinstance(p, _Infinity) else fraction_str(p)})"
         return self.kind
 
 

@@ -379,7 +379,7 @@ def test_criterion_12_engine_soundness_on_random_assessments():
             top = build_sigma(a)
             top_witness = sigma_feasible(top).witness
             if top_witness is not None:
-                i0 = set(zero_upper(top, top_witness)[0])
+                i0 = set(zero_upper(top, top.phase1)[0])
                 n = len(a.family)
                 for size in range(1, n + 1):
                     for subset in itertools.combinations(range(n), size):

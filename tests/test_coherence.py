@@ -26,13 +26,12 @@ from cohere import (
 )
 from cohere.coherence import (
     _interval_levels,
-    _mass_lp,
     _open_indices,
     interval_to_json,
     verdict_to_json,
 )
 from cohere.oracle import extension_interval_bruteforce
-from cohere.simplex import INFEASIBLE, solve_eq_lp
+from cohere.simplex import INFEASIBLE, OPTIMAL, LPResult, solve_eq_lp
 
 from helpers import (
     gn_chain_context,
@@ -202,7 +201,7 @@ class TestRandomizedSoundness:
             witness = sigma_feasible(system).witness
             if witness is None:
                 continue
-            i0 = set(zero_upper(system, witness)[0])
+            i0 = set(zero_upper(system, system.phase1)[0])
             n = len(a.family)
             for size in range(1, n + 1):
                 for subset in itertools.combinations(range(n), size):
@@ -221,7 +220,7 @@ class TestRandomizedSoundness:
             witness = sigma_feasible(system).witness
             if witness is None:
                 continue
-            assert set(zero_upper(system, witness)[0]) < set(range(len(a.family)))
+            assert set(zero_upper(system, system.phase1)[0]) < set(range(len(a.family)))
 
 
 class TestExtensionInterval:
@@ -396,7 +395,8 @@ class TestEndpointProofs:
                 assert (iv.lo, iv.hi, iv.vacuous) == (bf.lo, bf.hi, bf.vacuous)
                 compared += 1
             system = build_sigma(a, target)
-            descended += _mass_lp(system, system.supports[-1], maximize=False).objective == 0
+            zero_den = solve_eq_lp(system.matrix, system.rhs, barred=system.supports[-1])
+            descended += zero_den.status == OPTIMAL
             coherent += 1
         assert compared > 250 and descended > 100
 
@@ -494,7 +494,7 @@ class TestOnePhase1PerSystem:
         system = build_sigma(a)
         assert system.phase1.status == INFEASIBLE
         with pytest.raises(IncoherentAssessmentError):
-            _mass_lp(system, [0], maximize=True)
+            zero_upper(system, system.phase1)
 
     @pytest.mark.parametrize("probs", [(0, "1/2"), (0, 1)])
     def test_check_runs_one_phase1_per_level(self, monkeypatch, probs):
@@ -514,3 +514,29 @@ class TestOnePhase1PerSystem:
         assert verdict.coherent
         assert [rec.indices for rec in verdict.trace] == [(0, 1), (1,)]
         assert len(calls) == len(verdict.trace)
+
+    def test_fractional_level_runs_two_phase1s_and_two_optimizations(self, monkeypatch):
+        # The homogenized phase 1 finds that some solution charges H | K, and
+        # the one with H | K barred that none leaves it uncharged; only the
+        # ratio's two extremes are optimized.
+        calls, optima = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("barred", ()))
+            return solve_eq_lp(*args, **kwargs)
+
+        optimize = LPResult.optimize
+
+        def optimizing(self, *args, **kwargs):
+            optima.append(args)
+            return optimize(self, *args, **kwargs)
+
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        monkeypatch.setattr(LPResult, "optimize", optimizing)
+        ctx = Context(("A", "H", "B", "K"))
+        family = (ce("A", "H", ctx), ce("B", "K", ctx))
+        a = Assessment(family, (Fr(1, 2), Fr(1, 2)))
+        iv = extension_interval(a, quasi_conjunction(family))
+        assert (iv.lo, iv.hi, iv.vacuous) == (Fr(0), Fr(2, 3), False)
+        assert len(calls) == 2 and not calls[0] and calls[1]
+        assert len(optima) == 2

@@ -74,6 +74,8 @@ class TestParseRational:
             ["bounds", "compound", "1e-2200", "1e-2200"],
             ["bounds", "compound", "1e-2200", "1e-2200", "--json"],
             ["tnorm", "product", "1e-2200", "1e-2200"],
+            # the parameter itself is beyond the limit when printed
+            ["tnorm", "hamacher", "--param", "1e-4300", "1/2", "1/2"],
         ],
     )
     def test_printing_beyond_the_digit_limit_exits_2(self, argv, capsys):
@@ -176,6 +178,12 @@ class TestRoundTrip:
         original = load_kb_file(str(LINDA))
         once = dump_kb(original)
         assert dump_kb(parse_kb_text(once)) == once
+
+    def test_dump_beyond_the_digit_limit_raises(self):
+        # 1e-4300 parses, but its denominator has 4301 digits.
+        kb = parse_kb_text("atoms: A\nconditionals:\n  c: A | T = 1e-4300\n")
+        with pytest.raises(SizeLimitError, match=f"more than {MAX_DIGITS} digits"):
+            dump_kb(kb)
 
 
 class TestCli:

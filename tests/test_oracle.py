@@ -19,12 +19,13 @@ from cohere import (
     sigma_feasible,
     zero_upper,
 )
-from cohere.coherence import _indicator, _mass_lp
+from cohere.coherence import _fractional_bounds, _indicator
 from cohere.oracle import (
     VERTEX_ENUMERATION_LIMIT,
     extension_interval_bruteforce,
     vertices,
 )
+from cohere.simplex import OPTIMAL, solve_eq_lp
 
 from helpers import independent_pairs, random_assessment, random_conditional, random_unit
 
@@ -148,7 +149,9 @@ class TestZeroUpperAgreement:
         # The zero-probability subfamily holds the antecedents that no vertex
         # of the solution polytope charges: over all solutions, and over the
         # solutions of a target-refined system with no mass on the target's
-        # antecedent.
+        # antecedent.  The phase 1 with that antecedent barred, and the
+        # homogenized one, are feasible exactly when some vertex leaves the
+        # antecedent uncharged, and when some vertex charges it.
         rng = random.Random(4)
         plain = pinned = 0
         for _ in range(100):
@@ -158,23 +161,29 @@ class TestZeroUpperAgreement:
             if witness is None or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
                 continue
             expected = _zero_on_every_vertex(system, system.matrix, system.rhs)
-            found, average = zero_upper(system, witness)
+            found, average = zero_upper(system, system.phase1)
             assert found == expected, a
             _assert_charges_all_but(system, average, expected)
             plain += 1
 
             target = random_conditional(rng, a.context)
             system = build_sigma(a, target)
+            if len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+                continue
             den = system.supports[-1]
-            den_min = _mass_lp(system, den, maximize=False)
-            if den_min.objective > 0 or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+            masses = [sum(v[h] for h in den) for v in vertices(system.matrix, system.rhs)]
+            start = solve_eq_lp(system.matrix, system.rhs, barred=den)
+            assert (start.status == OPTIMAL) == (0 in masses), (a, target)
+            homogenized = _fractional_bounds(system, system.target_true, den)
+            assert (homogenized is not None) == any(masses), (a, target)
+            if start.status != OPTIMAL:
                 continue
             expected = _zero_on_every_vertex(
                 system,
                 system.matrix + (tuple(_indicator(den, len(system.rows))),),
                 system.rhs + (Fr(0),),
             )
-            found, average = zero_upper(system, den_min.x, den)
+            found, average = zero_upper(system, start)
             assert found == expected, (a, target)
             _assert_charges_all_but(system, average, expected)
             assert all(average[h] == 0 for h in den)

@@ -229,7 +229,7 @@ class TestReferenceAgreement:
         monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
         monkeypatch.setattr(LPResult, "optimize", optimizing)
         rng = random.Random(909)
-        for _ in range(130):
+        for _ in range(220):
             a = random_assessment(rng, max_size=4)
             check_coherence(a)
             try:
