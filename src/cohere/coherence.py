@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .conditionals import (
@@ -48,7 +49,7 @@ from .conditionals import (
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context, is_impossible
 from .rationals import fraction_str
-from .simplex import OPTIMAL, LPResult, check_solution, integer_rows, solve_eq_lp
+from .simplex import OPTIMAL, LPResult, check_solution, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,19 +88,19 @@ class Assessment:
 
 @dataclass(frozen=True)
 class SigmaSystem:
-    """Constituent system of an assessment, optionally refined by a target.
-
-    ``rows[h][j]`` is 1, 0 or ``p_j`` according to whether constituent ``h``
-    makes conditional ``j`` true, false or void; a solution is a nonnegative
-    unit-mass vector over the constituents reproducing every ``p_j``.
-    ``supports[j]`` lists the constituents where antecedent ``j`` holds, the
-    target's last; ``target_true`` lists those where the target is true.
+    """Constituent system of an assessment, optionally refined by a target,
+    in integers: row j < n is member j's equation times ``scales[j] =
+    den(p_j)``, so ``matrix[j][h]`` is ``den(p_j)``, 0 or ``num(p_j)`` as
+    constituent ``h`` makes conditional ``j`` true, false or void (the
+    paper's point Q_h times the scale), and ``rhs[j]`` is ``num(p_j)``.  The
+    last row is unit mass, with scale 1.  ``supports[j]`` lists the
+    constituents where antecedent ``j`` holds, the target's last;
+    ``target_true`` lists those where the target is true.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    probs: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    scales: tuple[int, ...]
     supports: tuple[tuple[int, ...], ...]
     target_true: tuple[int, ...] = ()
 
@@ -107,19 +108,17 @@ class SigmaSystem:
     def phase1(self) -> LPResult:
         """Phase 1 of the system, run once; every mass LP over it starts from
         this result's tableau."""
-        return solve_eq_lp(self.matrix, self.rhs)
-
-    @cached_property
-    def integer_rows(self) -> list[list[int]]:
-        """The system's equations as integer rows, for exact checks of
-        solutions found elsewhere."""
-        return integer_rows(self.matrix, self.rhs)[0]
+        return solve_eq_lp(self.matrix, self.rhs, scales=self.scales)
 
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Betting gain on each constituent for the given stake vector."""
+        """Betting gain on each constituent for the given stake vector, from
+        the weights ``stakes[j] / scales[j]`` cleared to one denominator."""
+        weights = [Fraction(s, scale) for s, scale in zip(stakes, self.scales)]
+        D = lcm(*(w.denominator for w in weights))
+        W = [w.numerator * (D // w.denominator) for w in weights]
         return tuple(
-            sum(s * (q - p) for s, q, p in zip(stakes, row, self.probs))
-            for row in self.rows
+            Fraction(sum(w * (q - b) for w, q, b in zip(W, column, self.rhs)), D)
+            for column in zip(*self.matrix[:-1])
         )
 
 
@@ -132,29 +131,19 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
     identical matrices.
     """
     members = tuple(a.family) + ((target,) if target is not None else ())
-    probs = tuple(a.probs)
     cs = constituents(members)
-    coefficient = {TruthValue3.TRUE: ONE, TruthValue3.FALSE: ZERO}
-    # zip stops at the probabilities, so the target's column adds no entry.
-    rows = tuple(
-        tuple(coefficient.get(v, p) for v, p in zip(c.profile, probs))
-        for c in cs.inside
-    )
-    matrix = tuple(tuple(row[j] for row in rows) for j in range(len(probs)))
-    supports = tuple(
-        tuple(h for h, c in enumerate(cs.inside) if c.profile[j] != TruthValue3.VOID)
-        for j in range(len(members))
-    )
+    # Member j's truth values; each IntEnum value indexes (0, num, den).
+    columns = tuple(zip(*(c.profile for c in cs.inside)))
+    entries = [(0, p.numerator, p.denominator) for p in a.probs]
+    matrix = tuple(tuple(e[v] for v in column) for column, e in zip(columns, entries))
+    supports = tuple(tuple(h for h, v in enumerate(c) if v != TruthValue3.VOID) for c in columns)
     target_true = ()
     if target is not None:
-        target_true = tuple(
-            h for h, c in enumerate(cs.inside) if c.profile[-1] == TruthValue3.TRUE
-        )
+        target_true = tuple(h for h, v in enumerate(columns[-1]) if v == TruthValue3.TRUE)
     return SigmaSystem(
-        rows=rows,
-        probs=probs,
-        matrix=matrix + ((ONE,) * len(rows),),
-        rhs=probs + (ONE,),
+        matrix=matrix + ((1,) * len(cs.inside),),
+        rhs=tuple(p.numerator for p in a.probs) + (1,),
+        scales=tuple(p.denominator for p in a.probs) + (1,),
         supports=supports,
         target_true=target_true,
     )
@@ -175,7 +164,7 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     result = system.phase1
     if result.status == OPTIMAL:
         return SigmaFeasibility(witness=result.x)
-    n = len(system.probs)
+    n = len(system.matrix) - 1
     stakes = tuple(-result.farkas[j] for j in range(n))
     gains = system.gains(stakes)
     if any(g <= 0 for g in gains):
@@ -197,7 +186,7 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], t
     """
     if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
-    remaining = tuple(range(len(system.probs)))
+    remaining = tuple(range(len(system.matrix) - 1))
     solution = start.x
     visited = [solution]
     while True:
@@ -207,7 +196,7 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], t
         if not remaining:
             return (), _average(visited)
         union = sorted({h for j in remaining for h in system.supports[j]})
-        best = start.optimize(_indicator(union, len(system.rows)), maximize=True)
+        best = start.optimize(_indicator(union, len(system.matrix[0])), maximize=True)
         if best.objective == 0:
             return remaining, _average(visited)
         solution = best.x
@@ -225,10 +214,10 @@ def _average(solutions: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     return tuple(t / len(solutions) if t else ZERO for t in total)
 
 
-def _indicator(support: Sequence[int], width: int) -> list[Fraction]:
-    vector = [ZERO] * width
+def _indicator(support: Sequence[int], width: int) -> list[int]:
+    vector = [0] * width
     for h in support:
-        vector[h] = ONE
+        vector[h] = 1
     return vector
 
 
@@ -335,16 +324,16 @@ def _fractional_bounds(
 
     Homogenization (Charnes & Cooper 1962): scale solutions so the
     denominator is one, carrying the scale as an extra variable t; each
-    original equality becomes homogeneous in the scaled variables.  The
-    unit-mass row forces t > 0 at every feasible (y, t), and y / t is a
+    original equality becomes homogeneous in the scaled variables: its
+    integer row with ``-rhs`` appended as t's entry, under the same scale.
+    The unit-mass row forces t > 0 at every feasible (y, t), and y / t is a
     solution charging ``den``, so one phase 1 decides that case and serves
     both extremes; at an optimum, y / t attains the ratio.
     """
-    m = len(system.rows)
-    hom_matrix = [list(row) + [-b] for row, b in zip(system.matrix, system.rhs)]
+    m = len(system.matrix[0])
+    hom_matrix = [row + (-b,) for row, b in zip(system.matrix, system.rhs)]
     hom_matrix.append(_indicator(den, m + 1))
-    hom_rhs = [ZERO] * len(system.matrix) + [ONE]
-    start = solve_eq_lp(hom_matrix, hom_rhs)
+    start = solve_eq_lp(hom_matrix, [0] * len(system.matrix) + [1], scales=system.scales + (1,))
     if start.status != OPTIMAL:
         return None
     objective = _indicator(num, m + 1)
@@ -422,7 +411,7 @@ def _interval_levels(
     lo, hi = (
         _Endpoint(value, (_Link(indices, system, solution),)) for value, solution in bounds
     )
-    zero_den = solve_eq_lp(system.matrix, system.rhs, barred=den)
+    zero_den = solve_eq_lp(system.matrix, system.rhs, barred=den, scales=system.scales)
     if zero_den.status != OPTIMAL:
         return lo, hi, False
 
@@ -456,12 +445,12 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
         if expected is not None and link.indices != expected:
             raise AssertionError("extension proof skips a zero-probability level")
         # target-true mass == z * target-antecedent mass, times z's denominator
-        target_row = [0] * (len(w) + 1)
+        target_row = [0] * len(w)
         for h in system.supports[-1]:
             target_row[h] -= z.numerator
         for h in system.target_true:
             target_row[h] += z.denominator
-        check_solution(system.integer_rows + [target_row], w)
+        check_solution(system.matrix + (target_row,), system.rhs + (0,), w)
         charged = {h for h, v in enumerate(w) if v}
         uncharged = tuple(
             i for i, support in zip(link.indices, system.supports) if charged.isdisjoint(support)

@@ -225,12 +225,8 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     ctx = _shared_context(family)
     bound = max_constituents()
     full = ctx.full_mask
-    if 3 ** len(family) > bound and full.bit_count() > bound:
-        raise SizeLimitError(
-            f"family of {len(family)} conditionals may generate more than "
-            f"{bound} constituents (override with COHERE_MAX_CONSTITUENTS)"
-        )
-    # Each split refines the last, so no intermediate count exceeds the final.
+    # Each split refines the last, so the count only grows: refusing as soon
+    # as it passes the bound holds at most three times the bound classes.
     classes: list[tuple[int, tuple[TruthValue3, ...]]] = [(full, ())]
     for ce in family:
         verifying, falsifying = ce.masks
@@ -245,11 +241,11 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
             for part, value in parts
             if cls & part
         ]
-    if len(classes) > bound:
-        raise SizeLimitError(
-            f"{len(classes)} constituents exceed the bound of {bound} "
-            "(override with COHERE_MAX_CONSTITUENTS)"
-        )
+        if len(classes) > bound:
+            raise SizeLimitError(
+                f"family of {len(family)} conditionals generates more than "
+                f"{bound} constituents (override with COHERE_MAX_CONSTITUENTS)"
+            )
     classes.sort(key=lambda c: (c[0] & -c[0]).bit_length())
     all_void = tuple([TruthValue3.VOID] * len(family))
     c0 = None

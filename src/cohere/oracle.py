@@ -42,7 +42,7 @@ def _reduce(rows: list[list[Fraction]], ncols: int) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = 1 / prow[col]
+        inv = Fraction(1, prow[col])
         for j in range(col, len(prow)):
             prow[j] *= inv
         for r in range(len(rows)):

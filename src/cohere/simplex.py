@@ -7,26 +7,31 @@ exact.  An infeasible system comes back with a Farkas vector ``y``,
 ``y.A <= 0`` componentwise and ``y.b > 0``, which downstream code turns into
 a positive-gain betting certificate.
 
+A system comes as rational rows ``[A_i | b_i]`` (``int`` or ``Fraction``
+entries), which :func:`integer_rows` scales, row i by ``s_i``, the lcm of
+its denominators; or as integer rows ``M_i = s_i [A_i | b_i]`` with their
+``scales``, used as they are.  Phase 1 weights artificial i by ``s_i``, so
+the scales travel with the rows: other scales give the same polytope but
+may pivot to another point or certificate.
+
 The tableau holds Python integers (fraction-free pivoting: Edmonds 1967,
-Bareiss 1968, Math. Comp. 22).  Scaling row i of the sign-normalized system
-``[A | I | b]`` by ``s_i``, the lcm of its denominators, gives an integer matrix
-``M``; row scaling leaves ``B^-1 A`` unchanged for every basis ``B``, so the
-true tableau is that of the rational system.  The solver stores ``T = d * (true
-tableau)``, where ``d`` is the absolute determinant of the basis columns of
-``M``, so ``T`` is ``adj(B) M`` up to sign and every entry is an integer.  It
-starts from ``d = prod(s_i)`` and, pivoting on ``p = T[r][c]``, sets ``T[i] =
-(p T[i] - T[i][c] T[r]) / d`` for every other row and then ``d = p``; the
-division is exact by Sylvester's determinant identity.  A negative pivot,
-possible only while artificials are pivoted out, is first negated with its
-row, which keeps ``d`` positive.
+Bareiss 1968, Math. Comp. 22).  Row scaling leaves ``B^-1 A`` unchanged for
+every basis ``B``, so the true tableau is that of the rational system.  The
+solver stores ``T = d * (true tableau)``, where ``d`` is the absolute
+determinant of the basis columns of the sign-normalized ``[M | diag(s)]``,
+so every entry is an integer.  It starts from ``d = prod(s_i)`` and,
+pivoting on ``p = T[r][c]``, sets ``T[i] = (p T[i] - T[i][c] T[r]) / d`` for
+every other row and then ``d = p``; the division is exact by Sylvester's
+determinant identity.  A negative pivot, possible only while artificials
+are pivoted out, is first negated with its row, which keeps ``d`` positive.
 
 The cost row is ``d`` times the reduced costs (times the lcm of the
 objective's denominators in phase 2), so its signs are the true ones, and
 ratios are compared by cross-multiplication with the same tie-break on the
 basis index.  The pivot sequence, and so every answer, is therefore that of a
 ``fractions.Fraction`` tableau; only the answers are turned into fractions,
-and each is checked exactly before it is returned: cleared to one
-denominator, in integers, against the input rows ``s_i * [A_i | b_i]``.
+and each is checked exactly in integers against ``M`` before it is
+returned: a solution cleared to one denominator, a Farkas vector over ``d``.
 
 Phase 1 runs once per system.  It keeps its final tableau, artificials and
 redundant rows dropped, on the returned :class:`LPResult`, and
@@ -74,19 +79,21 @@ class LPResult:
 
 
 def solve_eq_lp(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
     *,
     barred: Collection[int] = (),
+    scales: Sequence[int] | None = None,
 ) -> LPResult:
     """Decide whether ``{x >= 0 : rows . x = rhs}`` is empty, by phase 1 only.
 
-    Entries are ``int`` or ``Fraction``.  A feasible system comes back with
-    some basic feasible point ``x``, and every optimum over it comes from
-    :meth:`LPResult.optimize` on that result.  The ``barred`` columns are
-    fixed at zero: they never enter the basis, so every ``x`` is zero on
+    Entries are ``int`` or ``Fraction``; with ``scales``, they are integers
+    already scaled, row i by ``scales[i] > 0``.  A feasible system comes back
+    with some basic feasible point ``x``, and every optimum over it comes
+    from :meth:`LPResult.optimize` on that result.  The ``barred`` columns
+    are fixed at zero: they never enter the basis, so every ``x`` is zero on
     them.  Infeasible systems come back with an exact Farkas certificate for
-    the original (unflipped) rows, over the columns that are not barred.
+    the original (unflipped, unscaled) rows, over the columns not barred.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -94,6 +101,10 @@ def solve_eq_lp(
         raise ValueError("inconsistent system dimensions")
     if m == 0:
         raise ValueError("at least one constraint row is required")
+    if scales is None:
+        rows, rhs, scales = integer_rows(rows, rhs)
+    elif len(scales) != m:
+        raise ValueError("one scale per row is required")
     if barred:
         barred = set(barred)
         columns = [j for j in range(n) if j not in barred]
@@ -104,16 +115,15 @@ def solve_eq_lp(
     # d * [A | I | b] over the columns that are not barred, with d the
     # product of the rows' scales s_i.
     flip = [1 if b >= 0 else -1 for b in rhs]
-    integer, scales = integer_rows(rows, rhs)
     d = prod(scales)
     k = len(columns)
     ncols = k + m
     tab = []
-    for i, (row, s) in enumerate(zip(integer, scales)):
-        up = d // s
-        scaled = [flip[i] * row[j] * up for j in columns]
+    for i, (row, s) in enumerate(zip(rows, scales)):
+        up = flip[i] * (d // s)
+        scaled = [row[j] * up for j in columns]
         scaled.extend(d if r == i else 0 for r in range(m))
-        scaled.append(abs(row[n]) * up)
+        scaled.append(rhs[i] * up)
         tab.append(scaled)
     basis = list(range(k, ncols))
 
@@ -125,9 +135,9 @@ def solve_eq_lp(
 
     if cost[ncols] < 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through flips.
-        y = tuple(Fraction(flip[i] * (d - cost[k + i]), d) for i in range(m))
-        _check_farkas(rows, rhs, y, columns)
-        return LPResult(status=INFEASIBLE, farkas=y)
+        z = [flip[i] * (d - cost[k + i]) for i in range(m)]
+        _check_farkas(rows, rhs, scales, z, columns)
+        return LPResult(status=INFEASIBLE, farkas=tuple(Fraction(v, d) for v in z))
 
     # Pivot leftover artificials out of the basis; drop rows that turn out
     # to be redundant equations once the barred columns are zero.
@@ -142,38 +152,37 @@ def solve_eq_lp(
         d = _pivot(tab, cost, basis, r, col, d)
         keep.append(r)
     start = _Tableau(
-        integer, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
+        rows, rhs, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
         [basis[r] for r in keep], d,
     )
     x = _extract(start.tab, start.basis, columns, n, d)
-    check_solution(integer, x)
+    check_solution(rows, rhs, x)
     return LPResult(status=OPTIMAL, x=x, tableau=start)
 
 
-def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int]]:
-    """The rows ``s_i * [A_i | b_i]``, with ``s_i`` the lcm of row i's
-    denominators, and the scales ``s_i``."""
+def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int], list[int]]:
+    """The integer rows ``s_i * A_i`` and right-hand sides ``s_i * b_i``,
+    and the scales ``s_i``, each the lcm of row i's denominators."""
     scales = [lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)]
     integer = [
-        [v.numerator * (s // v.denominator) for v in row] + [b.numerator * (s // b.denominator)]
-        for row, b, s in zip(rows, rhs, scales)
+        [v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)
     ]
-    return integer, scales
+    return integer, [b.numerator * (s // b.denominator) for b, s in zip(rhs, scales)], scales
 
 
 class _Tableau:
     """Phase 1's feasible integer tableau ``d * [B^-1 A | B^-1 b]`` over the
     columns that are not barred, with its basis, and the system it solves as
-    integer rows ``s_i * [A_i | b_i]``."""
+    integer rows ``s_i * A_i`` and right-hand sides ``s_i * b_i``."""
 
-    __slots__ = ("rows", "columns", "tab", "basis", "d")
+    __slots__ = ("rows", "rhs", "columns", "tab", "basis", "d")
 
-    def __init__(self, rows, columns, tab, basis, d):
-        self.rows, self.columns = rows, columns
+    def __init__(self, rows, rhs, columns, tab, basis, d):
+        self.rows, self.rhs, self.columns = rows, rhs, columns
         self.tab, self.basis, self.d = tab, basis, d
 
     def optimize(self, objective, maximize) -> LPResult:
-        n = len(self.rows[0]) - 1
+        n = len(self.rows[0])
         if len(objective) != n:
             raise ValueError("objective length does not match the variable count")
         # Integer phase-2 costs: the objective times the lcm of its denominators.
@@ -195,7 +204,7 @@ class _Tableau:
             return LPResult(status=UNBOUNDED)
         x = _extract(tab, basis, self.columns, n, d)
         value = Fraction(-sign * cost[-1], d * scale)
-        check_solution(self.rows, x, scaled, value * scale)
+        check_solution(self.rows, self.rhs, x, scaled, value * scale)
         return LPResult(status=OPTIMAL, x=x, objective=value)
 
 
@@ -256,19 +265,18 @@ def _extract(tab, basis, columns, n, d) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
-def check_solution(rows, x, objective=None, value=None) -> None:
+def check_solution(rows, rhs, x, objective=None, value=None) -> None:
     """Raise ``AssertionError`` unless ``x >= 0`` solves the integer system
-    ``rows`` (each row ``[A_i | b_i]``, as :func:`integer_rows` makes them)
-    and, with an integer objective, ``objective . x == value``.  ``x`` is
-    cleared to one denominator ``D``, so the check is ``A_i . (D x) == b_i D``
-    in integers over the nonzero entries."""
+    ``rows . x = rhs`` and, with an integer objective, ``objective . x ==
+    value``.  ``x`` is cleared to one denominator ``D``, so the check is
+    ``rows_i . (D x) == rhs_i D`` in integers over the nonzero entries."""
     support = [j for j, v in enumerate(x) if v != 0]
     if any(x[j] < 0 for j in support):
         raise AssertionError("solution has a negative entry")
     D = lcm(*(x[j].denominator for j in support))
     X = {j: x[j].numerator * (D // x[j].denominator) for j in support}
-    for row in rows:
-        if sum(row[j] * X[j] for j in support) != row[-1] * D:
+    for row, b in zip(rows, rhs):
+        if sum(row[j] * X[j] for j in support) != b * D:
             raise AssertionError("solution violates rows . x = rhs")
     if objective is not None and Fraction(
         sum(objective[j] * X[j] for j in support), D
@@ -276,11 +284,14 @@ def check_solution(rows, x, objective=None, value=None) -> None:
         raise AssertionError("objective differs from objective . x")
 
 
-def _check_farkas(rows, rhs, y, columns=None) -> None:
-    """Raise unless ``y.A <= 0`` on ``columns`` (default: all) and ``y.b > 0``."""
-    m = len(rows)
+def _check_farkas(rows, rhs, scales, z, columns=None) -> None:
+    """Raise unless ``y = z / d`` (any ``d > 0``) has ``y.A <= 0`` on
+    ``columns`` (default: all) and ``y.b > 0``, for ``[A_i | b_i] = [rows_i |
+    rhs_i] / s_i``: times ``d L``, ``L = lcm(s)``, each sum is in integers."""
+    L = lcm(*scales)
+    w = [v * (L // s) for v, s in zip(z, scales)]
     for j in range(len(rows[0])) if columns is None else columns:
-        if sum(y[i] * rows[i][j] for i in range(m)) > 0:
+        if sum(wi * row[j] for wi, row in zip(w, rows)) > 0:
             raise AssertionError("Farkas certificate violates y.A <= 0")
-    if sum(y[i] * rhs[i] for i in range(m)) <= 0:
+    if sum(wi * b for wi, b in zip(w, rhs)) <= 0:
         raise AssertionError("Farkas certificate violates y.b > 0")

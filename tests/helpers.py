@@ -21,9 +21,11 @@ from cohere import (
     truth_value,
 )
 from cohere.conditionals import Constituent
-from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas
+from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, integer_rows
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def random_event(rng: random.Random, atoms: tuple[str, ...], depth: int = 2) -> Event:
@@ -161,15 +163,44 @@ def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet
     )
 
 
+def reference_sigma(a: Assessment, target: ConditionalEvent | None = None):
+    """The constituent system as the paper writes it, in fractions: one point
+    per constituent of ``reference_constituents``, entry j being 1, 0 or p_j
+    as member j is true, false or void there, read column by column into one
+    equation per member, and the unit-mass row last."""
+    members = a.family + ((target,) if target is not None else ())
+    coefficient = {TruthValue3.TRUE: ONE, TruthValue3.FALSE: ZERO}
+    points = [
+        [coefficient.get(v, p) for v, p in zip(c.profile, a.probs)]
+        for c in reference_constituents(members).inside
+    ]
+    rows = [list(row) for row in zip(*points)] + [[ONE] * len(points)]
+    return rows, list(a.probs) + [ONE]
+
+
+def sigma_points(system) -> list[tuple[Fraction, ...]]:
+    """The paper's constituent points Q_h, read back from a system's integer
+    rows: Q_h[j] = matrix[j][h] / scales[j] over the members."""
+    return [
+        tuple(Fraction(q, s) for q, s in zip(column, system.scales))
+        for column in zip(*system.matrix[:-1])
+    ]
+
+
+def rational_system(rows, rhs, scales):
+    """The rational rows and right-hand sides that integer rows stand for
+    under their scales."""
+    return (
+        [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)],
+        [Fraction(b, s) for b, s in zip(rhs, scales)],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Reference LP solver: the Fraction-tableau simplex that `cohere.simplex`
 # replaced with integer pivots.  Differential tests require the engine to
 # return exactly the same `LPResult`.
 # ---------------------------------------------------------------------------
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def reference_solve_eq_lp(
     rows: Sequence[Sequence[Fraction]],
@@ -214,7 +245,7 @@ def reference_solve_eq_lp(
     if phase1_value > 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through flips.
         y = tuple(flip[i] * (ONE - cost[n + i]) for i in range(m))
-        _check_farkas(rows, rhs, y)
+        _check_farkas(*integer_rows(rows, rhs), y)
         return LPResult(status=INFEASIBLE, farkas=y)
 
     # Pivot leftover artificials out of the basis; drop rows that turn out

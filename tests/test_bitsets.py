@@ -40,6 +40,7 @@ from helpers import (
     reference_constituents,
     reference_masks,
     reference_worlds,
+    sigma_points,
 )
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
@@ -61,7 +62,7 @@ def _world_equivalent(a, b, ctx) -> bool:
 
 def _sigma_tables(assessment, target=None):
     s = build_sigma(assessment, target)
-    return s.rows, s.matrix, s.rhs, s.supports, s.target_true
+    return sigma_points(s), s.matrix, s.rhs, s.scales, s.supports, s.target_true
 
 
 @pytest.mark.parametrize("seed", range(40))

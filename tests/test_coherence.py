@@ -25,13 +25,14 @@ from cohere import (
     zero_upper,
 )
 from cohere.coherence import (
+    _indicator,
     _interval_levels,
     _open_indices,
     interval_to_json,
     verdict_to_json,
 )
 from cohere.oracle import extension_interval_bruteforce
-from cohere.simplex import INFEASIBLE, OPTIMAL, LPResult, solve_eq_lp
+from cohere.simplex import INFEASIBLE, OPTIMAL, LPResult, integer_rows, solve_eq_lp
 
 from helpers import (
     gn_chain_context,
@@ -39,6 +40,8 @@ from helpers import (
     random_assessment,
     random_conditional,
     random_unit,
+    reference_sigma,
+    sigma_points,
 )
 
 
@@ -79,29 +82,66 @@ class TestBuildSigma:
         ctx = Context(("A", "H", "B", "K"))
         x, y = Fr(2, 5), Fr(3, 7)
         a = Assessment((ce("A", "H", ctx), ce("B", "K", ctx)), (x, y))
-        system = build_sigma(a)
-        assert len(system.rows) == 8
+        points = sigma_points(build_sigma(a))
+        assert len(points) == 8
         by_region = {}
         for formula, point in TWO_COND_POINTS:
             region = parse_event(formula, ctx.atoms)
             for h, c in enumerate(constituents(a.family).inside):
                 if all(region.evaluate(w) for w in c.worlds):
-                    by_region[formula] = system.rows[h]
-                    assert system.rows[h] == tuple(Fr(v) for v in point(x, y))
+                    by_region[formula] = points[h]
+                    assert points[h] == tuple(Fr(v) for v in point(x, y))
         assert len(by_region) == 8
 
     def test_sure_antecedent(self):
         ctx = Context(("A",))
         a = Assessment((ce("A", "T", ctx),), (Fr(1, 2),))
-        system = build_sigma(a)
-        assert sorted(system.rows) == [(0,), (1,)]
+        assert sorted(sigma_points(build_sigma(a))) == [(0,), (1,)]
 
     def test_mutual_pair_projected_points(self):
         ctx = Context(("A", "B"))
         x, y = Fr(1, 3), Fr(4, 7)
         a = Assessment((ce("A", "B", ctx), ce("B", "A", ctx)), (x, y))
-        system = build_sigma(a)
-        assert sorted(system.rows) == sorted([(Fr(1), Fr(1)), (x, Fr(0)), (Fr(0), y)])
+        points = sigma_points(build_sigma(a))
+        assert sorted(points) == sorted([(Fr(1), Fr(1)), (x, Fr(0)), (Fr(0), y)])
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_rows_match_fraction_reference(self, seed):
+        # build_sigma's integer rows and scales are integer_rows of the
+        # paper's per-constituent Fraction system, and solving them with
+        # their scales gives every LPResult the Fraction system gives: the
+        # phase 1, the phase 1 with the target's antecedent barred, and each
+        # optimum over them.
+        rng = random.Random(seed)
+        seen = {"constrained": 0, "p in {0, 1}": 0, "infeasible": 0}
+        for _ in range(25):
+            a = random_assessment(rng, max_size=4)
+            probs = tuple(rng.choice((Fr(0), Fr(1), p)) for p in a.probs)
+            a = Assessment(a.family, probs)
+            target = random_conditional(rng, a.context)
+            seen["constrained"] += bool(a.context.constraints)
+            seen["p in {0, 1}"] += any(p in (0, 1) for p in probs)
+            for t in (None, target):
+                system = build_sigma(a, t)
+                rows, rhs = reference_sigma(a, t)
+                assert integer_rows(rows, rhs) == (
+                    [list(row) for row in system.matrix], list(system.rhs), list(system.scales)
+                )
+                for barred in ((), system.supports[-1]):
+                    got = solve_eq_lp(system.matrix, system.rhs, barred=barred, scales=system.scales)
+                    want = solve_eq_lp(rows, rhs, barred=barred)
+                    assert got == want and repr(got) == repr(want)
+                    seen["infeasible"] += got.status == INFEASIBLE
+                    if got.status != OPTIMAL:
+                        continue
+                    objectives = [system.target_true, *system.supports]
+                    for support, maximize in itertools.product(objectives, (False, True)):
+                        objective = _indicator(support, len(system.matrix[0]))
+                        got_best = got.optimize(objective, maximize)
+                        want_best = want.optimize(objective, maximize)
+                        assert got_best == want_best and repr(got_best) == repr(want_best)
+        assert all(seen.values()), seen
 
 
 class TestSigmaFeasible:
@@ -395,7 +435,9 @@ class TestEndpointProofs:
                 assert (iv.lo, iv.hi, iv.vacuous) == (bf.lo, bf.hi, bf.vacuous)
                 compared += 1
             system = build_sigma(a, target)
-            zero_den = solve_eq_lp(system.matrix, system.rhs, barred=system.supports[-1])
+            zero_den = solve_eq_lp(
+                system.matrix, system.rhs, barred=system.supports[-1], scales=system.scales
+            )
             descended += zero_den.status == OPTIMAL
             coherent += 1
         assert compared > 250 and descended > 100

@@ -1,6 +1,7 @@
 """Event algebra: parsing, printing, world enumeration, semantic queries."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,6 +178,35 @@ class TestConstituentBound:
             constituents(family)  # needs 9 classes
         monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "9")
         assert len(constituents(family)) == 9
+
+    def test_refuses_on_the_measured_count(self, monkeypatch):
+        # Two members over 8 worlds could give 9 classes, beyond a bound of
+        # 4; the same member twice gives 3, which fits.
+        from cohere import ConditionalEvent, constituents
+
+        monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "4")
+        ctx = Context(("A", "B", "C"))
+        ce = ConditionalEvent(Atom("A"), Atom("B") | Atom("C"), ctx)
+        assert len(constituents([ce, ce])) == 3
+
+    def test_large_family_with_few_constituents_answers(self):
+        # 8 members over 12 atoms could give 3**8 classes over 4096 worlds,
+        # both beyond the default bound; they give 2**8.
+        from cohere import Assessment, ConditionalEvent, check_coherence, constituents
+
+        ctx = Context(tuple(f"X{i}" for i in range(12)))
+        family = [ConditionalEvent(Atom(f"X{i}"), TRUE, ctx) for i in range(8)]
+        assert len(constituents(family)) == 2**8
+        half = Fraction(1, 2)
+        assert check_coherence(Assessment(tuple(family), (half,) * 8)).coherent
+
+    def test_oversize_family_still_refused(self):
+        from cohere import ConditionalEvent, constituents
+
+        ctx = Context(tuple(f"X{i}" for i in range(12)))
+        family = [ConditionalEvent(Atom(f"X{i}"), TRUE, ctx) for i in range(12)]
+        with pytest.raises(SizeLimitError, match="more than 2187 constituents"):
+            constituents(family)  # 4096 classes
 
     def test_invalid_override_rejected(self, monkeypatch):
         from cohere.events import max_constituents

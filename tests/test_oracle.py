@@ -63,7 +63,7 @@ class TestVertices:
         for _ in range(25):
             a = random_assessment(rng)
             p = build_sigma(a)
-            if len(p.rows) > 12:
+            if len(p.matrix[0]) > 12:
                 continue
             for v in vertices(p.matrix, p.rhs):
                 assert all(x >= 0 for x in v)
@@ -75,7 +75,7 @@ class TestVertices:
         for _ in range(30):
             a = random_assessment(rng)
             p = build_sigma(a)
-            if len(p.rows) > 12:
+            if len(p.matrix[0]) > 12:
                 continue
             has_vertex = len(vertices(p.matrix, p.rhs)) > 0
             verdict_has_solution = check_coherence(a).trace[0].witness is not None
@@ -139,7 +139,7 @@ def _zero_on_every_vertex(system, matrix, rhs):
     assert verts
     return tuple(
         j
-        for j in range(len(system.probs))
+        for j in range(len(system.matrix) - 1)
         if all(sum(v[h] for h in system.supports[j]) == 0 for v in verts)
     )
 
@@ -158,7 +158,7 @@ class TestZeroUpperAgreement:
             a = random_assessment(rng, max_size=4)
             system = build_sigma(a)
             witness = sigma_feasible(system).witness
-            if witness is None or len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+            if witness is None or len(system.matrix[0]) > VERTEX_ENUMERATION_LIMIT:
                 continue
             expected = _zero_on_every_vertex(system, system.matrix, system.rhs)
             found, average = zero_upper(system, system.phase1)
@@ -168,11 +168,11 @@ class TestZeroUpperAgreement:
 
             target = random_conditional(rng, a.context)
             system = build_sigma(a, target)
-            if len(system.rows) > VERTEX_ENUMERATION_LIMIT:
+            if len(system.matrix[0]) > VERTEX_ENUMERATION_LIMIT:
                 continue
             den = system.supports[-1]
             masses = [sum(v[h] for h in den) for v in vertices(system.matrix, system.rhs)]
-            start = solve_eq_lp(system.matrix, system.rhs, barred=den)
+            start = solve_eq_lp(system.matrix, system.rhs, barred=den, scales=system.scales)
             assert (start.status == OPTIMAL) == (0 in masses), (a, target)
             homogenized = _fractional_bounds(system, system.target_true, den)
             assert (homogenized is not None) == any(masses), (a, target)
@@ -180,7 +180,7 @@ class TestZeroUpperAgreement:
                 continue
             expected = _zero_on_every_vertex(
                 system,
-                system.matrix + (tuple(_indicator(den, len(system.rows))),),
+                system.matrix + (tuple(_indicator(den, len(system.matrix[0]))),),
                 system.rhs + (Fr(0),),
             )
             found, average = zero_upper(system, start)
@@ -199,7 +199,7 @@ def _assert_charges_all_but(system, solution, indices):
         assert sum(q * v for q, v in zip(row, solution)) == b
     uncharged = tuple(
         j
-        for j in range(len(system.probs))
+        for j in range(len(system.matrix) - 1)
         if all(solution[h] == 0 for h in system.supports[j])
     )
     assert uncharged == indices

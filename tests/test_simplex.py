@@ -1,7 +1,9 @@
 """Exact simplex: feasibility, optimization, certificates, degeneracies."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
+from math import lcm
 
 import pytest
 
@@ -15,9 +17,15 @@ from cohere.simplex import (
     UNBOUNDED,
     LPResult,
     _check_farkas,
+    integer_rows,
     solve_eq_lp,
 )
-from helpers import random_assessment, random_conditional, reference_solve_eq_lp
+from helpers import (
+    random_assessment,
+    random_conditional,
+    rational_system,
+    reference_solve_eq_lp,
+)
 
 
 def F(*values):
@@ -94,6 +102,75 @@ class TestFarkas:
                     assert sum(y[i] * rows[i][j] for i in range(m)) <= 0
                 assert sum(yi * b for yi, b in zip(y, rhs)) > 0
         assert seen_infeasible > 10
+
+
+    def test_corrupted_certificates_raise_exactly_when_invalid(self):
+        # Each engine certificate, cleared to integers z = d * y, with one
+        # entry negated, zeroed or moved by 1/d: the integer check on the
+        # scaled rows raises exactly when a Fraction evaluation of y.A <= 0
+        # and y.b > 0 on the original rows fails.
+        rng = random.Random(17)
+        raised = dict.fromkeys(("negated", "zeroed", "moved by 1/d"), 0)
+        for _ in range(300):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [
+                [Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(m)
+            ]
+            rhs = [Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+            res = solve_eq_lp(rows, rhs)
+            if res.status != INFEASIBLE:
+                continue
+            d = lcm(*(y.denominator for y in res.farkas))
+            z = [y.numerator * (d // y.denominator) for y in res.farkas]
+            integer = integer_rows(rows, rhs)
+            _check_farkas(*integer, z)
+            corruptions = (
+                ("negated", lambda v: -v),
+                ("zeroed", lambda v: 0),
+                ("moved by 1/d", lambda v: v + 1),
+                ("moved by 1/d", lambda v: v - 1),
+            )
+            for i, (kind, corrupt) in itertools.product(range(m), corruptions):
+                bad = z[:]
+                bad[i] = corrupt(z[i])
+                y = [Fr(w, d) for w in bad]
+                valid = all(
+                    sum(yi * row[j] for yi, row in zip(y, rows)) <= 0 for j in range(n)
+                ) and sum(yi * b for yi, b in zip(y, rhs)) > 0
+                try:
+                    _check_farkas(*integer, bad)
+                except AssertionError:
+                    assert not valid
+                    raised[kind] += 1
+                else:
+                    assert valid
+        assert min(raised.values()) > 10, raised
+
+    @pytest.mark.parametrize(
+        "entry, corrupt",
+        [
+            (0, lambda c, d: 2 * d - c),  # y_0 negated
+            (1, lambda c, d: d),  # y_1 zeroed
+            (0, lambda c, d: c - 1),  # y_0 moved by 1/d
+        ],
+    )
+    def test_corrupted_engine_certificate_raises(self, monkeypatch, entry, corrupt):
+        # x1 + x2 = 1 and x1 + x2 = 2 have the tight certificate y = (-1, 1).
+        # y_i = d - cost[k + i] (no row is flipped), so corrupting the phase-1
+        # cost row after the last pivot corrupts the certificate.
+        rows, rhs = [F(1, 1), F(1, 1)], F(1, 2)
+        assert solve_eq_lp(rows, rhs).farkas == (-1, 1)
+        iterate = cohere.simplex._iterate
+
+        def corrupted(tab, cost, basis, n, d):
+            status, d = iterate(tab, cost, basis, n, d)
+            cost[n + entry] = corrupt(cost[n + entry], d)
+            return status, d
+
+        monkeypatch.setattr(cohere.simplex, "_iterate", corrupted)
+        with pytest.raises(AssertionError, match="Farkas"):
+            solve_eq_lp(rows, rhs)
 
 
 class TestOptimization:
@@ -208,14 +285,17 @@ class TestReferenceAgreement:
         assert len(kinds_seen) == 6 and min(kinds_seen.values()) > 200
 
     def test_coherence_lps_match_reference(self, monkeypatch):
-        # Coherence runs phase 1 through solve_eq_lp and every optimisation
-        # through LPResult.optimize on a phase-1 result; each is replayed on
-        # the reference.  A barred phase 1 is compared with the reference on
-        # the system plus a row pinning the barred columns' sum to zero.
+        # Coherence runs phase 1 through solve_eq_lp, on integer rows with
+        # their scales, and every optimisation through LPResult.optimize on a
+        # phase-1 result; each is replayed on the reference, on the rational
+        # system the rows and scales stand for.  A barred phase 1 is compared
+        # with the reference on the system plus a row pinning the barred
+        # columns' sum to zero.
         starts, optima = {}, []
 
         def solving(rows, rhs, **kwargs):
             result = solve_eq_lp(rows, rhs, **kwargs)
+            rows, rhs = rational_system(rows, rhs, kwargs["scales"])
             starts[id(result)] = (rows, rhs, kwargs.get("barred", ()), result)
             return result
 
@@ -348,7 +428,7 @@ class TestPhase1Reuse:
         res = solve_eq_lp(rows, rhs, barred=barred)
         assert res.status == INFEASIBLE
         allowed = [j for j in range(len(rows[0])) if j not in barred]
-        _check_farkas([[row[j] for j in allowed] for row in rows], rhs, res.farkas)
+        _check_farkas(*integer_rows(rows, rhs), res.farkas, allowed)
         assert solve(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
 
 

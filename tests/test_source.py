@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,51 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+EXACT_CHECKS_UNDER_O = """
+import sys
+from fractions import Fraction as Fr
+from cohere import Assessment, ConditionalEvent, Context, build_sigma, parse_event
+from cohere.coherence import sigma_feasible
+from cohere.simplex import INFEASIBLE, LPResult, _check_farkas, check_solution
+
+def raises(check):
+    try:
+        check()
+    except AssertionError:
+        return True
+    return False
+
+ctx = Context(("A",))
+a = parse_event("A", ctx.atoms)
+ce = ConditionalEvent(a, parse_event("T", ctx.atoms), ctx)
+# The same event assessed at 1/4 and 3/4: refuted, with positive gains.
+system = build_sigma(Assessment((ce, ce), (Fr(1, 4), Fr(3, 4))))
+sound = sigma_feasible(system).certificate is not None
+farkas = system.phase1.farkas
+system.__dict__["phase1"] = LPResult(status=INFEASIBLE, farkas=tuple(-y for y in farkas))
+print(sys.flags.optimize, sound, [
+    # x = (1, 1) misses x1 + x2 = 1
+    raises(lambda: check_solution([[1, 1]], [1], (Fr(1), Fr(1)))),
+    # y = (1, 1) on x1 + x2 = 1, x1 + x2 = 2 gives y.A > 0
+    raises(lambda: _check_farkas([[1, 1], [1, 1]], [1, 2], [1, 1], [1, 1])),
+    # negated stakes lose on every constituent
+    raises(lambda: sigma_feasible(system)),
+])
+"""
+
+
+def test_exact_checks_raise_under_python_O():
+    # `python -O` strips assert statements; the exact checks must still
+    # raise on corrupted inputs there.
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", EXACT_CHECKS_UNDER_O],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True", "[True,", "True,", "True]"]
 
 
 def test_no_unused_imports_in_package():
