@@ -191,7 +191,7 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], t
     visited = [solution]
     while True:
         remaining = tuple(
-            j for j in remaining if all(solution[h] == 0 for h in system.supports[j])
+            j for j in remaining if not any(solution[h] for h in system.supports[j])
         )
         if not remaining:
             return (), _average(visited)

@@ -6,8 +6,10 @@ quasi disjunction combine families of conditionals into a single conditional
 on the disjunction of the antecedents; the constituent machinery partitions
 the admissible worlds by their joint truth-value profile, which is the input
 to all coherence computations.  Every semantic question here is a bit
-operation on the assignment masks of ``events``, and no world is built;
-:func:`truth_value` on a single world is kept as the reference semantics.
+operation on a conditional's verifying and falsifying masks, each built by
+the one fold of ``events``, and no world is built.  Computing them is also
+how a conditional is checked: the fold rejects undeclared atoms, and an
+empty antecedent mask is an impossible antecedent.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class TruthValue3(enum.IntEnum):
 class ConditionalEvent:
     """A pair consequent-given-antecedent, valid in a fixed context.
 
-    The antecedent must be possible; this is checked at construction.
+    Construction computes :attr:`masks`, consequent first, which rejects
+    undeclared atoms; the antecedent must then be possible.
     """
 
     consequent: Event
@@ -54,9 +57,8 @@ class ConditionalEvent:
     context: Context
 
     def __post_init__(self) -> None:
-        self.context.check_event(self.consequent)
-        self.context.check_event(self.antecedent)
-        if is_impossible(self.antecedent, self.context):
+        verifying, falsifying = self.masks
+        if not verifying | falsifying:
             raise ImpossibleAntecedentError(
                 f"antecedent {self.antecedent} is impossible in this context"
             )
@@ -70,15 +72,10 @@ class ConditionalEvent:
         bit k is set when assignment k is admissible and makes ``E & H``,
         respectively ``~E & H``, true.  Both come from the compiled
         antecedent and consequent, with no world visited."""
+        consequent = self.context.mask(self.consequent)
         antecedent = self.context.mask(self.antecedent)
-        verifying = antecedent & self.context.mask(self.consequent)
+        verifying = antecedent & consequent
         return verifying, antecedent ^ verifying
-
-
-def truth_value(ce: ConditionalEvent, w: World) -> TruthValue3:
-    if not ce.antecedent.evaluate(w):
-        return TruthValue3.VOID
-    return TruthValue3.TRUE if ce.consequent.evaluate(w) else TruthValue3.FALSE
 
 
 def negate(ce: ConditionalEvent) -> ConditionalEvent:
@@ -126,17 +123,13 @@ def gn_includes(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Goodman-Nguyen inclusion: the truth value of ``a`` never exceeds the
     truth value of ``b`` under false < void < true.
 
-    Equivalently, the three events ``a-true & b-false``, ``a-void & b-false``
-    and ``a-true & b-void`` are all impossible.
+    Equivalently, every world falsifying ``b`` falsifies ``a``, and every
+    world verifying ``a`` verifies ``b``.
     """
-    ctx = _shared_context([a, b])
-    a_true = a.consequent & a.antecedent
-    b_false = ~b.consequent & b.antecedent
-    return (
-        is_impossible(a_true & b_false, ctx)
-        and is_impossible(~a.antecedent & b_false, ctx)
-        and is_impossible(a_true & ~b.antecedent, ctx)
-    )
+    _shared_context([a, b])
+    a_verifying, a_falsifying = a.masks
+    b_verifying, b_falsifying = b.masks
+    return not (b_falsifying & ~a_falsifying or a_verifying & ~b_verifying)
 
 
 def n_conditional(events: Sequence[Event], context: Context) -> ConditionalEvent:

@@ -8,11 +8,12 @@ The fold starts from one mask per atom, a repeating block of ones ANDed
 with the admissible bitset, so inadmissible bits are never set.  All
 semantic questions (impossibility, implication, equivalence) are answered
 by bit operations on these masks, which is exact at desk scale, and no
-:class:`World` is built for them.  :meth:`Event.evaluate` on a single
-:class:`World` stays as the reference semantics.  :func:`enumerate_worlds`
-only decodes a bitset into worlds, on demand through
-:meth:`Context.worlds_in`; ``Context(atoms, constraints).worlds`` lists the
-admissible worlds.
+:class:`World` is built for them.  The fold is the only evaluator of an
+event, and it is also the check for undeclared atoms: an atom missing from
+the context fails its lookup, and :meth:`Context.mask` reports it as an
+:class:`UnknownAtomError`.  :func:`enumerate_worlds` only decodes a bitset
+into worlds, on demand through :meth:`Context.worlds_in`;
+``Context(atoms, constraints).worlds`` lists the admissible worlds.
 
 Grammar accepted by :func:`parse_event`::
 
@@ -67,22 +68,16 @@ def max_constituents() -> int:
 class Event:
     """Base class of event formula trees.
 
-    Structural operators never evaluate anything; evaluation happens against
-    a :class:`World` via :meth:`evaluate`, or against every world at once via
-    :meth:`mask`.
+    Structural operators never evaluate anything.  The one evaluator is
+    :meth:`mask`, a fold that answers for every world at once and, through
+    :meth:`Context.mask`, rejects atoms the context does not declare.
     """
 
     __slots__ = ()
 
-    def evaluate(self, world: "World") -> bool:
-        raise NotImplementedError
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         """Bitset of the assignments where the event holds, given each
         atom's bitset and the bitset of all admissible assignments."""
-        raise NotImplementedError
-
-    def atoms(self) -> frozenset[str]:
         raise NotImplementedError
 
     def __and__(self, other: "Event") -> "Event":
@@ -99,14 +94,8 @@ class Event:
 class Verum(Event):
     """The sure event."""
 
-    def evaluate(self, world: "World") -> bool:
-        return True
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return full
-
-    def atoms(self) -> frozenset[str]:
-        return frozenset()
 
     def __str__(self) -> str:
         return "T"
@@ -116,14 +105,8 @@ class Verum(Event):
 class Falsum(Event):
     """The impossible event."""
 
-    def evaluate(self, world: "World") -> bool:
-        return False
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return 0
-
-    def atoms(self) -> frozenset[str]:
-        return frozenset()
 
     def __str__(self) -> str:
         return "F"
@@ -141,14 +124,8 @@ class Atom(Event):
         if not _NAME_RE.fullmatch(self.name) or self.name in _RESERVED:
             raise ValueError(f"invalid atom name: {self.name!r}")
 
-    def evaluate(self, world: "World") -> bool:
-        return world.value(self.name)
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return atoms[self.name]
-
-    def atoms(self) -> frozenset[str]:
-        return frozenset((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -158,14 +135,8 @@ class Atom(Event):
 class Not(Event):
     operand: Event
 
-    def evaluate(self, world: "World") -> bool:
-        return not self.operand.evaluate(world)
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return full ^ self.operand.mask(atoms, full)
-
-    def atoms(self) -> frozenset[str]:
-        return self.operand.atoms()
 
     def __str__(self) -> str:
         if isinstance(self.operand, (And, Or)):
@@ -178,14 +149,8 @@ class And(Event):
     left: Event
     right: Event
 
-    def evaluate(self, world: "World") -> bool:
-        return self.left.evaluate(world) and self.right.evaluate(world)
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return self.left.mask(atoms, full) & self.right.mask(atoms, full)
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
 
     def __str__(self) -> str:
         return f"{_paren(self.left, for_and=True, right_slot=False)} & " \
@@ -197,14 +162,8 @@ class Or(Event):
     left: Event
     right: Event
 
-    def evaluate(self, world: "World") -> bool:
-        return self.left.evaluate(world) or self.right.evaluate(world)
-
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return self.left.mask(atoms, full) | self.right.mask(atoms, full)
-
-    def atoms(self) -> frozenset[str]:
-        return self.left.atoms() | self.right.atoms()
 
     def __str__(self) -> str:
         return f"{_paren(self.left, for_and=False, right_slot=False)} | " \
@@ -341,12 +300,6 @@ class World:
     atoms: tuple[str, ...]
     values: tuple[bool, ...]
 
-    def value(self, name: str) -> bool:
-        try:
-            return self.values[self.atoms.index(name)]
-        except ValueError:
-            raise UnknownAtomError(f"unknown atom {name!r}") from None
-
     def __str__(self) -> str:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 
@@ -405,7 +358,7 @@ class Context:
             Atom(name)
         _check_atom_count(len(self.atoms))
         for c in self.constraints:
-            self.check_event(c, "constraint")
+            self._reject_undeclared(c, "constraint")
 
     @cached_property
     def _masks(self) -> tuple[dict[str, int], int]:
@@ -422,19 +375,28 @@ class Context:
         return self.worlds_in(self.full_mask)
 
     def mask(self, e: Event) -> int:
-        """Bitset of the admissible assignments where ``e`` holds."""
-        self.check_event(e)
-        return e.mask(*self._masks)
+        """Bitset of the admissible assignments where ``e`` holds.  An atom
+        the context does not declare fails the fold's lookup, and is then
+        reported as an :class:`UnknownAtomError`."""
+        try:
+            return e.mask(*self._masks)
+        except KeyError:
+            self._reject_undeclared(e, "event")
+            raise
 
     def worlds_in(self, mask: int) -> tuple[World, ...]:
         """The worlds of the assignments whose bits are set in ``mask``, in
         order; ``mask`` must lie within :attr:`full_mask`."""
         return tuple(enumerate_worlds(self.atoms, admissible=mask))
 
-    def check_event(self, e: Event, role: str = "event") -> None:
-        undeclared = e.atoms() - frozenset(self.atoms)
+    def _reject_undeclared(self, e: Event, role: str) -> None:
+        # Printing round-trips structurally, so the names in the printed
+        # event are exactly its atoms (and the constants T and F).
+        undeclared = set(_NAME_RE.findall(str(e))) - _RESERVED - set(self.atoms)
         if undeclared:
-            raise UnknownAtomError(f"{role} {e} uses undeclared atoms {sorted(undeclared)}")
+            raise UnknownAtomError(
+                f"{role} {e} uses undeclared atoms {sorted(undeclared)}"
+            ) from None
 
 
 def enumerate_worlds(atoms: Sequence[str], *, admissible: int) -> Iterator[World]:

@@ -35,7 +35,7 @@ from .tnorms import (
 )
 
 SUBSET_SEARCH_LIMIT = 12
-LOOP_MAX = 5
+LOOP_MAX = 16
 
 
 @dataclass(frozen=True)

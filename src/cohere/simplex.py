@@ -270,7 +270,7 @@ def check_solution(rows, rhs, x, objective=None, value=None) -> None:
     ``rows . x = rhs`` and, with an integer objective, ``objective . x ==
     value``.  ``x`` is cleared to one denominator ``D``, so the check is
     ``rows_i . (D x) == rhs_i D`` in integers over the nonzero entries."""
-    support = [j for j, v in enumerate(x) if v != 0]
+    support = [j for j, v in enumerate(x) if v]
     if any(x[j] < 0 for j in support):
         raise AssertionError("solution has a negative entry")
     D = lcm(*(x[j].denominator for j in support))

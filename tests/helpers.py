@@ -18,9 +18,9 @@ from cohere import (
     World,
     is_impossible,
     parse_event,
-    truth_value,
 )
 from cohere.conditionals import Constituent
+from cohere.events import And, Falsum, Not, Or, Verum
 from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, integer_rows
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
@@ -110,6 +110,36 @@ def gn_chain_context(k: int) -> tuple[Context, tuple[ConditionalEvent, ...]]:
     return ctx, family
 
 
+# ---------------------------------------------------------------------------
+# Per-world semantics: an event's value in one world, read off its tree with
+# no mask, as the independent reference for the engine's one fold.
+# ---------------------------------------------------------------------------
+
+
+def evaluate(e: Event, w: World) -> bool:
+    """The value of ``e`` in the world ``w``."""
+    if isinstance(e, Atom):
+        return w.values[w.atoms.index(e.name)]
+    if isinstance(e, Not):
+        return not evaluate(e.operand, w)
+    if isinstance(e, And):
+        return evaluate(e.left, w) and evaluate(e.right, w)
+    if isinstance(e, Or):
+        return evaluate(e.left, w) or evaluate(e.right, w)
+    if isinstance(e, Verum):
+        return True
+    if isinstance(e, Falsum):
+        return False
+    raise TypeError(f"not an event: {e!r}")
+
+
+def truth_value(ce: ConditionalEvent, w: World) -> TruthValue3:
+    """The three-valued truth value of ``ce`` in the world ``w``."""
+    if not evaluate(ce.antecedent, w):
+        return TruthValue3.VOID
+    return TruthValue3.TRUE if evaluate(ce.consequent, w) else TruthValue3.FALSE
+
+
 def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Exhaustive world-by-world comparison, independent of `equivalent`."""
     assert a.context == b.context
@@ -131,7 +161,7 @@ def reference_worlds(ctx: Context) -> list[tuple[int, World]]:
     everything = itertools.product((False, True), repeat=len(ctx.atoms))
     for k, values in enumerate(everything):
         w = World(ctx.atoms, values)
-        if not any(c.evaluate(w) for c in ctx.constraints):
+        if not any(evaluate(c, w) for c in ctx.constraints):
             out.append((k, w))
     return out
 
@@ -140,8 +170,8 @@ def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:
     """``(verifying, falsifying)`` assignment bitsets, one world at a time."""
     verifying = falsifying = 0
     for k, w in reference_worlds(ce.context):
-        if ce.antecedent.evaluate(w):
-            if ce.consequent.evaluate(w):
+        if evaluate(ce.antecedent, w):
+            if evaluate(ce.consequent, w):
                 verifying |= 1 << k
             else:
                 falsifying |= 1 << k

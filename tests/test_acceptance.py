@@ -48,7 +48,6 @@ from cohere import (
     sigma_feasible,
     tconorm,
     tnorm,
-    truth_value,
     constituents,
     zero_upper,
 )
@@ -56,7 +55,7 @@ from cohere.inference import derangements
 from cohere.oracle import extension_interval_bruteforce
 from cohere.tnorms import INF
 
-from helpers import gn_chain_context, independent_pairs
+from helpers import evaluate, gn_chain_context, independent_pairs, truth_value
 
 
 def _run(number, description, body):
@@ -349,7 +348,7 @@ def _check_reference_truth_table():
     assert len(classes) == 9
     for formula, v1, v2, vc, vd in REFERENCE_TABLE:
         region = parse_event(formula, ctx.atoms)
-        matches = [c for c in classes if all(region.evaluate(w) for w in c.worlds)]
+        matches = [c for c in classes if all(evaluate(region, w) for w in c.worlds)]
         assert len(matches) == 1, formula
         c = matches[0]
         assert (str(c.profile[0]), str(c.profile[1])) == (v1, v2)

@@ -15,6 +15,7 @@ from cohere import (
     Atom,
     ConditionalEvent,
     Context,
+    FALSE,
     UnknownAtomError,
     World,
     constituents,
@@ -26,7 +27,6 @@ from cohere import (
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
-    truth_value,
     world_equivalent,
 )
 from cohere import cli, coherence, events
@@ -34,6 +34,7 @@ from cohere.coherence import build_sigma
 from cohere.kbfile import load_kb
 
 from helpers import (
+    evaluate,
     random_conditional,
     random_event,
     random_unit,
@@ -41,6 +42,7 @@ from helpers import (
     reference_masks,
     reference_worlds,
     sigma_points,
+    truth_value,
 )
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
@@ -53,11 +55,11 @@ def _random_context(rng: random.Random) -> Context:
 
 
 def _impossible(e, ctx) -> bool:
-    return all(not e.evaluate(w) for w in ctx.worlds)
+    return all(not evaluate(e, w) for w in ctx.worlds)
 
 
 def _world_equivalent(a, b, ctx) -> bool:
-    return all(a.evaluate(w) == b.evaluate(w) for w in ctx.worlds)
+    return all(evaluate(a, w) == evaluate(b, w) for w in ctx.worlds)
 
 
 def _sigma_tables(assessment, target=None):
@@ -103,7 +105,7 @@ class TestCompiledEnumeration:
         atoms = tuple(f"X{i}" for i in range(rng.randint(1, 6)))
         constraints = tuple(random_event(rng, atoms) for _ in range(rng.randint(0, 3)))
         everything = (World(atoms, v) for v in itertools.product((False, True), repeat=len(atoms)))
-        expected = [w for w in everything if not any(c.evaluate(w) for c in constraints)]
+        expected = [w for w in everything if not any(evaluate(c, w) for c in constraints)]
         assert Context(atoms, constraints).worlds == tuple(expected)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -140,6 +142,22 @@ class TestCompiledEnumeration:
             world_equivalent(Atom("B"), parse_event("A & Z"), ctx)
         with pytest.raises(UnknownAtomError, match=message):
             ConditionalEvent(Atom("A"), parse_event("A & Z"), ctx)
+
+    def test_undeclared_atoms_are_sorted_from_the_fold(self):
+        # The fold's failed lookup names every undeclared atom, sorted.
+        message = r"event Z & Y uses undeclared atoms \['Y', 'Z'\]"
+        with pytest.raises(UnknownAtomError, match=message):
+            Context(("A",)).mask(Atom("Z") & Atom("Y"))
+        message = r"constraint Z & Y uses undeclared atoms \['Y', 'Z'\]"
+        with pytest.raises(UnknownAtomError, match=message):
+            Context(("A",), (Atom("Z") & Atom("Y"),))
+        # Declared atoms and the constants T and F are not named.
+        message = r"event A & ~Z \| F uses undeclared atoms \['Z'\]"
+        with pytest.raises(UnknownAtomError, match=message):
+            Context(("A",)).mask(Atom("A") & ~Atom("Z") | FALSE)
+        # A conditional checks its consequent first.
+        with pytest.raises(UnknownAtomError, match=r"event Z uses undeclared atoms \['Z'\]"):
+            ConditionalEvent(Atom("Z"), Atom("Y"), Context(("A",)))
 
     def test_admissible_bitset_replaces_constraints(self):
         atoms, constraints = ("A", "B"), (Atom("A") & Atom("B"),)

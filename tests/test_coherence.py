@@ -35,6 +35,7 @@ from cohere.oracle import extension_interval_bruteforce
 from cohere.simplex import INFEASIBLE, OPTIMAL, LPResult, integer_rows, solve_eq_lp
 
 from helpers import (
+    evaluate,
     gn_chain_context,
     independent_pairs,
     random_assessment,
@@ -88,7 +89,7 @@ class TestBuildSigma:
         for formula, point in TWO_COND_POINTS:
             region = parse_event(formula, ctx.atoms)
             for h, c in enumerate(constituents(a.family).inside):
-                if all(region.evaluate(w) for w in c.worlds):
+                if all(evaluate(region, w) for w in c.worlds):
                     by_region[formula] = points[h]
                     assert points[h] == tuple(Fr(v) for v in point(x, y))
         assert len(by_region) == 8

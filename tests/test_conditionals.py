@@ -21,10 +21,9 @@ from cohere import (
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
-    truth_value,
 )
 
-from helpers import random_conditional, truth_table_equal
+from helpers import evaluate, random_conditional, truth_table_equal, truth_value
 
 
 def ce(consequent: str, antecedent: str, ctx: Context) -> ConditionalEvent:
@@ -52,8 +51,8 @@ class TestTruthValue:
         for w in ctx2.worlds:
             expected = (
                 TruthValue3.VOID
-                if not w.value("A")
-                else TruthValue3.TRUE if w.value("B") else TruthValue3.FALSE
+                if not evaluate(Atom("A"), w)
+                else TruthValue3.TRUE if evaluate(Atom("B"), w) else TruthValue3.FALSE
             )
             assert truth_value(b_given_a, w) == expected
 
@@ -286,7 +285,7 @@ class TestConstituents:
         assert cs.c0 is not None
         # c0 is exactly the both-antecedents-false region
         for w in cs.c0.worlds:
-            assert not w.value("H") and not w.value("K")
+            assert not evaluate(Atom("H"), w) and not evaluate(Atom("K"), w)
 
     def test_truth_table_reproduced_row_for_row(self, ctx4):
         family = [ce("A", "H", ctx4), ce("B", "K", ctx4)]
@@ -297,7 +296,7 @@ class TestConstituents:
         for formula, v1, v2, vc, vd in TWO_CONDITIONAL_TABLE:
             region = parse_event(formula, ctx4.atoms)
             matches = [
-                c for c in classes if all(region.evaluate(w) for w in c.worlds)
+                c for c in classes if all(evaluate(region, w) for w in c.worlds)
             ]
             assert len(matches) == 1, formula
             c = matches[0]
@@ -316,10 +315,10 @@ class TestConstituents:
         covered = [frozenset(c.worlds) for c in cs.inside]
         for formula in ("A & B", "A & ~B", "~A & B"):
             region = parse_event(formula, ctx2.atoms)
-            worlds = frozenset(w for w in ctx2.worlds if region.evaluate(w))
+            worlds = frozenset(w for w in ctx2.worlds if evaluate(region, w))
             assert worlds in covered
         assert cs.c0 is not None
-        assert all(not w.value("A") and not w.value("B") for w in cs.c0.worlds)
+        assert all(not evaluate(Atom("A"), w) and not evaluate(Atom("B"), w) for w in cs.c0.worlds)
 
     def test_counts_within_power_bound(self):
         ctx = Context(("A", "H", "B", "K", "C", "M"))

@@ -21,7 +21,7 @@ from cohere import (
 )
 from cohere.events import And, Not, Or
 
-from helpers import random_event
+from helpers import evaluate, random_event
 
 
 class TestParser:
@@ -82,7 +82,7 @@ class TestEnumerateWorlds:
 
     def test_conjunction_constraint_leaves_three(self):
         worlds = Context(("A", "B"), (parse_event("A & B"),)).worlds
-        assert [(w.value("A"), w.value("B")) for w in worlds] == [
+        assert [(evaluate(Atom("A"), w), evaluate(Atom("B"), w)) for w in worlds] == [
             (False, False),
             (False, True),
             (True, False),
@@ -106,7 +106,7 @@ def test_no_world_satisfies_a_constraint(seed):
     rng = random.Random(seed)
     constraint = random_event(rng, ("A", "B", "C"))
     for w in Context(("A", "B", "C"), (constraint,)).worlds:
-        assert not constraint.evaluate(w)
+        assert not evaluate(constraint, w)
 
 
 class TestImpossibility:

@@ -361,11 +361,17 @@ class TestCli:
         assert main(["loop", "--n", "3", "--derangement", "3,1,2"]) == 0
         assert "MUTUALLY P-ENTAILED" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("n", ["1", "6"])
+    @pytest.mark.parametrize("n", ["1", "17"])
     def test_loop_size_out_of_range_exits_2(self, capsys, n):
-        # Without --derangement too: n = 6 used to run the pairwise facts.
+        # Without --derangement too: an oversized loop must not run the
+        # pairwise facts.
         assert main(["loop", "--n", n]) == 2
-        assert "loop size must be between 2 and 5" in capsys.readouterr().err
+        assert "loop size must be between 2 and 16" in capsys.readouterr().err
+
+    def test_largest_loop_is_mutually_entailed(self, capsys):
+        # The tolerance test answers the largest allowed loop quickly.
+        assert main(["loop", "--n", "16", "--strict"]) == 0
+        assert capsys.readouterr().out
 
     def test_truth_table(self, capsys):
         assert main(["truth-table", str(KB_DIR / "loop3.kb")]) == 0

@@ -28,6 +28,20 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_mask_fold_is_the_only_evaluator_in_package():
+    # Events are evaluated only by their mask fold, which also rejects
+    # undeclared atoms; the per-world semantics live in the tests' helpers.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("evaluate", "atoms")
+        ]
+    assert not found, found
+
+
 EXACT_CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction as Fr
