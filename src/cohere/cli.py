@@ -13,13 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coherence import (
-    build_sigma,
-    check_coherence,
-    extension_interval,
-    interval_to_json,
-    verdict_to_json,
-)
+from .coherence import check_coherence, interval_to_json, verdict_to_json
 from .conditionals import (
     TruthValue3,
     constituents,
@@ -31,7 +25,6 @@ from .errors import CohereError, SizeLimitError
 from .inference import (
     GammaRegion,
     RULE_KINDS,
-    all_ones,
     loop_entails,
     loop_family,
     p_consistent,
@@ -40,7 +33,6 @@ from .inference import (
     rule_bounds,
 )
 from .kbfile import load_kb
-from .oracle import extension_interval_bruteforce, vertices
 from .rationals import fraction_str, parse_rational
 from .tnorms import (
     DRASTIC,
@@ -88,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide coherence of the assessment in a KB file")
     p.add_argument("kb", help="knowledge-base file with probabilities")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     common(p)
 
     p = sub.add_parser("consistent", help="decide p-consistency of a KB")
@@ -103,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("lp", "qc", "both"),
         default="lp",
         help="lp: the exact route, Adams' tolerance test of the base plus the "
-        "negated target; qc: quasi-conjunction subset search",
+        "negated target; qc: one Goodman-Nguyen inclusion of the quasi "
+        "conjunction of the largest subfamily the tolerance test keeps",
     )
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     common(p)
 
     p = sub.add_parser(
@@ -171,22 +162,14 @@ def _cmd_check(args) -> int:
     if assessment is None:
         raise CohereError("the KB file carries no probabilities to check")
     verdict = check_coherence(assessment)
-    oracle_note = ""
-    if args.oracle:
-        system = build_sigma(assessment)
-        feasible = len(vertices(system.matrix, system.rhs)) > 0
-        solvable = verdict.trace[0].witness is not None
-        if feasible != solvable:
-            raise CohereError("oracle disagreement on system solvability")
-        oracle_note = " (oracle agrees)"
     payload = verdict_to_json(verdict)
     if verdict.coherent:
-        _emit(payload, f"COHERENT{oracle_note}", args.json)
+        _emit(payload, "COHERENT", args.json)
         return 0
     stakes = ", ".join(fraction_str(s) for s in verdict.certificate)
     _emit(
         payload,
-        f"INCOHERENT{oracle_note}\n"
+        "INCOHERENT\n"
         f"  refuted indices: {list(verdict.deciding_indices)}\n"
         f"  positive-gain stakes: ({stakes})",
         args.json,
@@ -207,18 +190,6 @@ def _cmd_entails(args) -> int:
     results: dict[str, bool] = {}
     if args.method in ("lp", "both"):
         results["lp"] = p_entails(kb, target)
-        if args.oracle:
-            lp_interval = extension_interval(all_ones(kb), target)
-            bf = extension_interval_bruteforce(all_ones(kb), target)
-            if (lp_interval.lo, lp_interval.hi) != (bf.lo, bf.hi):
-                raise CohereError(
-                    f"oracle disagreement: lp {lp_interval} vs brute force {bf}"
-                )
-            if results["lp"] != (bf.lo == bf.hi == 1):
-                raise CohereError(
-                    f"oracle disagreement: p_entailed {results['lp']} "
-                    f"vs brute force {bf}"
-                )
     if args.method in ("qc", "both"):
         results["qc"] = p_entails_qc(kb, target)
     if args.method == "both" and results["lp"] != results["qc"]:

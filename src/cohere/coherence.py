@@ -47,7 +47,7 @@ from .conditionals import (
     constituents,
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
-from .events import Context, is_impossible
+from .events import Context
 from .rationals import fraction_str
 from .simplex import OPTIMAL, LPResult, check_solution, solve_eq_lp
 
@@ -307,10 +307,10 @@ class ProbabilityInterval:
 
 def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, bool]:
     """Coherent values for a single conditional with no companions left."""
-    ctx = target.context
-    if is_impossible(target.consequent & target.antecedent, ctx):
+    verifying, falsifying = target.masks
+    if not verifying:
         return ZERO, ZERO, False
-    if is_impossible(~target.consequent & target.antecedent, ctx):
+    if not falsifying:
         return ONE, ONE, False
     return ZERO, ONE, True
 

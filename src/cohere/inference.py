@@ -6,12 +6,12 @@ all-ones assessment is Adams' p-consistency (Gilio 2002, "Probabilistic
 reasoning under coherence in System P", Ann. Math. Artif. Intell. 34), so both
 questions are decided exactly by Adams' tolerance test (Adams 1975, The Logic
 of Conditionals), on the verifying and falsifying world masks of the members,
-with no linear program.  A cross-check searches instead for a subfamily whose
-quasi conjunction is included in the target in the Goodman-Nguyen order.  The
-closed-form bound propagation functions assume logically independent premises;
-under logical constraints the true bounds can only be tighter, so route
-constrained problems through the extension-interval path of ``coherence``
-instead.
+with no linear program.  The quasi-conjunction route finds, by the same test,
+the one subfamily whose quasi conjunction can be included in the target in the
+Goodman-Nguyen order, and checks that inclusion.  The closed-form bound
+propagation functions assume logically independent premises; under logical
+constraints the true bounds can only be tighter, so route constrained problems
+through the extension-interval path of ``coherence`` instead.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from .conditionals import (
     quasi_conjunction,
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
-from .events import Atom, Context, implies, is_impossible
+from .events import Atom, Context
 from .tnorms import (
     LUKASIEWICZ, ONE, PRODUCT, as_unit, hamacher0_conary, hamacher0_nary, tconorm, tnorm
 )
 
-SUBSET_SEARCH_LIMIT = 12
 LOOP_MAX = 16
 
 
@@ -140,30 +139,28 @@ def p_entails_qc(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
 
     Succeeds when the target's antecedent implies its consequent, or when the
     quasi conjunction of some nonempty subfamily is included in the target
-    under the Goodman-Nguyen order.  Requires the target's
-    antecedent-consequent conjunction to be possible, and searches subsets
-    exhaustively (early exit) at desk scale.
+    under the Goodman-Nguyen order; the target's antecedent-consequent
+    conjunction must be possible.  The subfamilies whose quasi conjunction
+    verifies only where the target does are closed under union, and covering
+    the target's falsifying worlds only gets easier as a subfamily grows, so
+    only the largest of them needs the inclusion test.  Adams' tolerance test
+    on the members' verifying worlds outside the target's finds it, because it
+    drops only members that no such subfamily can hold.
     """
-    ctx = _shared_context((*kb.conditionals, target))
-    if is_impossible(target.consequent & target.antecedent, ctx):
+    members = kb.conditionals
+    _shared_context((*members, target))
+    verifying, falsifying = target.masks
+    if not verifying:
         raise CohereError(
             "quasi-conjunction entailment requires a possible "
             "antecedent-consequent conjunction on the target"
         )
     if not p_consistent(kb):
         raise NotPConsistentError("knowledge base is not p-consistent")
-    if implies(target.antecedent, target.consequent, ctx):
+    if not falsifying:
         return True
-    if len(kb) > SUBSET_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"subset search is bounded at {SUBSET_SEARCH_LIMIT} premises"
-        )
-    members = kb.conditionals
-    for size in range(1, len(members) + 1):
-        for subset in itertools.combinations(members, size):
-            if gn_includes(quasi_conjunction(subset), target):
-                return True
-    return False
+    kept = _tolerance_test([(v & ~verifying, f) for v, f in (ce.masks for ce in members)])
+    return bool(kept) and gn_includes(quasi_conjunction([members[i] for i in kept]), target)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,30 @@ def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:
     return verifying, falsifying
 
 
+def reference_p_entails_qc(
+    members: Sequence[ConditionalEvent], target: ConditionalEvent
+) -> bool:
+    """Quasi-conjunction entailment by exhaustive subset search, one world at
+    a time: the target is never false, or the quasi conjunction of some
+    nonempty subfamily never takes a higher value than the target under
+    false < void < true.  The quasi conjunction is false where some member
+    is false, and otherwise takes the members' highest value."""
+    worlds = [w for _, w in reference_worlds(target.context)]
+    goal = [truth_value(target, w) for w in worlds]
+    if TruthValue3.FALSE not in goal:
+        return True
+    values = [[truth_value(ce, w) for w in worlds] for ce in members]
+    for size in range(1, len(members) + 1):
+        for subset in itertools.combinations(values, size):
+            qc = [
+                TruthValue3.FALSE if TruthValue3.FALSE in column else max(column)
+                for column in zip(*subset)
+            ]
+            if all(q <= g for q, g in zip(qc, goal)):
+                return True
+    return False
+
+
 def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     """Admissible worlds grouped by profile, classes in order of first world."""
     ctx = family[0].context

@@ -53,6 +53,7 @@ from helpers import (
     random_conditional,
     random_context,
     random_unit,
+    reference_p_entails_qc,
 )
 
 
@@ -463,6 +464,43 @@ class TestProcedureAgreement:
                 compared += 1
                 assert verdict == p_entails_qc(kb, target), str(target)
         assert 0 < entailed < drawn and compared > drawn // 2
+
+
+class TestQuasiConjunctionFixpoint:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_matches_exhaustive_subset_search(self, constrained):
+        # p_entails_qc tests only the subfamily that the tolerance fixpoint
+        # keeps; the reference tries every nonempty subfamily.
+        rng = random.Random(1975 + constrained)
+        sizes = set()
+        compared = entailed = 0
+        while compared < 1000:
+            ctx = random_context(rng, constrained)
+            members = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(1, 7)))
+            kb = kb_of(ctx, *members)
+            target = random_conditional(rng, ctx)
+            if is_impossible(target.consequent & target.antecedent, ctx) or not p_consistent(kb):
+                continue
+            verdict = p_entails_qc(kb, target)
+            assert verdict == reference_p_entails_qc(members, target), (
+                [str(m) for m in members], str(target)
+            )
+            sizes.add(len(members))
+            compared += 1
+            entailed += verdict
+        assert sizes == set(range(1, 8)) and 0 < entailed < compared
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_large_loops_match_tolerance_route(self, n):
+        kb = loop_family(n)
+        ctx = kb.context
+        atoms = [Atom(f"A{i}") for i in range(1, n + 1)]
+        targets = [
+            ce(f"A{i}", f"A{j}", ctx) for i, j in ((1, n), (n, 1), (2, n - 1))
+        ] + [ce("A1", "T", ctx), ce("A1 & ~A2", "A3", ctx), n_conditional(atoms[::3], ctx)]
+        verdicts = [p_entails_qc(kb, t) for t in targets]
+        assert verdicts == [p_entails(kb, t) for t in targets]
+        assert verdicts == [True, True, True, False, False, True]
 
 
 class TestFourPremiseAgreement:

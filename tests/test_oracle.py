@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from cohere import (
     build_sigma,
     check_coherence,
     extension_interval,
+    parse_conditional,
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
@@ -20,6 +22,8 @@ from cohere import (
     zero_upper,
 )
 from cohere.coherence import _fractional_bounds, _indicator
+from cohere.inference import all_ones
+from cohere.kbfile import load_kb
 from cohere.oracle import (
     VERTEX_ENUMERATION_LIMIT,
     extension_interval_bruteforce,
@@ -28,6 +32,8 @@ from cohere.oracle import (
 from cohere.simplex import OPTIMAL, solve_eq_lp
 
 from helpers import independent_pairs, random_assessment, random_conditional, random_unit
+
+KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
 
 def ce(consequent, antecedent, ctx):
@@ -100,6 +106,14 @@ class TestExtensionAgreement:
         a3 = Assessment(chain, (Fr(1, 2), Fr(1, 3)))
         bf3 = extension_interval_bruteforce(a3, ce("A & B", "H", ctx3))
         assert (bf3.lo, bf3.hi) == (Fr(1, 6), Fr(1, 6))
+
+        # The all-ones loop base p-entails A1 | A3 and leaves A1 | T free.
+        kb, _ = load_kb(KB_DIR / "loop3.kb")
+        for target, expected in (("A1 | A3", (1, 1)), ("A1 | T", (0, 1))):
+            t = parse_conditional(target, kb.context)
+            lp = extension_interval(all_ones(kb), t)
+            bf = extension_interval_bruteforce(all_ones(kb), t)
+            assert (lp.lo, lp.hi) == (bf.lo, bf.hi) == expected, target
 
     def test_agreement_on_random_instances(self):
         # Probabilities drawn from {0, 1} make the LP path descend through

@@ -8,7 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cohere import cli
+from cohere import Atom, ConditionalEvent, cli, coherence, inference, n_conditional
+from cohere.inference import all_ones, loop_family
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cohere"
@@ -167,19 +168,27 @@ def _load_tracer():
 
 def test_benchmark_tracer_sees_every_layer(capsys):
     tracer_module = _load_tracer()
+    loop = loop_family(3)
+    a1, a3 = Atom("A1"), Atom("A3")
     with tracer_module.Tracer() as tracer:
-        # Look `main` up inside the block: the tracer rebinds module attributes.
-        code = cli.main(
-            ["entails", str(LINDA), "~N | L", "--method", "both", "--oracle", "--json"]
-        )
+        # Look engine functions up inside the block: the tracer rebinds
+        # module attributes.
+        code = cli.main(["entails", str(LINDA), "~N | L", "--method", "both", "--json"])
         assert json.loads(capsys.readouterr().out)["p_entailed"] is True
         # Only truth-table decodes worlds, one per printed row.
         table = cli.main(["truth-table", str(LINDA), "--json"])
         assert json.loads(capsys.readouterr().out)["rows"]
-        # The interval proves this entailment without a coherence check.
         checked = cli.main(["check", str(LINDA), "--json"])
+        # No command computes an extension interval.
+        interval = coherence.extension_interval(
+            all_ones(loop), ConditionalEvent(a1, a3, loop.context)
+        )
+        # n_conditional checks each event through is_impossible, as
+        # entail-loops' friends targets do.
+        friends = inference.p_entails(loop, n_conditional([a1, a3], loop.context))
     assert (code, table, checked) == (0, 0, 0)
     assert json.loads(capsys.readouterr().out)["coherent"] is True
+    assert (interval.lo, interval.hi, friends) == (1, 1, True)
     recorded = {span[0] for span in tracer.spans}
     expected = {name for _, _, name in tracer_module.TARGETS}
     assert expected - recorded == set()
