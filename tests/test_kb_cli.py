@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cohere import KBFormatError, SizeLimitError, cli
+from cohere import KBFormatError, SizeLimitError, cli, parse_conditional
 from cohere.cli import MAX_GRID, main
+from cohere.inference import all_ones
+from cohere.oracle import extension_interval_bruteforce
 from cohere.rationals import MAX_DIGITS
 from cohere.kbfile import (
     dump_kb,
@@ -222,6 +224,30 @@ class TestCli:
         assert main(["entails", str(LINDA), "~N | L", "--method", "both"]) == 0
         assert "lp and qc agree" in capsys.readouterr().out
         assert cached == [True]
+
+    @staticmethod
+    def _oracle_entails(path, target):
+        # A family p-entails a target exactly when the target's extension
+        # interval under the all-ones assessment is [1, 1]; the oracle finds
+        # it by vertex enumeration, apart from the LP engine.
+        kb, _ = load_kb(path)
+        bf = extension_interval_bruteforce(
+            all_ones(kb), parse_conditional(target, kb.context)
+        )
+        return bf.lo == 1
+
+    def test_entails_oracle_crosscheck(self, capsys):
+        path = KB_DIR / "loop3.kb"
+        assert self._oracle_entails(path, "A1 | A3") is True
+        assert main(["entails", str(path), "A1 | A3", "--method", "both"]) == 0
+        assert capsys.readouterr().out.strip() == "P-ENTAILED (lp and qc agree)"
+
+    def test_entails_oracle_agrees_on_negative(self, capsys):
+        # linda.kb is past the oracle's vertex-enumeration bound; loop3.kb is not.
+        path = KB_DIR / "loop3.kb"
+        assert self._oracle_entails(path, "A1 | T") is False
+        assert main(["entails", str(path), "A1 | T", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["p_entailed"] is False
 
     def test_entails_qc_past_twelve_premises(self, capsys, tmp_path):
         # The quasi-conjunction route tests one subfamily, so its size is
