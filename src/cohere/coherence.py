@@ -13,11 +13,13 @@ homogenization that descends through zero-probability layers.
 
 Both the coherence recursion and the interval descent find that
 zero-probability subfamily with one routine, :func:`zero_upper`: starting
-from a phase 1 of the system, it maximizes the mass of the union of the
-antecedents that no solution found so far charges, until that maximum is
-zero (Biazzo & Gilio 2000).
+from the spread point of a phase 1 of the system, which already charges
+every antecedent that one non-degenerate pivot from the phase-1 basis
+reaches, it maximizes the mass of the union of the antecedents that no
+solution found so far charges, until that maximum is zero (Biazzo & Gilio
+2000).
 
-Each objective starts from a copy of a phase 1's feasible tableau, and
+Each objective starts from a phase 1's feasible tableau, and
 :attr:`SigmaSystem.phase1` runs once per system.  An interval level adds a
 homogenized phase 1 and one with the target's antecedent barred: whether
 some solution charges that antecedent, and whether some leaves it
@@ -177,17 +179,20 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], t
     solutions of ``start``, a phase 1 of the system's matrix (some columns
     possibly barred), and the average of the solutions visited on the way.
 
-    An antecedent that a known solution charges, ``start.x`` first, has
-    positive upper probability; the others all have zero upper probability
-    exactly when the maximum mass on the union of their supports is zero,
-    and otherwise the maximizer charges at least one of them.  Every round
-    optimizes from ``start``.  The average is itself such a solution, and it
-    charges every antecedent outside the returned indices.
+    An antecedent that a known solution charges has positive upper
+    probability.  The first is ``start.spread()``, positive on ``start.x``'s
+    support and on every column one non-degenerate pivot from its basis
+    brings in, so a mass LP is needed only for the antecedents it leaves
+    uncharged: they all have zero upper probability exactly when the maximum
+    mass on the union of their supports is zero, and otherwise the maximizer
+    charges at least one of them.  Every round optimizes from ``start``.
+    The average is itself such a solution, and it charges every antecedent
+    outside the returned indices.
     """
     if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
     remaining = tuple(range(len(system.matrix) - 1))
-    solution = start.x
+    solution = start.spread()
     visited = [solution]
     while True:
         remaining = tuple(

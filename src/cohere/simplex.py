@@ -35,10 +35,13 @@ returned: a solution cleared to one denominator, a Farkas vector over ``d``.
 
 Phase 1 runs once per system.  It keeps its final tableau, artificials and
 redundant rows dropped, on the returned :class:`LPResult`, and
-:meth:`LPResult.optimize` runs phase 2 on a copy of it, so every objective
-over the same matrix starts from the same basis.  Columns pinned to zero are
-barred rather than given an extra equation: they are left out of the
-tableau, so they never enter the basis.
+:meth:`LPResult.optimize` runs phase 2 from it, so every objective over the
+same matrix starts from the same basis: it prices the objective against the
+kept tableau and pivots on a copy only when some column enters.
+:meth:`LPResult.spread` reads the same tableau for a solution positive on
+every column that one non-degenerate pivot brings in, with no LP at all.
+Columns pinned to zero are barred rather than given an extra equation: they
+are left out of the tableau, so they never enter the basis.
 
 Problem sizes here are tiny (tens of columns), so no factorization or
 sparsity is attempted.
@@ -76,6 +79,15 @@ class LPResult:
         if self.tableau is None:
             raise ValueError("only a feasible phase-1 result can be optimized")
         return self.tableau.optimize(objective, maximize)
+
+    def spread(self) -> tuple[Fraction, ...]:
+        """A solution positive wherever ``x`` is and on every column that one
+        non-degenerate pivot from this result's basis brings in: the average
+        of ``x`` and of each adjacent basic solution such a pivot reaches,
+        checked exactly.  Barred columns stay zero."""
+        if self.tableau is None:
+            raise ValueError("only a feasible phase-1 result can be spread")
+        return self.tableau.spread()
 
 
 def solve_eq_lp(
@@ -190,22 +202,55 @@ class _Tableau:
         scale = lcm(*(c.denominator for c in objective))
         scaled = [c.numerator * (scale // c.denominator) for c in objective]
         weights = [sign * scaled[j] for j in self.columns]
-        d = self.d
-        tab = [row[:] for row in self.tab]
-        basis = self.basis[:]
+        d, tab, basis = self.d, self.tab, self.basis
         cost = [d * w for w in weights] + [0]
         for row, bv in zip(tab, basis):
             coeff = weights[bv]
             if coeff != 0:
                 cost = [v - coeff * w for v, w in zip(cost, row)]
 
-        status, d = _iterate(tab, cost, basis, len(weights), d)
-        if status == UNBOUNDED:
-            return LPResult(status=UNBOUNDED)
+        # Pivot on a copy, and only when some column enters.
+        if any(v < 0 for v in cost[:-1]):
+            tab, basis = [row[:] for row in tab], basis[:]
+            status, d = _iterate(tab, cost, basis, len(weights), d)
+            if status == UNBOUNDED:
+                return LPResult(status=UNBOUNDED)
         x = _extract(tab, basis, self.columns, n, d)
         value = Fraction(-sign * cost[-1], d * scale)
         check_solution(self.rows, self.rhs, x, scaled, value * scale)
         return LPResult(status=OPTIMAL, x=x, objective=value)
+
+    def spread(self) -> tuple[Fraction, ...]:
+        # Column c's pivot, at the ratio test's minimum t_c = b / p, (b, p) =
+        # (tab[r][-1], tab[r][c]), moves x to x_c = t_c and x_B(i) =
+        # (tab[i][-1] - t_c tab[i][c]) / d.  In integers, with L = lcm(p) and
+        # u_c = t_c L, the average of x and its k - 1 neighbours is u_c / (L k)
+        # on column c and (tab[i][-1] L k - sum_c u_c tab[i][c]) / (d L k) on
+        # basic column B(i).
+        tab, basis = self.tab, self.basis
+        steps = {}
+        for c in set(range(len(self.columns))) - set(basis):
+            best = None
+            for row in tab:
+                if row[c] > 0:
+                    if row[-1] == 0:
+                        break  # degenerate: the pivot would not move x
+                    if best is None or row[-1] * best[1] < best[0] * row[c]:
+                        best = row[-1], row[c]
+            else:
+                if best is not None:
+                    steps[c] = best
+        L = lcm(*(p for _, p in steps.values()))
+        u = {c: b * (L // p) for c, (b, p) in steps.items()}
+        k = len(u) + 1
+        x = [ZERO] * len(self.rows[0])
+        for c, v in u.items():
+            x[self.columns[c]] = Fraction(v, L * k)
+        for row, bv in zip(tab, basis):
+            v = row[-1] * L * k - sum(w * row[c] for c, w in u.items())
+            x[self.columns[bv]] = Fraction(v, self.d * L * k)
+        check_solution(self.rows, self.rhs, x)
+        return tuple(x)
 
 
 def _iterate(tab, cost, basis, n, d) -> tuple[str, int]:

@@ -232,6 +232,27 @@ def reference_sigma(a: Assessment, target: ConditionalEvent | None = None):
     return rows, list(a.probs) + [ONE]
 
 
+def reference_zero_upper(system, start: LPResult) -> tuple[int, ...]:
+    """The antecedents with zero upper probability over the solutions of
+    ``start``, a phase 1 of the system's matrix, by mass LPs alone: drop the
+    antecedents that ``start.x`` or a maximizer charges, and maximize the
+    mass on the union of the others' supports until that maximum is zero."""
+    remaining = tuple(range(len(system.matrix) - 1))
+    solution = start.x
+    while True:
+        remaining = tuple(
+            j for j in remaining if not any(solution[h] for h in system.supports[j])
+        )
+        if not remaining:
+            return ()
+        union = {h for j in remaining for h in system.supports[j]}
+        objective = [int(h in union) for h in range(len(system.matrix[0]))]
+        best = start.optimize(objective, maximize=True)
+        if best.objective == 0:
+            return remaining
+        solution = best.x
+
+
 def sigma_points(system) -> list[tuple[Fraction, ...]]:
     """The paper's constituent points Q_h, read back from a system's integer
     rows: Q_h[j] = matrix[j][h] / scales[j] over the members."""

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Fr
 
@@ -32,7 +33,15 @@ from cohere.coherence import (
     verdict_to_json,
 )
 from cohere.oracle import extension_interval_bruteforce
-from cohere.simplex import INFEASIBLE, OPTIMAL, LPResult, integer_rows, solve_eq_lp
+from cohere.conditionals import parse_conditional
+from cohere.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    LPResult,
+    check_solution,
+    integer_rows,
+    solve_eq_lp,
+)
 
 from helpers import (
     evaluate,
@@ -42,6 +51,7 @@ from helpers import (
     random_conditional,
     random_unit,
     reference_sigma,
+    reference_zero_upper,
     sigma_points,
 )
 
@@ -583,3 +593,70 @@ class TestOnePhase1PerSystem:
         assert (iv.lo, iv.hi, iv.vacuous) == (Fr(0), Fr(2, 3), False)
         assert len(calls) == 2 and not calls[0] and calls[1]
         assert len(optima) == 2
+
+
+class TestZeroUpperFromSpread:
+    """The descent starts from the phase-1 spread point, so a mass LP runs
+    only for the antecedents that no neighbour of the phase-1 basis charges,
+    and for the round that proves their maximum is zero."""
+
+    def test_matches_mass_lp_rounds(self):
+        rng = random.Random(1919)
+        seen = Counter()
+        for _ in range(2500):
+            a = random_assessment(rng, max_size=4, allow_constraints=rng.random() < 0.5)
+            refined = build_sigma(a, random_conditional(rng, a.context))
+            plain = build_sigma(a)
+            for system, barred in ((plain, ()), (refined, refined.supports[-1])):
+                start = solve_eq_lp(system.matrix, system.rhs, barred=barred, scales=system.scales)
+                if start.status != OPTIMAL:
+                    continue
+                indices, average = zero_upper(system, start)
+                assert indices == reference_zero_upper(system, start), a
+                check_solution(system.matrix, system.rhs, average)
+                charged = {h for h, v in enumerate(average) if v}
+                assert indices == tuple(
+                    j for j, support in enumerate(system.supports[: len(a.family)])
+                    if charged.isdisjoint(support)
+                )
+                seen["barred" if barred else "plain"] += 1
+                seen["layered"] += bool(indices)
+        assert seen["plain"] + seen["barred"] >= 2000 and min(seen.values()) > 500, seen
+
+    @pytest.mark.parametrize(
+        "atoms, members, optima",
+        [
+            # Some neighbour of the phase-1 basis charges each antecedent.
+            ("AHBK", [("B | A & H", "1/4"), ("B & K | K", "1/4")], []),
+            # No neighbour charges one antecedent: one mass LP does, and
+            # leaves none uncharged.
+            (
+                "ABCD",
+                [
+                    ("A | ~B", "0"),
+                    ("~(C & B) | (C | A) | A", "1/2"),
+                    ("C | D", "2/3"),
+                    ("B | ~C | (D | D)", "1"),
+                ],
+                [Fr(3, 4)],
+            ),
+        ],
+    )
+    def test_coherent_in_one_level(self, monkeypatch, atoms, members, optima):
+        found = []
+        optimize = LPResult.optimize
+
+        def optimizing(self, *args, **kwargs):
+            best = optimize(self, *args, **kwargs)
+            found.append(best.objective)
+            return best
+
+        monkeypatch.setattr(LPResult, "optimize", optimizing)
+        ctx = Context(tuple(atoms))
+        a = Assessment(
+            tuple(parse_conditional(text, ctx) for text, _ in members),
+            tuple(Fr(p) for _, p in members),
+        )
+        verdict = check_coherence(a)
+        assert verdict.coherent and len(verdict.trace) == 1
+        assert found == optima

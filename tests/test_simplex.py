@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Fr
 from math import lcm
 
@@ -10,13 +11,14 @@ import pytest
 import cohere.coherence
 import cohere.simplex
 import helpers
-from cohere import IncoherentAssessmentError, check_coherence, extension_interval
+from cohere import IncoherentAssessmentError, build_sigma, check_coherence, extension_interval
 from cohere.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LPResult,
     _check_farkas,
+    check_solution,
     integer_rows,
     solve_eq_lp,
 )
@@ -430,6 +432,91 @@ class TestPhase1Reuse:
         allowed = [j for j in range(len(rows[0])) if j not in barred]
         _check_farkas(*integer_rows(rows, rhs), res.farkas, allowed)
         assert solve(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
+
+
+def _basis_coordinates(rows, basis, col):
+    """The coordinates z of column ``col`` in the basis columns, solving
+    ``rows[:, basis] z = rows[:, col]`` by Fraction elimination; the basis
+    columns are independent and span every column of the rows."""
+    aug = [[row[j] for j in basis] + [row[col]] for row in rows]
+    for k in range(len(basis)):
+        p = next(i for i in range(k, len(aug)) if aug[i][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        aug[k] = [v / aug[k][k] for v in aug[k]]
+        for i, row in enumerate(aug):
+            if i != k and row[k]:
+                aug[i] = [v - row[k] * w for v, w in zip(row, aug[k])]
+    return [aug[k][-1] for k in range(len(basis))]
+
+
+def _assert_spread(rows, rhs, barred, start, seen):
+    """``start.spread()`` is the average of ``start.x`` and the basic
+    solutions that one non-degenerate pivot reaches, recomputed in fractions
+    from the rational ``rows``; it solves the system, is positive wherever
+    ``x`` is and on every column such a pivot brings in, and is zero on the
+    barred columns.  ``seen`` counts the columns brought in, and those whose
+    ratio test is degenerate."""
+    point = start.spread()
+    check_solution(*integer_rows(rows, rhs)[:2], point)
+    x, columns = start.x, start.tableau.columns
+    basis = [columns[b] for b in start.tableau.basis]
+    neighbours = []
+    for c in set(columns) - set(basis):
+        z = _basis_coordinates(rows, basis, c)
+        ratios = [x[b] / zi for b, zi in zip(basis, z) if zi > 0]
+        if not ratios or min(ratios) == 0:
+            seen["degenerate"] += bool(ratios)
+            continue
+        t = min(ratios)
+        y = list(x)
+        y[c] = t
+        for b, zi in zip(basis, z):
+            y[b] -= t * zi
+        neighbours.append(y)
+        assert point[c] > 0
+    total = [sum(vs) for vs in zip(x, *neighbours)]
+    assert point == tuple(v / (len(neighbours) + 1) for v in total)
+    assert all(point[j] > 0 for j, v in enumerate(x) if v)
+    assert all(point[j] == 0 for j in barred)
+    seen["reached"] += len(neighbours)
+    seen["barred" if barred else "plain"] += 1
+
+
+class TestSpread:
+    """One non-degenerate pivot from the phase-1 basis, read off its tableau."""
+
+    def test_random_systems(self):
+        rng = random.Random(19)
+        seen = Counter()
+        for _ in range(600):
+            rows, rhs, _, _, _ = _random_system(rng)
+            n = len(rows[0])
+            barred = {j for j in range(n) if rng.random() < 0.25} if rng.random() < 0.5 else ()
+            start = solve_eq_lp(rows, rhs, barred=barred)
+            if start.status == OPTIMAL:
+                _assert_spread(rows, rhs, barred, start, seen)
+        assert min(seen.values()) > 80 and seen["reached"] > 300, seen
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_constituent_systems(self, constrained):
+        # Phase 1 of a constituent system, and of a target-refined one with
+        # the target's antecedent barred, as the zero-probability descent
+        # starts from them.
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(150):
+            a = random_assessment(rng, max_size=4, allow_constraints=constrained)
+            refined = build_sigma(a, random_conditional(rng, a.context))
+            for system, barred in ((build_sigma(a), ()), (refined, refined.supports[-1])):
+                start = solve_eq_lp(system.matrix, system.rhs, barred=barred, scales=system.scales)
+                if start.status == OPTIMAL:
+                    rows, rhs = rational_system(system.matrix, system.rhs, system.scales)
+                    _assert_spread(rows, rhs, barred, start, seen)
+        assert min(seen.values()) > 50, seen
+
+    def test_spread_needs_a_feasible_start(self):
+        with pytest.raises(ValueError):
+            solve_eq_lp([F(1, 1)], F(-1)).spread()
 
 
 class TestResultChecks:

@@ -88,6 +88,35 @@ def test_exact_checks_raise_under_python_O():
     assert done.stdout.split() == ["1", "True", "[True,", "True,", "True]"]
 
 
+SPREAD_CHECK_UNDER_O = """
+import sys
+from fractions import Fraction as Fr
+from cohere.simplex import solve_eq_lp
+
+# x1 + x2 + x3 = 1 from basis {x1} spreads to (1/3, 1/3, 1/3); doubling the
+# entry of x2 halves its step and leaves the average off the row.
+start = solve_eq_lp([[1, 1, 1]], [1])
+sound = start.tableau.basis == [0] and start.spread() == (Fr(1, 3),) * 3
+start.tableau.tab[0][1] *= 2
+try:
+    start.spread()
+except AssertionError as error:
+    print(sys.flags.optimize, sound, error)
+"""
+
+
+def test_spread_check_raises_under_python_O():
+    # A corrupted phase-1 tableau gives a point off the system, and the
+    # exact check rejects it with `python -O` too.
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SPREAD_CHECK_UNDER_O],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True", "solution", "violates", "rows", ".", "x", "=", "rhs"]
+
+
 def test_no_unused_imports_in_package():
     # __init__.py re-exports on purpose, so its imports are never read there.
     found = []
