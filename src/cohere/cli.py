@@ -295,19 +295,21 @@ def _cmd_truth_table(args) -> int:
     cs = constituents(members)
     qc = quasi_conjunction(members)
     qd = quasi_disjunction(members)
-    ordered = ([cs.c0] if cs.c0 is not None else []) + list(cs.inside)
+    ordered = list(zip(cs.inside, cs.profiles))
+    if cs.c0:
+        ordered.insert(0, (cs.c0, (TruthValue3.VOID,) * len(members)))
     # Each row is read at its class's lowest set bit; the classes are
     # disjoint, so one decoding yields every representative in bit order.
-    firsts = [c.mask & -c.mask for c in ordered]
+    firsts = [mask & -mask for mask, _ in ordered]
     world = dict(zip(sorted(firsts), kb.context.worlds_in(sum(firsts))))
     rows = [
         {
             "world": str(world[bit]),
-            "values": [str(v) for v in c.profile],
+            "values": [str(v) for v in profile],
             "C": _value_at(qc, bit),
             "D": _value_at(qd, bit),
         }
-        for c, bit in zip(ordered, firsts)
+        for (_, profile), bit in zip(ordered, firsts)
     ]
     if args.json:
         print(json.dumps({"conditionals": names, "rows": rows}, sort_keys=True))

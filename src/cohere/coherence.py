@@ -127,15 +127,16 @@ class SigmaSystem:
 def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaSystem:
     """Build the constituent system of an assessment.
 
-    A ``target`` refines the constituents by its own truth value, so it adds
-    profile columns but no equation: it carries no probability.  Row order
-    follows the deterministic constituent order, so repeated builds yield
-    identical matrices.
+    Column ``h`` is read off constituent ``h``'s profile alone; the class
+    bitsets are not needed.  A ``target`` refines the constituents by its
+    own truth value, so it can split columns but adds no equation: it
+    carries no probability.  Column order follows the deterministic
+    constituent order, so repeated builds yield identical matrices.
     """
     members = tuple(a.family) + ((target,) if target is not None else ())
     cs = constituents(members)
     # Member j's truth values; each IntEnum value indexes (0, num, den).
-    columns = tuple(zip(*(c.profile for c in cs.inside)))
+    columns = tuple(zip(*cs.profiles))
     entries = [(0, p.numerator, p.denominator) for p in a.probs]
     matrix = tuple(tuple(e[v] for v in column) for column, e in zip(columns, entries))
     supports = tuple(tuple(h for h, v in enumerate(c) if v != TruthValue3.VOID) for c in columns)

@@ -3,13 +3,15 @@
 A conditional event ``E | H`` is true in a world where ``E & H`` holds, false
 where ``~E & H`` holds, and void where ``H`` fails.  Quasi conjunction and
 quasi disjunction combine families of conditionals into a single conditional
-on the disjunction of the antecedents; the constituent machinery partitions
-the admissible worlds by their joint truth-value profile, which is the input
-to all coherence computations.  Every semantic question here is a bit
-operation on a conditional's verifying and falsifying masks, each built by
-the one fold of ``events``, and no world is built.  Computing them is also
-how a conditional is checked: the fold rejects undeclared atoms, and an
-empty antecedent mask is an impossible antecedent.
+on the disjunction of the antecedents.  :func:`constituents` partitions
+the admissible worlds by their joint truth-value profile into plain
+bitsets, each with its profile, which is the input to all coherence
+computations; a family with more than :data:`MAX_CONSTITUENTS` classes is
+refused.  Every semantic question here is a bit operation on a
+conditional's verifying and falsifying masks, each built by the one fold of
+``events``, and no world is built.  Computing them is also how a
+conditional is checked: the fold rejects undeclared atoms, and an empty
+antecedent mask is an impossible antecedent.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from .events import (
     Context,
     Event,
     Not,
-    World,
     and_all,
     is_impossible,
-    max_constituents,
     or_all,
     parse_event,
 )
@@ -164,45 +164,27 @@ def equivalent(a: ConditionalEvent, b: ConditionalEvent) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constituent:
-    """A maximal class of admissible worlds sharing one truth-value profile.
-
-    ``mask`` is the class as a bitset over the context's assignments, with
-    one bit set per admissible world in the class; its worlds are decoded
-    only on demand.
-    """
-
-    profile: tuple[TruthValue3, ...]
-    mask: int
-    context: Context
-
-    @property
-    def worlds(self) -> tuple[World, ...]:
-        return self.context.worlds_in(self.mask)
-
-    @property
-    def representative(self) -> World:
-        """The class's first world, decoded from its lowest set bit."""
-        return self.context.worlds_in(self.mask & -self.mask)[0]
+MAX_CONSTITUENTS = 2187  # 3**7: desk scale for the constituent count
 
 
 @dataclass(frozen=True)
 class ConstituentSet:
     """Partition of the admissible worlds induced by a family of conditionals.
 
-    ``inside`` lists the classes meeting at least one antecedent, ordered by
-    the lowest set bit of their masks, which is their lexicographically
-    first world; ``c0`` is the all-antecedents-false class when it is
-    nonempty.  Each class is one assignment bitset, so the masks of all
-    classes partition the context's ``full_mask``.
+    ``inside`` lists the classes meeting at least one antecedent, each an
+    assignment bitset, ordered by lowest set bit, which is the class's
+    lexicographically first world; ``profiles[h]`` is class ``h``'s truth
+    value under each member.  ``c0`` is the bitset of the worlds where every
+    antecedent fails, 0 when there are none.  Together the bitsets partition
+    the context's ``full_mask``.
     """
 
-    inside: tuple[Constituent, ...]
-    c0: Constituent | None
+    inside: tuple[int, ...]
+    profiles: tuple[tuple[TruthValue3, ...], ...]
+    c0: int
 
     def __len__(self) -> int:
-        return len(self.inside) + (1 if self.c0 is not None else 0)
+        return len(self.inside) + (1 if self.c0 else 0)
 
 
 def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
@@ -216,7 +198,6 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
     matrices are reproducible.
     """
     ctx = _shared_context(family)
-    bound = max_constituents()
     full = ctx.full_mask
     # Each split refines the last, so the count only grows: refusing as soon
     # as it passes the bound holds at most three times the bound classes.
@@ -234,22 +215,22 @@ def constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:
             for part, value in parts
             if cls & part
         ]
-        if len(classes) > bound:
+        if len(classes) > MAX_CONSTITUENTS:
             raise SizeLimitError(
                 f"family of {len(family)} conditionals generates more than "
-                f"{bound} constituents (override with COHERE_MAX_CONSTITUENTS)"
+                f"{MAX_CONSTITUENTS} constituents"
             )
     classes.sort(key=lambda c: (c[0] & -c[0]).bit_length())
     all_void = tuple([TruthValue3.VOID] * len(family))
-    c0 = None
-    inside = []
+    c0 = 0
+    inside, profiles = [], []
     for cls, profile in classes:
-        constituent = Constituent(profile, cls, ctx)
         if profile == all_void:
-            c0 = constituent
+            c0 = cls
         else:
-            inside.append(constituent)
-    return ConstituentSet(tuple(inside), c0)
+            inside.append(cls)
+            profiles.append(profile)
+    return ConstituentSet(tuple(inside), tuple(profiles), c0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ Grammar accepted by :func:`parse_event`::
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -36,28 +35,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
 
-DEFAULT_MAX_CONSTITUENTS = 2187
 MAX_ATOMS = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"T", "F"}
-
-
-def max_constituents() -> int:
-    """Desk-scale bound on constituent counts.
-
-    Overridable through the ``COHERE_MAX_CONSTITUENTS`` environment variable.
-    """
-    raw = os.environ.get("COHERE_MAX_CONSTITUENTS")
-    if raw is None:
-        return DEFAULT_MAX_CONSTITUENTS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SizeLimitError(f"COHERE_MAX_CONSTITUENTS is not an integer: {raw!r}") from exc
-    if value <= 0:
-        raise SizeLimitError(f"COHERE_MAX_CONSTITUENTS must be positive, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------

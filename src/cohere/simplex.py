@@ -140,8 +140,8 @@ def solve_eq_lp(
     basis = list(range(k, ncols))
 
     # Phase-1 reduced costs: cost 1 on artificials, priced out of the basis.
-    cost = [-sum(row[j] for row in tab) for j in range(k)] + [0] * m
-    cost.append(-sum(row[ncols] for row in tab))
+    sums = [sum(column) for column in zip(*tab)]
+    cost = [-s for s in sums[:k]] + [0] * m + [-sums[ncols]]
 
     _, d = _iterate(tab, cost, basis, k, d)
 

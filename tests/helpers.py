@@ -19,7 +19,6 @@ from cohere import (
     is_impossible,
     parse_event,
 )
-from cohere.conditionals import Constituent
 from cohere.events import And, Falsum, Not, Or, Verum
 from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, integer_rows
 
@@ -209,12 +208,8 @@ def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet
     for k, w in reference_worlds(ctx):
         profile = tuple(truth_value(ce, w) for ce in family)
         groups[profile] = groups.get(profile, 0) | 1 << k
-    all_void = (TruthValue3.VOID,) * len(family)
-    classes = [Constituent(profile, mask, ctx) for profile, mask in groups.items()]
-    return ConstituentSet(
-        tuple(c for c in classes if c.profile != all_void),
-        next((c for c in classes if c.profile == all_void), None),
-    )
+    c0 = groups.pop((TruthValue3.VOID,) * len(family), 0)
+    return ConstituentSet(tuple(groups.values()), tuple(groups), c0)
 
 
 def reference_sigma(a: Assessment, target: ConditionalEvent | None = None):
@@ -225,8 +220,8 @@ def reference_sigma(a: Assessment, target: ConditionalEvent | None = None):
     members = a.family + ((target,) if target is not None else ())
     coefficient = {TruthValue3.TRUE: ONE, TruthValue3.FALSE: ZERO}
     points = [
-        [coefficient.get(v, p) for v, p in zip(c.profile, a.probs)]
-        for c in reference_constituents(members).inside
+        [coefficient.get(v, p) for v, p in zip(profile, a.probs)]
+        for profile in reference_constituents(members).profiles
     ]
     rows = [list(row) for row in zip(*points)] + [[ONE] * len(points)]
     return rows, list(a.probs) + [ONE]

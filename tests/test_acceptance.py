@@ -48,6 +48,7 @@ from cohere import (
     sigma_feasible,
     tconorm,
     tnorm,
+    TruthValue3,
     constituents,
     zero_upper,
 )
@@ -344,16 +345,21 @@ def _check_reference_truth_table():
     qc = quasi_conjunction(family)
     qd = quasi_disjunction(family)
     cs = constituents(family)
-    classes = list(cs.inside) + [cs.c0]
+    classes = list(zip(cs.inside, cs.profiles)) + [(cs.c0, (TruthValue3.VOID,) * 2)]
     assert len(classes) == 9
     for formula, v1, v2, vc, vd in REFERENCE_TABLE:
         region = parse_event(formula, ctx.atoms)
-        matches = [c for c in classes if all(evaluate(region, w) for w in c.worlds)]
+        matches = [
+            (mask, profile)
+            for mask, profile in classes
+            if all(evaluate(region, w) for w in ctx.worlds_in(mask))
+        ]
         assert len(matches) == 1, formula
-        c = matches[0]
-        assert (str(c.profile[0]), str(c.profile[1])) == (v1, v2)
-        assert str(truth_value(qc, c.representative)) == vc
-        assert str(truth_value(qd, c.representative)) == vd
+        mask, profile = matches[0]
+        representative = ctx.worlds_in(mask & -mask)[0]
+        assert (str(profile[0]), str(profile[1])) == (v1, v2)
+        assert str(truth_value(qc, representative)) == vc
+        assert str(truth_value(qd, representative)) == vd
 
 
 def test_criterion_12_engine_soundness_on_random_assessments():

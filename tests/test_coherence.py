@@ -98,8 +98,8 @@ class TestBuildSigma:
         by_region = {}
         for formula, point in TWO_COND_POINTS:
             region = parse_event(formula, ctx.atoms)
-            for h, c in enumerate(constituents(a.family).inside):
-                if all(evaluate(region, w) for w in c.worlds):
+            for h, mask in enumerate(constituents(a.family).inside):
+                if all(evaluate(region, w) for w in ctx.worlds_in(mask)):
                     by_region[formula] = points[h]
                     assert points[h] == tuple(Fr(v) for v in point(x, y))
         assert len(by_region) == 8

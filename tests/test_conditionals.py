@@ -282,9 +282,9 @@ class TestConstituents:
         family = [ce("A", "H", ctx4), ce("B", "K", ctx4)]
         cs = constituents(family)
         assert len(cs.inside) == 8
-        assert cs.c0 is not None
+        assert cs.c0 != 0
         # c0 is exactly the both-antecedents-false region
-        for w in cs.c0.worlds:
+        for w in ctx4.worlds_in(cs.c0):
             assert not evaluate(Atom("H"), w) and not evaluate(Atom("K"), w)
 
     def test_truth_table_reproduced_row_for_row(self, ctx4):
@@ -292,33 +292,39 @@ class TestConstituents:
         qc = quasi_conjunction(family)
         qd = quasi_disjunction(family)
         cs = constituents(family)
-        classes = list(cs.inside) + [cs.c0]
+        classes = list(zip(cs.inside, cs.profiles)) + [(cs.c0, (TruthValue3.VOID,) * 2)]
         for formula, v1, v2, vc, vd in TWO_CONDITIONAL_TABLE:
             region = parse_event(formula, ctx4.atoms)
             matches = [
-                c for c in classes if all(evaluate(region, w) for w in c.worlds)
+                (mask, profile)
+                for mask, profile in classes
+                if all(evaluate(region, w) for w in ctx4.worlds_in(mask))
             ]
             assert len(matches) == 1, formula
-            c = matches[0]
-            assert tuple(str(v) for v in c.profile) == (v1, v2)
-            assert str(truth_value(qc, c.representative)) == vc
-            assert str(truth_value(qd, c.representative)) == vd
+            mask, profile = matches[0]
+            representative = ctx4.worlds_in(mask & -mask)[0]
+            assert tuple(str(v) for v in profile) == (v1, v2)
+            assert str(truth_value(qc, representative)) == vc
+            assert str(truth_value(qd, representative)) == vd
 
     def test_sure_antecedent_has_no_outside_class(self, ctx2):
         cs = constituents([ce("A", "T", ctx2)])
         assert len(cs.inside) == 2
-        assert cs.c0 is None
+        assert cs.c0 == 0
 
     def test_mutual_conditionals(self, ctx2):
         cs = constituents([ce("A", "B", ctx2), ce("B", "A", ctx2)])
         assert len(cs.inside) == 3
-        covered = [frozenset(c.worlds) for c in cs.inside]
+        covered = [frozenset(ctx2.worlds_in(mask)) for mask in cs.inside]
         for formula in ("A & B", "A & ~B", "~A & B"):
             region = parse_event(formula, ctx2.atoms)
             worlds = frozenset(w for w in ctx2.worlds if evaluate(region, w))
             assert worlds in covered
-        assert cs.c0 is not None
-        assert all(not evaluate(Atom("A"), w) and not evaluate(Atom("B"), w) for w in cs.c0.worlds)
+        assert cs.c0 != 0
+        assert all(
+            not evaluate(Atom("A"), w) and not evaluate(Atom("B"), w)
+            for w in ctx2.worlds_in(cs.c0)
+        )
 
     def test_counts_within_power_bound(self):
         ctx = Context(("A", "H", "B", "K", "C", "M"))

@@ -163,31 +163,33 @@ def test_de_morgan_on_worlds(seed):
 
 
 class TestConstituentBound:
-    def test_environment_override_is_honored(self, monkeypatch):
-        from cohere import ConditionalEvent, constituents
-        from cohere.events import max_constituents
+    def test_lowered_bound_is_honored(self, monkeypatch):
+        from cohere import ConditionalEvent, conditionals, constituents
 
-        monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "4")
-        assert max_constituents() == 4
+        monkeypatch.setattr(conditionals, "MAX_CONSTITUENTS", 4)
         ctx = Context(("A", "H", "B", "K"))
         family = [
             ConditionalEvent(Atom("A"), Atom("H"), ctx),
             ConditionalEvent(Atom("B"), Atom("K"), ctx),
         ]
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="more than 4 constituents"):
             constituents(family)  # needs 9 classes
-        monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "9")
+        monkeypatch.setattr(conditionals, "MAX_CONSTITUENTS", 9)
         assert len(constituents(family)) == 9
 
     def test_refuses_on_the_measured_count(self, monkeypatch):
         # Two members over 8 worlds could give 9 classes, beyond a bound of
-        # 4; the same member twice gives 3, which fits.
-        from cohere import ConditionalEvent, constituents
+        # 4; the same member twice gives 3, which fits, while a second,
+        # different member splits the 3 into more than 4 and is refused.
+        from cohere import ConditionalEvent, conditionals, constituents
 
-        monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "4")
+        monkeypatch.setattr(conditionals, "MAX_CONSTITUENTS", 4)
         ctx = Context(("A", "B", "C"))
         ce = ConditionalEvent(Atom("A"), Atom("B") | Atom("C"), ctx)
         assert len(constituents([ce, ce])) == 3
+        other = ConditionalEvent(Atom("B"), Atom("A") | Atom("C"), ctx)
+        with pytest.raises(SizeLimitError):
+            constituents([ce, other])
 
     def test_large_family_with_few_constituents_answers(self):
         # 8 members over 12 atoms could give 3**8 classes over 4096 worlds,
@@ -207,13 +209,6 @@ class TestConstituentBound:
         family = [ConditionalEvent(Atom(f"X{i}"), TRUE, ctx) for i in range(12)]
         with pytest.raises(SizeLimitError, match="more than 2187 constituents"):
             constituents(family)  # 4096 classes
-
-    def test_invalid_override_rejected(self, monkeypatch):
-        from cohere.events import max_constituents
-
-        monkeypatch.setenv("COHERE_MAX_CONSTITUENTS", "zero")
-        with pytest.raises(SizeLimitError):
-            max_constituents()
 
 
 class TestContext:

@@ -43,6 +43,29 @@ def test_mask_fold_is_the_only_evaluator_in_package():
     assert not found, found
 
 
+def test_package_reads_no_environment():
+    # Every limit is a constant in the source, so an answer never depends on
+    # the environment the engine runs in.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name in ("environ", "getenv")
+            ]
+    assert not found, found
+
+
 EXACT_CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction as Fr
