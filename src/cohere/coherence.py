@@ -17,7 +17,7 @@ from the spread point of a phase 1 of the system, which already charges
 every antecedent that one non-degenerate pivot from the phase-1 basis
 reaches, it maximizes the mass of the union of the antecedents that no
 solution found so far charges, until that maximum is zero (Biazzo & Gilio
-2000).
+2000).  Solutions stay numerators over one denominator, combined by mediants.
 
 Each objective starts from a phase 1's feasible tableau, and
 :attr:`SigmaSystem.phase1` runs once per system.  An interval level adds a
@@ -51,7 +51,7 @@ from .conditionals import (
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context
 from .rationals import fraction_str
-from .simplex import OPTIMAL, LPResult, check_solution, solve_eq_lp
+from .simplex import OPTIMAL, LPResult, Solution, check_solution, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -166,7 +166,8 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     every constituent."""
     result = system.phase1
     if result.status == OPTIMAL:
-        return SigmaFeasibility(witness=result.x)
+        den = result.den
+        return SigmaFeasibility(witness=tuple(Fraction(v, den) if v else ZERO for v in result.x))
     n = len(system.matrix) - 1
     stakes = tuple(-result.farkas[j] for j in range(n))
     gains = system.gains(stakes)
@@ -175,10 +176,11 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     return SigmaFeasibility(certificate=stakes)
 
 
-def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], Solution]:
     """Indices of the antecedents with zero upper probability over the
     solutions of ``start``, a phase 1 of the system's matrix (some columns
-    possibly barred), and the average of the solutions visited on the way.
+    possibly barred), and the mediant of the solutions visited on the way,
+    as numerators over one denominator.
 
     An antecedent that a known solution charges has positive upper
     probability.  The first is ``start.spread()``, positive on ``start.x``'s
@@ -187,37 +189,27 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], t
     uncharged: they all have zero upper probability exactly when the maximum
     mass on the union of their supports is zero, and otherwise the maximizer
     charges at least one of them.  Every round optimizes from ``start``.
-    The average is itself such a solution, and it charges every antecedent
-    outside the returned indices.
+    The mediant, a convex combination of those solutions, charges every
+    antecedent outside the returned indices.
     """
     if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
     remaining = tuple(range(len(system.matrix) - 1))
-    solution = start.spread()
-    visited = [solution]
+    solution, den = start.spread()
+    mediant = solution
     while True:
         remaining = tuple(
             j for j in remaining if not any(solution[h] for h in system.supports[j])
         )
         if not remaining:
-            return (), _average(visited)
+            return (), (mediant, den)
         union = sorted({h for j in remaining for h in system.supports[j]})
         best = start.optimize(_indicator(union, len(system.matrix[0])), maximize=True)
         if best.objective == 0:
-            return remaining, _average(visited)
+            return remaining, (mediant, den)
         solution = best.x
-        visited.append(solution)
-
-
-def _average(solutions: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    if len(solutions) == 1:
-        return tuple(solutions[0])
-    total = [ZERO] * len(solutions[0])
-    for solution in solutions:
-        for h, v in enumerate(solution):
-            if v:
-                total[h] += v
-    return tuple(t / len(solutions) if t else ZERO for t in total)
+        mediant = tuple(u + v for u, v in zip(mediant, solution))
+        den += best.den
 
 
 def _indicator(support: Sequence[int], width: int) -> list[int]:
@@ -323,10 +315,11 @@ def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, 
 
 def _fractional_bounds(
     system: SigmaSystem, num: Sequence[int], den: Sequence[int]
-) -> tuple[tuple[Fraction, tuple[Fraction, ...]], tuple[Fraction, tuple[Fraction, ...]]] | None:
+) -> tuple[tuple[Fraction, Solution], ...] | None:
     """Extremes of mass(num)/mass(den) over the system's solutions, taken on
     the part where the denominator is positive, each with a solution that
-    attains it, or ``None`` when no solution charges ``den``.
+    attains it, as numerators over one denominator, or ``None`` when no
+    solution charges ``den``.
 
     Homogenization (Charnes & Cooper 1962): scale solutions so the
     denominator is one, carrying the scale as an extra variable t; each
@@ -334,7 +327,8 @@ def _fractional_bounds(
     integer row with ``-rhs`` appended as t's entry, under the same scale.
     The unit-mass row forces t > 0 at every feasible (y, t), and y / t is a
     solution charging ``den``, so one phase 1 decides that case and serves
-    both extremes; at an optimum, y / t attains the ratio.
+    both extremes; at an optimum, y / t attains the ratio, and it is the
+    numerators of y over the numerator of t, with no division.
     """
     m = len(system.matrix[0])
     hom_matrix = [row + (-b,) for row, b in zip(system.matrix, system.rhs)]
@@ -343,23 +337,20 @@ def _fractional_bounds(
     if start.status != OPTIMAL:
         return None
     objective = _indicator(num, m + 1)
-    lo, hi = (start.optimize(objective, maximize) for maximize in (False, True))
-    return tuple(
-        (best.objective, tuple(v / best.x[m] if v else ZERO for v in best.x[:m]))
-        for best in (lo, hi)
-    )
+    optima = (start.optimize(objective, maximize) for maximize in (False, True))
+    return tuple((best.objective, (best.x[:m], best.x[m])) for best in optima)
 
 
 @dataclass(frozen=True, slots=True)
 class _Link:
     """One level of an endpoint's proof: the base indices the level
-    examined, its system with the target, and a solution of that system
-    whose target-true mass is the endpoint times its target-antecedent
-    mass."""
+    examined, its system with the target, and a solution of that system,
+    numerators over one denominator, whose target-true mass is the endpoint
+    times its target-antecedent mass."""
 
     indices: tuple[int, ...]
     system: SigmaSystem
-    solution: tuple[Fraction, ...]
+    solution: Solution
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,7 +381,7 @@ def _interval_levels(
     maps ``a``'s members to the base's.
 
     An endpoint met at a fractional level is proved there by the optimum's
-    solution.  One taken from below is proved by the descent's average
+    solution.  One taken from below is proved by the descent's mediant
     solution, which leaves the target's antecedent uncharged, so it meets
     the target's row for every value, followed by the deeper proof.
     """
@@ -402,12 +393,12 @@ def _interval_levels(
     den = system.supports[-1]
 
     def descend(start: LPResult) -> tuple[_Endpoint, _Endpoint, bool]:
-        next_indices, average = zero_upper(system, start)
+        next_indices, mediant = zero_upper(system, start)
         deeper = a.restrict(next_indices) if next_indices else None
         lo, hi, vacuous = _interval_levels(
             deeper, target, tuple(indices[j] for j in next_indices)
         )
-        link = _Link(indices, system, average)
+        link = _Link(indices, system, mediant)
         return lo.below(link), hi.below(link), vacuous
 
     bounds = _fractional_bounds(system, system.target_true, den)
@@ -447,7 +438,7 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
     z = end.value
     expected = None
     for depth, link in enumerate(end.chain):
-        system, w = link.system, link.solution
+        system, (w, den) = link.system, link.solution
         if expected is not None and link.indices != expected:
             raise AssertionError("extension proof skips a zero-probability level")
         # target-true mass == z * target-antecedent mass, times z's denominator
@@ -456,7 +447,7 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
             target_row[h] -= z.numerator
         for h in system.target_true:
             target_row[h] += z.denominator
-        check_solution(system.matrix + (target_row,), system.rhs + (0,), w)
+        check_solution(system.matrix + (target_row,), system.rhs + (0,), w, den)
         charged = {h for h, v in enumerate(w) if v}
         uncharged = tuple(
             i for i, support in zip(link.indices, system.supports) if charged.isdisjoint(support)

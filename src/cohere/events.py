@@ -36,6 +36,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
 
 MAX_ATOMS = 20
+# The parser, the mask fold and printing recurse once or more per level.
+MAX_DEPTH = 150
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"T", "F"}
@@ -204,40 +206,46 @@ class _Parser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> Event:
-        expr = self.parse_or()
+        expr = self.parse_or(1)
         self.skip_ws()
         if self.pos != len(self.text):
             raise EventSyntaxError(
                 f"unexpected trailing input {self.text[self.pos:]!r}", self.pos
             )
+        # A tree of L levels is written with at least L characters.
+        if len(self.text) > MAX_DEPTH and _levels(expr) > MAX_DEPTH:
+            raise SizeLimitError(f"event tree has more than {MAX_DEPTH} levels")
         return expr
 
-    def parse_or(self) -> Event:
-        node = self.parse_and()
+    def parse_or(self, depth: int) -> Event:
+        node = self.parse_and(depth)
         while self.peek() == "|":
             self.pos += 1
-            node = Or(node, self.parse_and())
+            node = Or(node, self.parse_and(depth))
         return node
 
-    def parse_and(self) -> Event:
-        node = self.parse_unary()
+    def parse_and(self, depth: int) -> Event:
+        node = self.parse_unary(depth)
         while self.peek() == "&":
             self.pos += 1
-            node = And(node, self.parse_unary())
+            node = And(node, self.parse_unary(depth))
         return node
 
-    def parse_unary(self) -> Event:
+    def parse_unary(self, depth: int) -> Event:
+        # ``depth``: one level for the operand, one per parenthesis or negation around it
+        if depth > MAX_DEPTH:
+            raise SizeLimitError(f"event nests more than {MAX_DEPTH} levels")
         if self.peek() == "~":
             self.pos += 1
-            return Not(self.parse_unary())
-        return self.parse_primary()
+            return Not(self.parse_unary(depth + 1))
+        return self.parse_primary(depth)
 
-    def parse_primary(self) -> Event:
+    def parse_primary(self, depth: int) -> Event:
         ch = self.peek()
         if ch == "(":
             open_pos = self.pos
             self.pos += 1
-            node = self.parse_or()
+            node = self.parse_or(depth + 1)
             if self.peek() != ")":
                 raise EventSyntaxError("unbalanced parenthesis", open_pos)
             self.pos += 1
@@ -259,12 +267,25 @@ class _Parser:
         return Atom(name)
 
 
+def _levels(e: Event) -> int:
+    """The levels of ``e``'s tree, counted a layer at a time, not recursively."""
+    levels, layer = 0, [e]
+    while layer:
+        levels += 1
+        layer = [n.operand for n in layer if isinstance(n, Not)] + [
+            c for n in layer if isinstance(n, (And, Or)) for c in (n.left, n.right)
+        ]
+    return levels
+
+
 def parse_event(text: str, atoms: Iterable[str] | None = None) -> Event:
     """Parse an event expression.
 
     When ``atoms`` is given, every identifier must belong to it; otherwise any
     well-formed identifier is accepted.  Raises :class:`EventSyntaxError` with
-    the character position on malformed input.
+    the character position on malformed input, and :class:`SizeLimitError`
+    beyond :data:`MAX_DEPTH` levels of parentheses and negations around an
+    atom, or of operators in the tree above it, the atom being one level.
     """
     return _Parser(text, atoms).parse()
 

@@ -29,9 +29,9 @@ The cost row is ``d`` times the reduced costs (times the lcm of the
 objective's denominators in phase 2), so its signs are the true ones, and
 ratios are compared by cross-multiplication with the same tie-break on the
 basis index.  The pivot sequence, and so every answer, is therefore that of a
-``fractions.Fraction`` tableau; only the answers are turned into fractions,
-and each is checked exactly in integers against ``M`` before it is
-returned: a solution cleared to one denominator, a Farkas vector over ``d``.
+``fractions.Fraction`` tableau.  A solution stays as the tableau gives it,
+integer numerators over ``d``, and is checked exactly in integers against
+``M`` before it is returned; Farkas vectors and optimal values are fractions.
 
 Phase 1 runs once per system.  It keeps its final tableau, artificials and
 redundant rows dropped, on the returned :class:`LPResult`, and
@@ -39,7 +39,8 @@ redundant rows dropped, on the returned :class:`LPResult`, and
 same matrix starts from the same basis: it prices the objective against the
 kept tableau and pivots on a copy only when some column enters.
 :meth:`LPResult.spread` reads the same tableau for a solution positive on
-every column that one non-degenerate pivot brings in, with no LP at all.
+every column that one non-degenerate pivot brings in, with no LP at all: a
+mediant, which sums the numerators and sums the denominators of solutions.
 Columns pinned to zero are barred rather than given an extra equation: they
 are left out of the tableau, so they never enter the basis.
 
@@ -54,20 +55,20 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Collection, Sequence
 
-ZERO = Fraction(0)
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+Solution = tuple[tuple[int, ...], int]  # integer numerators over a denominator > 0
 
 
 @dataclass(frozen=True, slots=True)
 class LPResult:
-    """Outcome of phase 1 or of one optimisation.  A feasible phase-1 result
-    also keeps its final ``tableau``, which :meth:`optimize` reuses."""
+    """Outcome of phase 1 or of one optimisation, a solution as numerators
+    ``x`` over ``den``; feasible phase 1 keeps its ``tableau`` for :meth:`optimize`."""
 
     status: str
-    x: tuple[Fraction, ...] | None = None
+    x: tuple[int, ...] | None = None
+    den: int | None = None
     objective: Fraction | None = None
     farkas: tuple[Fraction, ...] | None = None
     tableau: _Tableau | None = field(default=None, compare=False, repr=False)
@@ -80,11 +81,10 @@ class LPResult:
             raise ValueError("only a feasible phase-1 result can be optimized")
         return self.tableau.optimize(objective, maximize)
 
-    def spread(self) -> tuple[Fraction, ...]:
+    def spread(self) -> Solution:
         """A solution positive wherever ``x`` is and on every column that one
-        non-degenerate pivot from this result's basis brings in: the average
-        of ``x`` and of each adjacent basic solution such a pivot reaches,
-        checked exactly.  Barred columns stay zero."""
+        non-degenerate pivot from this basis brings in: the mediant of ``x``
+        and each basic solution such a pivot reaches, checked exactly."""
         if self.tableau is None:
             raise ValueError("only a feasible phase-1 result can be spread")
         return self.tableau.spread()
@@ -167,9 +167,9 @@ def solve_eq_lp(
         rows, rhs, columns, [tab[r][:k] + [tab[r][ncols]] for r in keep],
         [basis[r] for r in keep], d,
     )
-    x = _extract(start.tab, start.basis, columns, n, d)
-    check_solution(rows, rhs, x)
-    return LPResult(status=OPTIMAL, x=x, tableau=start)
+    x = _extract(start.tab, start.basis, columns, n)
+    check_solution(rows, rhs, x, d)
+    return LPResult(status=OPTIMAL, x=x, den=d, tableau=start)
 
 
 def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int], list[int]]:
@@ -215,18 +215,17 @@ class _Tableau:
             status, d = _iterate(tab, cost, basis, len(weights), d)
             if status == UNBOUNDED:
                 return LPResult(status=UNBOUNDED)
-        x = _extract(tab, basis, self.columns, n, d)
+        x = _extract(tab, basis, self.columns, n)
+        check_solution(self.rows, self.rhs, x, d, scaled, -sign * cost[-1])
         value = Fraction(-sign * cost[-1], d * scale)
-        check_solution(self.rows, self.rhs, x, scaled, value * scale)
-        return LPResult(status=OPTIMAL, x=x, objective=value)
+        return LPResult(status=OPTIMAL, x=x, den=d, objective=value)
 
-    def spread(self) -> tuple[Fraction, ...]:
-        # Column c's pivot, at the ratio test's minimum t_c = b / p, (b, p) =
-        # (tab[r][-1], tab[r][c]), moves x to x_c = t_c and x_B(i) =
-        # (tab[i][-1] - t_c tab[i][c]) / d.  In integers, with L = lcm(p) and
-        # u_c = t_c L, the average of x and its k - 1 neighbours is u_c / (L k)
-        # on column c and (tab[i][-1] L k - sum_c u_c tab[i][c]) / (d L k) on
-        # basic column B(i).
+    def spread(self) -> Solution:
+        # Column c's pivot on row r, at the ratio test's minimum b / p with
+        # (b, p) = (tab[r][-1], tab[r][c]), reaches the basic solution with
+        # numerators b on c and (p tab[i][-1] - tab[i][c] b) / d (exact by
+        # Sylvester's identity) on B(i), over p.  Adding x's and theirs, over
+        # d + sum(p), gives (tab[i][-1] (d + sum(p)) - sum_c tab[i][c] b_c) / d.
         tab, basis = self.tab, self.basis
         steps = {}
         for c in set(range(len(self.columns))) - set(basis):
@@ -240,17 +239,15 @@ class _Tableau:
             else:
                 if best is not None:
                     steps[c] = best
-        L = lcm(*(p for _, p in steps.values()))
-        u = {c: b * (L // p) for c, (b, p) in steps.items()}
-        k = len(u) + 1
-        x = [ZERO] * len(self.rows[0])
-        for c, v in u.items():
-            x[self.columns[c]] = Fraction(v, L * k)
+        den = self.d + sum(p for _, p in steps.values())
+        x = [0] * len(self.rows[0])
+        for c, (b, _) in steps.items():
+            x[self.columns[c]] = b
         for row, bv in zip(tab, basis):
-            v = row[-1] * L * k - sum(w * row[c] for c, w in u.items())
-            x[self.columns[bv]] = Fraction(v, self.d * L * k)
-        check_solution(self.rows, self.rhs, x)
-        return tuple(x)
+            v = row[-1] * den - sum(b * row[c] for c, (b, _) in steps.items())
+            x[self.columns[bv]] = v // self.d
+        check_solution(self.rows, self.rhs, x, den)
+        return tuple(x), den
 
 
 def _iterate(tab, cost, basis, n, d) -> tuple[str, int]:
@@ -303,29 +300,24 @@ def _eliminate(other, prow, col, p, d) -> None:
         other[:] = [p * v // d for v in other]
 
 
-def _extract(tab, basis, columns, n, d) -> tuple[Fraction, ...]:
-    x = [ZERO] * n
+def _extract(tab, basis, columns, n) -> tuple[int, ...]:
+    x = [0] * n
     for row, bv in zip(tab, basis):
-        x[columns[bv]] = Fraction(row[-1], d)
+        x[columns[bv]] = row[-1]
     return tuple(x)
 
 
-def check_solution(rows, rhs, x, objective=None, value=None) -> None:
-    """Raise ``AssertionError`` unless ``x >= 0`` solves the integer system
-    ``rows . x = rhs`` and, with an integer objective, ``objective . x ==
-    value``.  ``x`` is cleared to one denominator ``D``, so the check is
-    ``rows_i . (D x) == rhs_i D`` in integers over the nonzero entries."""
+def check_solution(rows, rhs, x, den, objective=None, value=None) -> None:
+    """Raise ``AssertionError`` unless numerators ``x >= 0`` over ``den > 0``
+    solve the integer system, ``rows_i . x == rhs_i den`` in integers, and,
+    with an integer objective, have ``objective . x == value`` (over ``den``)."""
+    if den <= 0 or any(v < 0 for v in x):
+        raise AssertionError("solution has a negative entry or a nonpositive denominator")
     support = [j for j, v in enumerate(x) if v]
-    if any(x[j] < 0 for j in support):
-        raise AssertionError("solution has a negative entry")
-    D = lcm(*(x[j].denominator for j in support))
-    X = {j: x[j].numerator * (D // x[j].denominator) for j in support}
     for row, b in zip(rows, rhs):
-        if sum(row[j] * X[j] for j in support) != b * D:
+        if sum(row[j] * x[j] for j in support) != b * den:
             raise AssertionError("solution violates rows . x = rhs")
-    if objective is not None and Fraction(
-        sum(objective[j] * X[j] for j in support), D
-    ) != value:
+    if objective is not None and sum(objective[j] * x[j] for j in support) != value:
         raise AssertionError("objective differs from objective . x")
 
 

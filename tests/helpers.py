@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from cohere import (
@@ -269,8 +270,21 @@ def rational_system(rows, rhs, scales):
 # ---------------------------------------------------------------------------
 # Reference LP solver: the Fraction-tableau simplex that `cohere.simplex`
 # replaced with integer pivots.  Differential tests require the engine to
-# return exactly the same `LPResult`.
+# return exactly the same `answer`.
 # ---------------------------------------------------------------------------
+
+def solution(result: LPResult) -> tuple[Fraction, ...]:
+    """A result's solution in fractions: its numerators over ``den``."""
+    return tuple(Fraction(v, result.den) for v in result.x)
+
+
+def answer(result: LPResult) -> tuple:
+    """What an LP result answers: its status, solution in fractions, optimal
+    value and Farkas vector.  Two results that agree on these may still hold
+    their solution over different denominators."""
+    x = None if result.x is None else solution(result)
+    return result.status, x, result.objective, result.farkas
+
 
 def reference_solve_eq_lp(
     rows: Sequence[Sequence[Fraction]],
@@ -281,8 +295,9 @@ def reference_solve_eq_lp(
     """Solve ``{x >= 0 : rows . x = rhs}``, optionally optimizing ``objective``.
 
     With ``objective=None`` only feasibility is decided; the returned ``x`` is
-    then some basic feasible point.  Infeasible systems come back with an
-    exact Farkas certificate for the original (unflipped) rows.
+    then some basic feasible point, as numerators over the lcm of its
+    denominators.  Infeasible systems come back with an exact Farkas
+    certificate for the original (unflipped) rows.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -335,7 +350,7 @@ def reference_solve_eq_lp(
     tab = [row[:n] + [row[ncols]] for row in tab]
 
     if objective is None:
-        return LPResult(status=OPTIMAL, x=_reference_extract(tab, basis, n))
+        return _reference_optimum(tab, basis, n)
 
     if len(objective) != n:
         raise ValueError("objective length does not match the variable count")
@@ -351,7 +366,7 @@ def reference_solve_eq_lp(
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED)
     value = sign * -cost[n]
-    return LPResult(status=OPTIMAL, x=_reference_extract(tab, basis, n), objective=value)
+    return _reference_optimum(tab, basis, n, objective=value)
 
 
 def _reference_iterate(tab, cost, basis, rhs_col, allowed) -> str:
@@ -399,9 +414,11 @@ def _reference_pivot(tab, cost, basis, row, col, rhs_col) -> None:
     basis[row] = col
 
 
-def _reference_extract(tab, basis, n) -> tuple[Fraction, ...]:
+def _reference_optimum(tab, basis, n, objective=None) -> LPResult:
     x = [ZERO] * n
     for r, bv in enumerate(basis):
         if bv < n:
             x[bv] = tab[r][-1]
-    return tuple(x)
+    den = lcm(*(v.denominator for v in x))
+    numerators = tuple(v.numerator * (den // v.denominator) for v in x)
+    return LPResult(status=OPTIMAL, x=numerators, den=den, objective=objective)

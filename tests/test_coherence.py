@@ -474,16 +474,16 @@ class TestEndpointProofs:
             monkeypatch.setattr(cohere.coherence, "_fractional_bounds", corrupt)
         else:
             # B|T = 0 leaves no mass on B, so C|B is taken from the level
-            # below, through the descent's average solution.
+            # below, through the descent's mediant solution.
             target = ce("C", "B", ctx)
             real = cohere.coherence.zero_upper
 
             def corrupt(*args):
-                indices, average = real(*args)
+                indices, mediant = real(*args)
                 assert indices == (1,)
                 if fault == "skipped level":
-                    return (), average
-                return indices, _shifted(average)
+                    return (), mediant
+                return indices, _shifted(mediant)
 
             monkeypatch.setattr(cohere.coherence, "zero_upper", corrupt)
         with pytest.raises(AssertionError, match="solution|extension proof"):
@@ -517,8 +517,10 @@ class TestEndpointProofs:
 
 
 def _shifted(solution):
-    """``solution`` with one more unit of mass on its first constituent."""
-    return (solution[0] + 1,) + tuple(solution[1:])
+    """``solution``, numerators over a denominator, with one more numerator
+    unit on its first constituent."""
+    x, den = solution
+    return (x[0] + 1,) + tuple(x[1:]), den
 
 
 class TestSerialization:
@@ -611,10 +613,10 @@ class TestZeroUpperFromSpread:
                 start = solve_eq_lp(system.matrix, system.rhs, barred=barred, scales=system.scales)
                 if start.status != OPTIMAL:
                     continue
-                indices, average = zero_upper(system, start)
+                indices, (mediant, den) = zero_upper(system, start)
                 assert indices == reference_zero_upper(system, start), a
-                check_solution(system.matrix, system.rhs, average)
-                charged = {h for h, v in enumerate(average) if v}
+                check_solution(system.matrix, system.rhs, mediant, den)
+                charged = {h for h, v in enumerate(mediant) if v}
                 assert indices == tuple(
                     j for j, support in enumerate(system.supports[: len(a.family)])
                     if charged.isdisjoint(support)

@@ -19,7 +19,7 @@ from cohere import (
     parse_event,
     world_equivalent,
 )
-from cohere.events import And, Not, Or
+from cohere.events import MAX_DEPTH, And, Not, Or
 
 from helpers import evaluate, random_event
 
@@ -63,6 +63,38 @@ class TestParser:
         for text in ("A & ~B", "A | (B & C)", "~(A | B) & C", "A & (B & C)", "T | ~F"):
             event = parse_event(text)
             assert parse_event(str(event)) == event
+
+
+def _deep(levels):
+    """Formulas in ``A`` with exactly ``levels`` levels: ``A`` itself, or its
+    negation after an odd number of ``~``."""
+    mixed = ("~(" * levels)[: levels - 1]
+    return {
+        "flat": " & ".join(["A"] * levels),
+        "negations": "~" * (levels - 1) + "A",
+        "parentheses": "(" * (levels - 1) + "A" + ")" * (levels - 1),
+        "negated parentheses": mixed + "A" + ")" * mixed.count("("),
+    }
+
+
+class TestDepthBound:
+    """Formulas exactly at ``MAX_DEPTH`` parse, fold and print under pytest's
+    own stack; one level more is a size limit, raised before any recursion
+    could overflow."""
+
+    @pytest.mark.parametrize("shape", _deep(MAX_DEPTH))
+    def test_at_the_bound_is_accepted(self, shape):
+        ctx = Context(("A", "B"))
+        text = _deep(MAX_DEPTH)[shape]
+        event = parse_event(text, ctx.atoms)
+        negated = text.count("~") % 2
+        assert ctx.mask(event) == ctx.mask(Not(Atom("A")) if negated else Atom("A"))
+        assert parse_event(str(event), ctx.atoms) == event
+
+    @pytest.mark.parametrize("shape", _deep(MAX_DEPTH + 1))
+    def test_beyond_the_bound_is_refused(self, shape):
+        with pytest.raises(SizeLimitError, match=f"more than {MAX_DEPTH} levels"):
+            parse_event(_deep(MAX_DEPTH + 1)[shape])
 
 
 def _random_tree(seed):

@@ -8,6 +8,7 @@ import pytest
 
 from cohere import KBFormatError, SizeLimitError, cli, parse_conditional
 from cohere.cli import MAX_GRID, main
+from cohere.events import MAX_DEPTH
 from cohere.inference import all_ones
 from cohere.oracle import extension_interval_bruteforce
 from cohere.rationals import MAX_DIGITS
@@ -168,6 +169,44 @@ class TestLoadKb:
         with pytest.raises(KBFormatError) as err:
             parse_kb_text("# comment\n\nc: A | T\natoms: A\n")
         assert err.value.line == 3
+
+
+# Each overflowed the stack before the depth bound: a flat conjunction in the
+# mask fold, leading negations and nested parentheses in the parser.
+DEEP_EVENTS = {
+    "flat": " & ".join(["A"] * 986),
+    "negations": "~" * 982 + "A",
+    "parentheses": "(" * 246 + "A" + ")" * 246,
+}
+
+
+class TestDepthLimit:
+    """A formula deeper than ``MAX_DEPTH`` is refused as a size limit, so the
+    CLI reports it and exits 2 instead of failing with a RecursionError."""
+
+    @pytest.mark.parametrize("shape", DEEP_EVENTS)
+    def test_deep_conditional_in_a_file_exits_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "deep.kb"
+        path.write_text(f"atoms: A B\nconditionals:\n  c: {DEEP_EVENTS[shape]} | B = 1/2\n")
+        with pytest.raises(KBFormatError, match=f"more than {MAX_DEPTH}") as err:
+            load_kb(str(path))
+        assert err.value.line == 3
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: event ")
+
+    def test_deep_entails_target_exits_2(self, capsys):
+        target = DEEP_EVENTS["parentheses"].replace("A", "G") + " | L"
+        assert main(["entails", str(LINDA), target]) == 2
+        assert capsys.readouterr().err == (
+            f"error: event nests more than {MAX_DEPTH} levels\n"
+        )
+
+    def test_conditional_at_the_bound_is_checked(self, tmp_path, capsys):
+        path = tmp_path / "bound.kb"
+        flat = " & ".join(["A"] * MAX_DEPTH)
+        path.write_text(f"atoms: A B\nconditionals:\n  c: {flat} | ~B = 1/2\n")
+        assert main(["check", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["coherent"] is True
 
 
 class TestRoundTrip:

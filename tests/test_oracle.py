@@ -175,9 +175,9 @@ class TestZeroUpperAgreement:
             if witness is None or len(system.matrix[0]) > VERTEX_ENUMERATION_LIMIT:
                 continue
             expected = _zero_on_every_vertex(system, system.matrix, system.rhs)
-            found, average = zero_upper(system, system.phase1)
+            found, mediant = zero_upper(system, system.phase1)
             assert found == expected, a
-            _assert_charges_all_but(system, average, expected)
+            _assert_charges_all_but(system, mediant, expected)
             plain += 1
 
             target = random_conditional(rng, a.context)
@@ -197,20 +197,21 @@ class TestZeroUpperAgreement:
                 system.matrix + (tuple(_indicator(den, len(system.matrix[0]))),),
                 system.rhs + (Fr(0),),
             )
-            found, average = zero_upper(system, start)
+            found, mediant = zero_upper(system, start)
             assert found == expected, (a, target)
-            _assert_charges_all_but(system, average, expected)
-            assert all(average[h] == 0 for h in den)
+            _assert_charges_all_but(system, mediant, expected)
+            assert all(mediant[0][h] == 0 for h in den)
             pinned += 1
         assert plain > 40 and pinned > 20
 
 
 def _assert_charges_all_but(system, solution, indices):
-    """``solution`` solves the system and charges exactly the antecedents
-    outside ``indices``."""
-    assert all(v >= 0 for v in solution)
+    """``solution``, numerators over a denominator, solves the system and
+    charges exactly the antecedents outside ``indices``."""
+    solution, den = solution
+    assert den > 0 and all(v >= 0 for v in solution)
     for row, b in zip(system.matrix, system.rhs):
-        assert sum(q * v for q, v in zip(row, solution)) == b
+        assert sum(q * v for q, v in zip(row, solution)) == b * den
     uncharged = tuple(
         j
         for j in range(len(system.matrix) - 1)

@@ -11,7 +11,15 @@ import pytest
 import cohere.coherence
 import cohere.simplex
 import helpers
-from cohere import IncoherentAssessmentError, build_sigma, check_coherence, extension_interval
+from cohere import (
+    Assessment,
+    Context,
+    IncoherentAssessmentError,
+    build_sigma,
+    check_coherence,
+    extension_interval,
+    parse_conditional,
+)
 from cohere.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -23,10 +31,12 @@ from cohere.simplex import (
     solve_eq_lp,
 )
 from helpers import (
+    answer,
     random_assessment,
     random_conditional,
     rational_system,
     reference_solve_eq_lp,
+    solution,
 )
 
 
@@ -47,12 +57,13 @@ class TestFeasibility:
     def test_simplex_point(self):
         res = solve_eq_lp([F(1, 1, 1)], F(1))
         assert res.status == OPTIMAL
-        assert sum(res.x) == 1 and all(v >= 0 for v in res.x)
+        x = solution(res)
+        assert sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_two_equations(self):
         res = solve_eq_lp([F(1, 0), F(1, 1)], F("1/2", 1))
         assert res.status == OPTIMAL
-        assert res.x == (Fr(1, 2), Fr(1, 2))
+        assert solution(res) == (Fr(1, 2), Fr(1, 2))
 
     def test_infeasible_sign(self):
         # x1 + x2 = -1 has no nonnegative solution
@@ -92,9 +103,10 @@ class TestFarkas:
             rhs = [Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
             res = solve_eq_lp(rows, rhs)
             if res.status == OPTIMAL:
+                x = solution(res)
                 for row, b in zip(rows, rhs):
-                    assert sum(c * v for c, v in zip(row, res.x)) == b
-                assert all(v >= 0 for v in res.x)
+                    assert sum(c * v for c, v in zip(row, x)) == b
+                assert all(v >= 0 for v in x)
             else:
                 assert res.status == INFEASIBLE
                 seen_infeasible += 1
@@ -180,7 +192,7 @@ class TestOptimization:
         res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=True)
         assert res.status == OPTIMAL
         assert res.objective == 3
-        assert res.x == (0, 0, 1)
+        assert solution(res) == (0, 0, 1)
 
     def test_minimize_on_simplex(self):
         res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=False)
@@ -203,7 +215,7 @@ class TestOptimization:
         res = solve_eq_lp(rows, rhs).optimize(F("1/13", "3/5", "7/17"), maximize=True)
         assert res.status == OPTIMAL
         for row, b in zip(rows, rhs):
-            assert sum(c * v for c, v in zip(row, res.x)) == b
+            assert sum(c * v for c, v in zip(row, solution(res))) == b
 
     def test_random_optima_are_consistent(self):
         # maximization and minimization bracket any feasible value
@@ -219,7 +231,7 @@ class TestOptimization:
             hi = feas.optimize(obj, maximize=True)
             lo = feas.optimize(obj, maximize=False)
             assert hi.status == lo.status == OPTIMAL
-            value = sum(c * v for c, v in zip(obj, feas.x))
+            value = sum(c * v for c, v in zip(obj, solution(feas)))
             assert lo.objective <= value <= hi.objective
 
 
@@ -279,7 +291,7 @@ class TestReferenceAgreement:
             rows, rhs, objective, maximize, kinds = _random_system(rng)
             got = solve(rows, rhs, objective, maximize)
             want = reference_solve_eq_lp(rows, rhs, objective, maximize)
-            assert got == want and repr(got) == repr(want)
+            assert answer(got) == answer(want) and repr(answer(got)) == repr(answer(want))
             statuses[got.status] += 1
             for kind in kinds:
                 kinds_seen[kind] = kinds_seen.get(kind, 0) + 1
@@ -327,7 +339,7 @@ class TestReferenceAgreement:
         for rows, rhs, barred, result in starts.values():
             if not barred:
                 want = reference_solve_eq_lp(rows, rhs)
-                assert want == result and repr(want) == repr(result)
+                assert answer(want) == answer(result) and repr(answer(want)) == repr(answer(result))
                 continue
             assert reference_solve_eq_lp(*pinned(rows, rhs, barred)).status == result.status
             if result.x is not None:
@@ -336,7 +348,7 @@ class TestReferenceAgreement:
         for (rows, rhs, barred, _), objective, maximize, result in optima:
             if not barred:
                 want = reference_solve_eq_lp(rows, rhs, objective, maximize)
-                assert want == result and repr(want) == repr(result)
+                assert answer(want) == answer(result) and repr(answer(want)) == repr(answer(result))
                 continue
             barred_optima += 1
             want = reference_solve_eq_lp(*pinned(rows, rhs, barred), objective, maximize)
@@ -370,12 +382,12 @@ class TestReferenceAgreement:
         recording(cohere.simplex, "_pivot", "engine")
         recording(helpers, "_reference_pivot", "reference")
         res = solve_eq_lp(rows, rhs).optimize(objective)
-        assert res == reference_solve_eq_lp(rows, rhs, objective)
+        assert answer(res) == answer(reference_solve_eq_lp(rows, rhs, objective))
         assert pivots["engine"] == pivots["reference"]
         assert len(pivots["engine"]) == 6
         assert res.status == OPTIMAL
         assert res.objective == Fr(-1, 20)
-        assert res.x == tuple(F("1/25", 0, 1, 0, "3/100", 0, 0))
+        assert solution(res) == tuple(F("1/25", 0, 1, 0, "3/100", 0, 0))
 
 
 class TestPhase1Reuse:
@@ -394,7 +406,7 @@ class TestPhase1Reuse:
                 got = [start.optimize(obj, maximize) for _ in range(2)]
                 want = solve_eq_lp(rows, rhs).optimize(obj, maximize)
                 assert got == [want, want] and repr(got) == repr([want, want])
-                assert want == reference_solve_eq_lp(rows, rhs, obj, maximize)
+                assert answer(want) == answer(reference_solve_eq_lp(rows, rhs, obj, maximize))
             assert start == solve_eq_lp(rows, rhs)
             optimized += 1
         assert optimized > 50
@@ -413,7 +425,7 @@ class TestPhase1Reuse:
         res = solve_eq_lp(rows, rhs, barred={1})
         assert res.status == OPTIMAL and res.x[1] == 0
         best = res.optimize(F(0, 1, 1), maximize=True)
-        assert best.objective == Fr(1, 4) and best.x == (Fr(3, 4), 0, Fr(1, 4))
+        assert best.objective == Fr(1, 4) and solution(best) == (Fr(3, 4), 0, Fr(1, 4))
 
     @pytest.mark.parametrize(
         "rows, rhs, barred",
@@ -450,15 +462,16 @@ def _basis_coordinates(rows, basis, col):
 
 
 def _assert_spread(rows, rhs, barred, start, seen):
-    """``start.spread()`` is the average of ``start.x`` and the basic
-    solutions that one non-degenerate pivot reaches, recomputed in fractions
-    from the rational ``rows``; it solves the system, is positive wherever
-    ``x`` is and on every column such a pivot brings in, and is zero on the
-    barred columns.  ``seen`` counts the columns brought in, and those whose
-    ratio test is degenerate."""
-    point = start.spread()
-    check_solution(*integer_rows(rows, rhs)[:2], point)
-    x, columns = start.x, start.tableau.columns
+    """``start.spread()`` solves the system in integers and has the support
+    of the average of ``start.x`` and the basic solutions that one
+    non-degenerate pivot reaches, recomputed in fractions from the rational
+    ``rows``; it is positive wherever ``x`` is and on every column such a
+    pivot brings in, and is zero on the barred columns.  ``seen`` counts the
+    columns brought in, and those whose ratio test is degenerate."""
+    numerators, den = start.spread()
+    check_solution(*integer_rows(rows, rhs)[:2], numerators, den)
+    point = tuple(Fr(v, den) for v in numerators)
+    x, columns = solution(start), start.tableau.columns
     basis = [columns[b] for b in start.tableau.basis]
     neighbours = []
     for c in set(columns) - set(basis):
@@ -475,7 +488,8 @@ def _assert_spread(rows, rhs, barred, start, seen):
         neighbours.append(y)
         assert point[c] > 0
     total = [sum(vs) for vs in zip(x, *neighbours)]
-    assert point == tuple(v / (len(neighbours) + 1) for v in total)
+    average = [v / (len(neighbours) + 1) for v in total]
+    assert [v > 0 for v in point] == [v > 0 for v in average]
     assert all(point[j] > 0 for j, v in enumerate(x) if v)
     assert all(point[j] == 0 for j in barred)
     seen["reached"] += len(neighbours)
@@ -514,6 +528,22 @@ class TestSpread:
                     _assert_spread(rows, rhs, barred, start, seen)
         assert min(seen.values()) > 50, seen
 
+    def test_chain_spread_denominator_stays_near_d(self):
+        # c_i: X_i | X_{i+1} = 1/(10**(D+1) + i + 3), i = 0..5.  The mediant's
+        # denominator d + sum(p) needs a few bits more than d (226 against
+        # 220); an average over d lcm(p) k needs 12533, and 231524 against
+        # 4007 at D = 200, which made `check` seven times slower there.
+        D = 10
+        ctx = Context(tuple(f"X{i}" for i in range(7)))
+        family = tuple(parse_conditional(f"X{i} | X{i + 1}", ctx) for i in range(6))
+        probs = tuple(Fr(1, 10 ** (D + 1) + i + 3) for i in range(6))
+        system = build_sigma(Assessment(family, probs))
+        start = system.phase1
+        numerators, den = start.spread()
+        check_solution(system.matrix, system.rhs, numerators, den)
+        assert start.den.bit_length() == 220
+        assert den.bit_length() <= start.den.bit_length() + 8
+
     def test_spread_needs_a_feasible_start(self):
         with pytest.raises(ValueError):
             solve_eq_lp([F(1, 1)], F(-1)).spread()
@@ -529,7 +559,7 @@ class TestResultChecks:
             # still feasible, but the objective no longer matches
             ([F(1, 1)], F(1), F(1, 2), lambda x: x[::-1]),
             # rows . x = rhs holds, but an entry is negative
-            ([F(1, -1)], F(0), None, lambda x: (Fr(-1), Fr(-1))),
+            ([F(1, -1)], F(0), None, lambda x: (-1, -1)),
         ],
     )
     def test_corrupted_solution_raises(self, monkeypatch, rows, rhs, objective, perturb):

@@ -90,7 +90,9 @@ farkas = system.phase1.farkas
 system.__dict__["phase1"] = LPResult(status=INFEASIBLE, farkas=tuple(-y for y in farkas))
 print(sys.flags.optimize, sound, [
     # x = (1, 1) misses x1 + x2 = 1
-    raises(lambda: check_solution([[1, 1]], [1], (Fr(1), Fr(1)))),
+    raises(lambda: check_solution([[1, 1]], [1], (1, 1), 1)),
+    # numerators (0, 0) meet x1 + x2 = 1 times a zero denominator
+    raises(lambda: check_solution([[1, 1]], [1], (0, 0), 0)),
     # y = (1, 1) on x1 + x2 = 1, x1 + x2 = 2 gives y.A > 0
     raises(lambda: _check_farkas([[1, 1], [1, 1]], [1, 2], [1, 1], [1, 1])),
     # negated stakes lose on every constituent
@@ -108,18 +110,17 @@ def test_exact_checks_raise_under_python_O():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "True", "[True,", "True,", "True]"]
+    assert done.stdout.split() == ["1", "True", "[True,", "True,", "True,", "True]"]
 
 
 SPREAD_CHECK_UNDER_O = """
 import sys
-from fractions import Fraction as Fr
 from cohere.simplex import solve_eq_lp
 
-# x1 + x2 + x3 = 1 from basis {x1} spreads to (1/3, 1/3, 1/3); doubling the
-# entry of x2 halves its step and leaves the average off the row.
+# x1 + x2 + x3 = 1 from basis {x1} spreads to (1, 1, 1) over 3; doubling the
+# entry of x2 halves its step and leaves the mediant off the row.
 start = solve_eq_lp([[1, 1, 1]], [1])
-sound = start.tableau.basis == [0] and start.spread() == (Fr(1, 3),) * 3
+sound = start.tableau.basis == [0] and start.spread() == ((1, 1, 1), 3)
 start.tableau.tab[0][1] *= 2
 try:
     start.spread()
