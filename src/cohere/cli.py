@@ -18,8 +18,7 @@ from .conditionals import (
     TruthValue3,
     constituents,
     parse_conditional,
-    quasi_conjunction,
-    quasi_disjunction,
+    quasi_masks,
 )
 from .errors import CohereError, SizeLimitError
 from .inference import (
@@ -293,8 +292,7 @@ def _cmd_truth_table(args) -> int:
         raise CohereError(f"unknown conditionals: {', '.join(unknown)}")
     members = [kb.get(name) for name in names]
     cs = constituents(members)
-    qc = quasi_conjunction(members)
-    qd = quasi_disjunction(members)
+    qc, qd = quasi_masks(members)
     ordered = list(zip(cs.inside, cs.profiles))
     if cs.c0:
         ordered.insert(0, (cs.c0, (TruthValue3.VOID,) * len(members)))
@@ -322,10 +320,11 @@ def _cmd_truth_table(args) -> int:
     return 0
 
 
-def _value_at(ce, bit: int) -> str:
-    """``ce``'s truth value at the assignment whose bit is ``bit``: VOID,
-    raised by one where ``ce`` is verified and lowered by one where falsified."""
-    verifying, falsifying = ce.masks
+def _value_at(masks: tuple[int, int], bit: int) -> str:
+    """The truth value, at the assignment whose bit is ``bit``, of the
+    conditional with ``(verifying, falsifying)`` masks ``masks``: VOID,
+    raised by one where it is verified and lowered by one where falsified."""
+    verifying, falsifying = masks
     return str(TruthValue3(1 + bool(verifying & bit) - bool(falsifying & bit)))
 
 

@@ -119,16 +119,39 @@ def quasi_disjunction(family: Sequence[ConditionalEvent]) -> ConditionalEvent:
     return ConditionalEvent(consequent, antecedent, ctx)
 
 
-def gn_includes(a: ConditionalEvent, b: ConditionalEvent) -> bool:
+def quasi_masks(family: Sequence[ConditionalEvent]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ``(verifying, falsifying)`` masks of the quasi conjunction and of
+    the quasi disjunction of ``family``, from the members' masks alone, so
+    no formula is built however large the family.  Member i verifies
+    ``V_i`` and falsifies ``F_i``, and its antecedent holds on ``V_i | F_i``:
+    the quasi conjunction falsifies the union of the ``F_i`` and verifies
+    the rest of the antecedents' union; the quasi disjunction verifies the
+    union of the ``V_i`` and falsifies the rest."""
+    _shared_context(family)
+    verifying = falsifying = 0
+    for ce in family:
+        v, f = ce.masks
+        verifying |= v
+        falsifying |= f
+    antecedent = verifying | falsifying
+    return (antecedent & ~falsifying, falsifying), (verifying, antecedent & ~verifying)
+
+
+def gn_includes(
+    a: ConditionalEvent | tuple[int, int], b: ConditionalEvent | tuple[int, int]
+) -> bool:
     """Goodman-Nguyen inclusion: the truth value of ``a`` never exceeds the
     truth value of ``b`` under false < void < true.
 
     Equivalently, every world falsifying ``b`` falsifies ``a``, and every
-    world verifying ``a`` verifies ``b``.
+    world verifying ``a`` verifies ``b``.  Either side may be given by its
+    ``(verifying, falsifying)`` masks in the other's context, as
+    :func:`quasi_masks` returns them.
     """
-    _shared_context([a, b])
-    a_verifying, a_falsifying = a.masks
-    b_verifying, b_falsifying = b.masks
+    if isinstance(a, ConditionalEvent) and isinstance(b, ConditionalEvent):
+        _shared_context([a, b])
+    a_verifying, a_falsifying = getattr(a, "masks", a)
+    b_verifying, b_falsifying = getattr(b, "masks", b)
     return not (b_falsifying & ~a_falsifying or a_verifying & ~b_verifying)
 
 

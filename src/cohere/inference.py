@@ -26,7 +26,7 @@ from .conditionals import (
     ConditionalEvent,
     _shared_context,
     gn_includes,
-    quasi_conjunction,
+    quasi_masks,
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
 from .events import Atom, Context
@@ -160,7 +160,7 @@ def p_entails_qc(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
     if not falsifying:
         return True
     kept = _tolerance_test([(v & ~verifying, f) for v, f in (ce.masks for ce in members)])
-    return bool(kept) and gn_includes(quasi_conjunction([members[i] for i in kept]), target)
+    return bool(kept) and gn_includes(quasi_masks([members[i] for i in kept])[0], target)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cohere import (
     quasi_conjunction,
     quasi_disjunction,
 )
+from cohere.conditionals import quasi_masks
 
 from helpers import evaluate, random_conditional, truth_table_equal, truth_value
 
@@ -260,6 +261,29 @@ class TestAlgebraicLaws:
         for w in ctx.worlds:
             assert truth_value(qc, w) <= truth_value(qd, w)
         assert gn_includes(qc, qd)
+
+    @given(st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_quasi_masks_match_the_built_connectives(self, seed):
+        # The masks read off the members equal those of the formulas that
+        # quasi_conjunction and quasi_disjunction build, and gn_includes
+        # takes them in place of the conditionals.
+        rng = random.Random(seed)
+        ctx = Context(("A", "B", "C", "D"))
+        family = [random_conditional(rng, ctx) for _ in range(rng.randint(1, 5))]
+        qc, qd = quasi_masks(family)
+        assert (qc, qd) == (quasi_conjunction(family).masks, quasi_disjunction(family).masks)
+        other = random_conditional(rng, ctx)
+        for built, masks in ((quasi_conjunction(family), qc), (quasi_disjunction(family), qd)):
+            assert gn_includes(masks, other) == gn_includes(built, other)
+            assert gn_includes(other, masks) == gn_includes(other, built)
+
+    def test_quasi_masks_of_a_deep_family(self):
+        # 1200 members would fold a formula 1200 levels deep; their masks
+        # need no formula.
+        ctx = Context(("A", "B"))
+        c = ce("A", "B", ctx)
+        assert quasi_masks([c] * 1200) == (c.masks, c.masks)
 
 
 # Reference table for two independent conditionals: constituent, A|H, B|K,

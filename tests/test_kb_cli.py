@@ -302,6 +302,20 @@ class TestCli:
         assert main(["entails", str(path), "A1 | T", "--method", "qc"]) == 0
         assert capsys.readouterr().out.strip() == "NOT P-ENTAILED"
 
+    def test_qc_and_truth_table_on_a_large_family(self, capsys, tmp_path):
+        # 1200 copies of one conditional: the quasi connectives' masks come
+        # from the members', so no 1200-level formula is folded.
+        path = tmp_path / "copies.kb"
+        path.write_text(
+            "atoms: A B\nconditionals:\n" + "".join(f"  c{i}: A | B\n" for i in range(1200))
+        )
+        assert main(["entails", str(path), "A | B", "--method", "qc"]) == 0
+        assert capsys.readouterr().out.strip() == "P-ENTAILED"
+        assert main(["truth-table", str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {(row["C"], row["D"]) for row in rows} == {("True", "True"), ("False", "False"), ("Void", "Void")}
+        assert all(set(row["values"]) == {row["C"]} for row in rows)
+
     def test_check_coherent(self, capsys):
         assert main(["check", str(KB_DIR / "gn_chain.kb")]) == 0
         assert capsys.readouterr().out.strip() == "COHERENT"

@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Fr
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -172,14 +172,17 @@ class TestFarkas:
     def test_corrupted_engine_certificate_raises(self, monkeypatch, entry, corrupt):
         # x1 + x2 = 1 and x1 + x2 = 2 have the tight certificate y = (-1, 1).
         # y_i = d - cost[k + i] (no row is flipped), so corrupting the phase-1
-        # cost row after the last pivot corrupts the certificate.
+        # cost row, packed last in the tableau, after the last pivot
+        # corrupts the certificate.
         rows, rhs = [F(1, 1), F(1, 1)], F(1, 2)
         assert solve_eq_lp(rows, rhs).farkas == (-1, 1)
         iterate = cohere.simplex._iterate
 
-        def corrupted(tab, cost, basis, n, d):
-            status, d = iterate(tab, cost, basis, n, d)
+        def corrupted(tab, basis, n, d, fields):
+            status, d = iterate(tab, basis, n, d, fields)
+            cost = fields.unpack(tab[-1])
             cost[n + entry] = corrupt(cost[n + entry], d)
+            tab[-1] = fields.pack(cost)
             return status, d
 
         monkeypatch.setattr(cohere.simplex, "_iterate", corrupted)
@@ -280,6 +283,25 @@ def _random_system(rng):
     return rows, rhs, objective, maximize, kinds
 
 
+def _record_pivots(monkeypatch):
+    """Record each ``(row, col, basis)`` that the engine's ``_pivot`` and
+    the reference's ``_reference_pivot`` pivot on, before the pivot."""
+    pivots = {"engine": [], "reference": []}
+    engine, reference = cohere.simplex._pivot, helpers._reference_pivot
+
+    def engine_pivot(tab, basis, row, col, *rest):
+        pivots["engine"].append((row, col, tuple(basis)))
+        return engine(tab, basis, row, col, *rest)
+
+    def reference_pivot(tab, cost, basis, row, col, *rest):
+        pivots["reference"].append((row, col, tuple(basis)))
+        return reference(tab, cost, basis, row, col, *rest)
+
+    monkeypatch.setattr(cohere.simplex, "_pivot", engine_pivot)
+    monkeypatch.setattr(helpers, "_reference_pivot", reference_pivot)
+    return pivots
+
+
 class TestReferenceAgreement:
     """The integer tableau must pivot exactly as the Fraction tableau did."""
 
@@ -368,19 +390,7 @@ class TestReferenceAgreement:
         ]
         rhs = F(0, 0, 1)
         objective = F("-3/4", 150, "-1/50", 6, 0, 0, 0)
-        pivots = {"engine": [], "reference": []}
-
-        def recording(module, name, key):
-            pivot = getattr(module, name)
-
-            def record(tab, cost, basis, row, col, *rest):
-                pivots[key].append((row, col, tuple(basis)))
-                return pivot(tab, cost, basis, row, col, *rest)
-
-            monkeypatch.setattr(module, name, record)
-
-        recording(cohere.simplex, "_pivot", "engine")
-        recording(helpers, "_reference_pivot", "reference")
+        pivots = _record_pivots(monkeypatch)
         res = solve_eq_lp(rows, rhs).optimize(objective)
         assert answer(res) == answer(reference_solve_eq_lp(rows, rhs, objective))
         assert pivots["engine"] == pivots["reference"]
@@ -388,6 +398,141 @@ class TestReferenceAgreement:
         assert res.status == OPTIMAL
         assert res.objective == Fr(-1, 20)
         assert solution(res) == tuple(F("1/25", 0, 1, 0, "3/100", 0, 0))
+
+
+def _hadamard_bound(rows, rhs, scales):
+    """``prod_i ||[M_i | s_i | b_i]||_2``, rounded up, from its definition."""
+    square = 1
+    for row, b, s in zip(rows, rhs, scales):
+        square *= sum(v * v for v in row) + s * s + b * b
+    root = isqrt(square)
+    return root if root * root == square else root + 1
+
+
+def _dominant_system(rng, big):
+    """Integer rows with scales whose tableau entries come near the Hadamard
+    bound: row i has a diagonal entry of size about ``big`` and small
+    entries elsewhere, small scales, and a right-hand side of either sign."""
+    m = rng.randint(1, 4)
+    n = m + rng.randint(0, 4)
+    rows, rhs, scales = [], [], []
+    for i in range(m):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        row[i] = rng.choice((-1, 1)) * rng.randint(big // 2, big)
+        rows.append(row)
+        rhs.append(rng.randint(-big, big))
+        scales.append(rng.randint(1, 5))
+    return rows, rhs, scales
+
+
+def _scaled_to(rows, rhs, scales, bits):
+    """The same rational system with row 0, its right-hand side and its
+    scale times some ``t``, chosen so that phase 1's bound ``(m + 1) H`` has
+    exactly ``bits`` bits."""
+    m = len(rows)
+    t = (3 << bits - 2) // ((m + 1) * _hadamard_bound(rows, rhs, scales))
+    assert t > 1
+    while True:
+        system = (
+            [[t * v for v in rows[0]], *rows[1:]],
+            [t * rhs[0], *rhs[1:]],
+            [t * scales[0], *scales[1:]],
+        )
+        got = ((m + 1) * _hadamard_bound(*system)).bit_length()
+        if got == bits:
+            return system
+        t += 1 if got < bits else -1
+
+
+class TestPackedFields:
+    """Each row is one integer of fixed-width fields, as wide as the
+    Hadamard bound needs; these systems put that bound at its edges, and
+    the engine must still answer, and pivot, exactly as the reference."""
+
+    def test_edges_of_the_bound_match_reference(self, monkeypatch):
+        fields_made, pivots, peaks = [], {"engine": [], "reference": []}, []
+        packing, engine, reference = cohere.simplex._Fields, cohere.simplex._pivot, helpers._reference_pivot
+
+        class Recording(packing):
+            __slots__ = ()
+
+            def __init__(self, bits, width):
+                super().__init__(bits, width)
+                fields_made.append(self)
+
+        def engine_pivot(tab, basis, row, col, *rest):
+            pivots["engine"].append((row, col, tuple(basis)))
+            d = engine(tab, basis, row, col, *rest)
+            # How close the widest entry comes to the edge of the fields in
+            # use, the last laid out.
+            fields = fields_made[-1]
+            peaks.append(max(abs(v) for r in tab for v in fields.unpack(r)).bit_length() - fields.bits)
+            return d
+
+        def reference_pivot(tab, cost, basis, row, col, rhs_col):
+            pivots["reference"].append((row, col, tuple(basis)))
+            return reference(tab, cost, basis, row, col, rhs_col)
+
+        monkeypatch.setattr(cohere.simplex, "_Fields", Recording)
+        monkeypatch.setattr(cohere.simplex, "_pivot", engine_pivot)
+        monkeypatch.setattr(helpers, "_reference_pivot", reference_pivot)
+
+        # Phase 1's bound of each bit length here needs fields of this width:
+        # 31 and 63 bits fill a machine word, 32 and 64 just overflow one.
+        widths = {31: 32, 32: 64, 63: 64, 64: 72}
+        rng = random.Random(64)
+        seen = Counter()
+        for case in range(750):
+            kind = (*widths, "long")[case % 5]
+            if kind == "long":
+                # Long rationals: entries and scales of about 130 bits.
+                rows, rhs, scales = _dominant_system(rng, 10**40)
+                scales = [s * rng.randint(1, 10**38) for s in scales]
+            else:
+                rows, rhs, scales = _scaled_to(*_dominant_system(rng, 1 << kind // 5), kind)
+            m, n = len(rows), len(rows[0])
+            barred = sorted(rng.sample(range(n), rng.randint(1, n - 1))) if n > 1 and rng.random() < 0.3 else []
+            columns = [j for j in range(n) if j not in barred]
+            objective = None
+            if rng.random() < 0.7:
+                # Not an indicator: large weights and denominators.
+                objective = [Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(n)]
+            maximize = rng.random() < 0.5
+
+            del fields_made[:], pivots["engine"][:], pivots["reference"][:], peaks[:]
+            got = solve(rows, rhs, objective, maximize, barred=barred, scales=scales)
+            engine_fields = [fields.bits for fields in fields_made]
+            # Barring a column is deleting it, so the reference runs on the
+            # rational system without the barred columns.
+            rational, frhs = rational_system(rows, rhs, scales)
+            want = reference_solve_eq_lp(
+                [[row[j] for j in columns] for row in rational], frhs,
+                None if objective is None else [objective[j] for j in columns], maximize,
+            )
+            status, x, value, farkas = answer(want)
+            if x is not None:
+                full = [Fr(0)] * n
+                for j, v in zip(columns, x):
+                    full[j] = v
+                x = tuple(full)
+            assert answer(got) == (status, x, value, farkas)
+            assert repr(answer(got)) == repr((status, x, value, farkas))
+            assert pivots["engine"] == pivots["reference"]
+
+            phase1 = engine_fields[0]
+            if kind == "long":
+                assert phase1 > 72
+            else:
+                assert phase1 == widths[kind]
+                if phase1 == kind + 1:
+                    seen["near the edge"] += bool(peaks) and max(peaks) >= -3
+            seen[kind] += 1
+            seen["widened"] += any(bits > phase1 for bits in engine_fields)
+            seen["barred"] += bool(barred)
+            seen["negative rhs"] += any(b < 0 for b in rhs)
+            seen["phase 2"] += objective is not None and got.status != INFEASIBLE
+            seen[got.status] += 1
+        assert min(seen.values()) > 30 and len(seen) == 13, seen
 
 
 class TestPhase1Reuse:
@@ -401,6 +546,8 @@ class TestPhase1Reuse:
             start = solve_eq_lp(rows, rhs)
             if start.status != OPTIMAL:
                 continue
+            kept = start.tableau
+            before = [kept.fields.unpack(row) for row in kept.tab], kept.basis[:], kept.d
             objectives = (objective or [Fr(1)] * len(rows[0]), [Fr(-1)] * len(rows[0]))
             for obj, maximize in zip(objectives, (True, False)):
                 got = [start.optimize(obj, maximize) for _ in range(2)]
@@ -408,6 +555,7 @@ class TestPhase1Reuse:
                 assert got == [want, want] and repr(got) == repr([want, want])
                 assert answer(want) == answer(reference_solve_eq_lp(rows, rhs, obj, maximize))
             assert start == solve_eq_lp(rows, rhs)
+            assert ([kept.fields.unpack(row) for row in kept.tab], kept.basis, kept.d) == before
             optimized += 1
         assert optimized > 50
 

@@ -118,10 +118,14 @@ import sys
 from cohere.simplex import solve_eq_lp
 
 # x1 + x2 + x3 = 1 from basis {x1} spreads to (1, 1, 1) over 3; doubling the
-# entry of x2 halves its step and leaves the mediant off the row.
+# entry of x2, in the tableau's packed first row, halves its step and leaves
+# the mediant off the row.
 start = solve_eq_lp([[1, 1, 1]], [1])
 sound = start.tableau.basis == [0] and start.spread() == ((1, 1, 1), 3)
-start.tableau.tab[0][1] *= 2
+fields, tab = start.tableau.fields, start.tableau.tab
+row = fields.unpack(tab[0])
+row[1] *= 2
+tab[0] = fields.pack(row)
 try:
     start.spread()
 except AssertionError as error:
