@@ -39,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
 from typing import Sequence
 
 from .conditionals import (
     ConditionalEvent,
-    TruthValue3,
     _shared_context,
     constituents,
 )
@@ -55,6 +55,9 @@ from .simplex import OPTIMAL, LPResult, Solution, check_solution, solve_eq_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Indexed by a TruthValue3: whether it is not void, and whether it is true.
+_NOT_VOID = (1, 0, 1)
+_TRUE = (0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,18 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
     cs = constituents(members)
     # Member j's truth values; each IntEnum value indexes (0, num, den).
     columns = tuple(zip(*cs.profiles))
-    entries = [(0, p.numerator, p.denominator) for p in a.probs]
-    matrix = tuple(tuple(e[v] for v in column) for column, e in zip(columns, entries))
-    supports = tuple(tuple(h for h, v in enumerate(c) if v != TruthValue3.VOID) for c in columns)
+    matrix = tuple(
+        tuple(map((0, p.numerator, p.denominator).__getitem__, column))
+        for column, p in zip(columns, a.probs)
+    )
+    constituent_indices = range(len(cs.inside))
+    supports = tuple(
+        tuple(compress(constituent_indices, map(_NOT_VOID.__getitem__, column)))
+        for column in columns
+    )
     target_true = ()
     if target is not None:
-        target_true = tuple(h for h, v in enumerate(columns[-1]) if v == TruthValue3.TRUE)
+        target_true = tuple(compress(constituent_indices, map(_TRUE.__getitem__, columns[-1])))
     return SigmaSystem(
         matrix=matrix + ((1,) * len(cs.inside),),
         rhs=tuple(p.numerator for p in a.probs) + (1,),

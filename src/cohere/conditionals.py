@@ -17,8 +17,7 @@ antecedent mask is an impossible antecedent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EventSyntaxError, ImpossibleAntecedentError, SizeLimitError
@@ -48,34 +47,31 @@ class TruthValue3(enum.IntEnum):
 class ConditionalEvent:
     """A pair consequent-given-antecedent, valid in a fixed context.
 
-    Construction computes :attr:`masks`, consequent first, which rejects
-    undeclared atoms; the antecedent must then be possible.
+    Construction computes :attr:`masks` once, the ``(verifying,
+    falsifying)`` bitsets over the context's assignments: bit k is set when
+    assignment k is admissible and makes ``E & H``, respectively ``~E & H``,
+    true.  Both come from the folded consequent and antecedent, consequent
+    first, with no world visited; the fold rejects undeclared atoms, and the
+    antecedent must then be possible.  The masks take no part in equality.
     """
 
     consequent: Event
     antecedent: Event
     context: Context
+    masks: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        verifying, falsifying = self.masks
-        if not verifying | falsifying:
+        consequent = self.context.mask(self.consequent)
+        antecedent = self.context.mask(self.antecedent)
+        if not antecedent:
             raise ImpossibleAntecedentError(
                 f"antecedent {self.antecedent} is impossible in this context"
             )
+        verifying = antecedent & consequent
+        object.__setattr__(self, "masks", (verifying, antecedent ^ verifying))
 
     def __str__(self) -> str:
         return f"{self.consequent} | {self.antecedent}"
-
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """``(verifying, falsifying)`` bitsets over the context's assignments:
-        bit k is set when assignment k is admissible and makes ``E & H``,
-        respectively ``~E & H``, true.  Both come from the compiled
-        antecedent and consequent, with no world visited."""
-        consequent = self.context.mask(self.consequent)
-        antecedent = self.context.mask(self.antecedent)
-        verifying = antecedent & consequent
-        return verifying, antecedent ^ verifying
 
 
 def negate(ce: ConditionalEvent) -> ConditionalEvent:
@@ -88,7 +84,7 @@ def _shared_context(family: Sequence[ConditionalEvent]) -> Context:
         raise ValueError("family must be nonempty")
     ctx = family[0].context
     for ce in family[1:]:
-        if ce.context != ctx:
+        if ce.context is not ctx and ce.context != ctx:
             raise ValueError("conditional events must share one context")
     return ctx
 
@@ -269,19 +265,18 @@ def parse_conditional(text: str, context: Context) -> ConditionalEvent:
     belong to the antecedent.  ``(A | B) | H`` therefore denotes the
     disjunction of A and B conditioned on H.
     """
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
+    i = text.find("|")
+    while i >= 0:
+        # Depth zero: as many parentheses close before the bar as open.
+        if text.count("(", 0, i) == text.count(")", 0, i):
             try:
                 consequent = parse_event(text[:i], context.atoms)
                 antecedent = parse_event(text[i + 1:], context.atoms)
             except EventSyntaxError:
-                continue
-            return ConditionalEvent(consequent, antecedent, context)
+                pass
+            else:
+                return ConditionalEvent(consequent, antecedent, context)
+        i = text.find("|", i + 1)
     raise EventSyntaxError(
         "expected a conditional of the form 'consequent | antecedent'", len(text)
     )

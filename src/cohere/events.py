@@ -11,9 +11,16 @@ by bit operations on these masks, which is exact at desk scale, and no
 :class:`World` is built for them.  The fold is the only evaluator of an
 event, and it is also the check for undeclared atoms: an atom missing from
 the context fails its lookup, and :meth:`Context.mask` reports it as an
-:class:`UnknownAtomError`.  :func:`enumerate_worlds` only decodes a bitset
-into worlds, on demand through :meth:`Context.worlds_in`;
+:class:`UnknownAtomError`.  A context folds its constraints once, when it
+is built, so the same lookup checks them.  :func:`enumerate_worlds` only
+decodes a bitset into worlds, on demand through :meth:`Context.worlds_in`;
 ``Context(atoms, constraints).worlds`` lists the admissible worlds.
+
+:func:`parse_event` splits the text into one token list with a single
+regular expression, a name or any other character that is not white
+space, and reads it left to right with an explicit stack of open
+parentheses, so no call is made per character or per level.  Errors carry
+the character position of the offending token.
 
 Grammar accepted by :func:`parse_event`::
 
@@ -28,7 +35,7 @@ Grammar accepted by :func:`parse_event`::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,6 +48,12 @@ MAX_DEPTH = 150
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RESERVED = {"T", "F"}
+
+
+def _check_name(name: str) -> None:
+    # An ASCII identifier is exactly a full match of _NAME_RE.
+    if not (name.isascii() and name.isidentifier()) or name in _RESERVED:
+        raise ValueError(f"invalid atom name: {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +117,7 @@ class Atom(Event):
     name: str
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.name) or self.name in _RESERVED:
-            raise ValueError(f"invalid atom name: {self.name!r}")
+        _check_name(self.name)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return atoms[self.name]
@@ -191,80 +203,94 @@ def or_all(events: Sequence[Event]) -> Event:
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, text: str, atoms: Iterable[str] | None):
-        self.text = text
-        self.pos = 0
-        self.allowed = frozenset(atoms) if atoms is not None else None
+# A name is one token, and so is every other character but white space,
+# which only separates tokens; ``\s`` matches exactly where
+# ``str.isspace()`` is true.  The empty pair stands for the end of the text.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_END = ("", "")
+_CONSTANTS = {"T": TRUE, "F": FALSE}
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _parse(text: str, allowed: frozenset[str] | None) -> Event:
+    """Parse ``text`` from its token list with an explicit stack.
 
-    def parse(self) -> Event:
-        expr = self.parse_or(1)
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise EventSyntaxError(
-                f"unexpected trailing input {self.text[self.pos:]!r}", self.pos
-            )
-        # A tree of L levels is written with at least L characters.
-        if len(self.text) > MAX_DEPTH and _levels(expr) > MAX_DEPTH:
-            raise SizeLimitError(f"event tree has more than {MAX_DEPTH} levels")
-        return expr
+    Each level of parentheses keeps its left operands still waiting for an
+    ``|`` and an ``&`` operand, and the count of ``~`` waiting for the
+    operand being read; an opening parenthesis pushes the level around it.
+    ``depth`` counts the open parentheses and waiting negations, plus one.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
+    stack: list[tuple[int, Event | None, Event | None, int]] = []
+    either = both = None
+    nots = 0
+    depth = 1
+    operand = True
+    for i, (name, op) in enumerate(tokens):
+        if operand:
+            if name:
+                node = _CONSTANTS.get(name)
+                if node is None:
+                    if allowed is not None and name not in allowed:
+                        raise UnknownAtomError(f"unknown atom {name!r}")
+                    node = Atom(name)
+            elif op == "~" or op == "(":
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise SizeLimitError(f"event nests more than {MAX_DEPTH} levels")
+                if op == "~":
+                    nots += 1
+                else:
+                    stack.append((i, either, both, nots))
+                    either = both = None
+                    nots = 0
+                continue
+            else:
+                raise EventSyntaxError(
+                    f"expected an event, found {op!r}" if op else "unexpected end of input",
+                    _position(text, i),
+                )
+        elif op == "&":
+            if both is not None:
+                node = And(both, node)
+            both, operand = node, True
+            continue
+        elif op == "|":
+            if both is not None:
+                node, both = And(both, node), None
+            if either is not None:
+                node = Or(either, node)
+            either, operand = node, True
+            continue
+        else:
+            if both is not None:
+                node = And(both, node)
+            if either is not None:
+                node = Or(either, node)
+            if stack and op != ")":
+                raise EventSyntaxError("unbalanced parenthesis", _position(text, stack[-1][0]))
+            if not stack:
+                if not (name or op):
+                    break
+                pos = _position(text, i)
+                raise EventSyntaxError(f"unexpected trailing input {text[pos:]!r}", pos)
+            _, either, both, nots = stack.pop()
+            depth -= 1
+        # The operand is complete: its waiting negations apply first.
+        depth -= nots
+        while nots:
+            node, nots = Not(node), nots - 1
+        operand = False
+    # A tree of L levels is written with at least L characters.
+    if len(text) > MAX_DEPTH and _levels(node) > MAX_DEPTH:
+        raise SizeLimitError(f"event tree has more than {MAX_DEPTH} levels")
+    return node
 
-    def parse_or(self, depth: int) -> Event:
-        node = self.parse_and(depth)
-        while self.peek() == "|":
-            self.pos += 1
-            node = Or(node, self.parse_and(depth))
-        return node
 
-    def parse_and(self, depth: int) -> Event:
-        node = self.parse_unary(depth)
-        while self.peek() == "&":
-            self.pos += 1
-            node = And(node, self.parse_unary(depth))
-        return node
-
-    def parse_unary(self, depth: int) -> Event:
-        # ``depth``: one level for the operand, one per parenthesis or negation around it
-        if depth > MAX_DEPTH:
-            raise SizeLimitError(f"event nests more than {MAX_DEPTH} levels")
-        if self.peek() == "~":
-            self.pos += 1
-            return Not(self.parse_unary(depth + 1))
-        return self.parse_primary(depth)
-
-    def parse_primary(self, depth: int) -> Event:
-        ch = self.peek()
-        if ch == "(":
-            open_pos = self.pos
-            self.pos += 1
-            node = self.parse_or(depth + 1)
-            if self.peek() != ")":
-                raise EventSyntaxError("unbalanced parenthesis", open_pos)
-            self.pos += 1
-            return node
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise EventSyntaxError(
-                f"expected an event, found {ch!r}" if ch else "unexpected end of input",
-                self.pos,
-            )
-        name = match.group(0)
-        self.pos = match.end()
-        if name == "T":
-            return TRUE
-        if name == "F":
-            return FALSE
-        if self.allowed is not None and name not in self.allowed:
-            raise UnknownAtomError(f"unknown atom {name!r}")
-        return Atom(name)
+def _position(text: str, i: int) -> int:
+    """Character position of token ``i`` of ``text``; the token after the
+    last stands at the end of the text."""
+    return ([match.start() for match in _TOKEN_RE.finditer(text)] + [len(text)])[i]
 
 
 def _levels(e: Event) -> int:
@@ -287,7 +313,7 @@ def parse_event(text: str, atoms: Iterable[str] | None = None) -> Event:
     beyond :data:`MAX_DEPTH` levels of parentheses and negations around an
     atom, or of operators in the tree above it, the atom being one level.
     """
-    return _Parser(text, atoms).parse()
+    return _parse(text, frozenset(atoms) if atoms is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +345,20 @@ def _space(
 
     Assignment i, in lexicographic order with false before true, gives atom k
     the value of bit n-1-k of i, so atom k's bitset repeats a block of
-    2**(n-1-k) zeros followed by as many ones.  The atom bitsets returned
-    are ANDed with the admissible bitset, so that complementing within it
-    (``Not``) never sets an inadmissible bit.
+    2**(n-1-k) zeros followed by as many ones.  Atom 0's is the upper half
+    of all assignments, and each next one is the last XOR itself shifted
+    down by the new block width, which flips the upper half of every block.
+    The atom bitsets returned are ANDed with the admissible bitset, so that
+    complementing within it (``Not``) never sets an inadmissible bit.
     """
     size = 1 << len(atoms)
     full = (1 << size) - 1
-    masks = {}
-    for k, name in enumerate(atoms):
-        width = size >> k
-        mask = ((1 << (width >> 1)) - 1) << (width >> 1)
-        while width < size:
-            mask |= mask << width
-            width <<= 1
+    width = size >> 1
+    mask = full ^ ((1 << width) - 1)
+    masks = {atoms[0]: mask}
+    for name in atoms[1:]:
+        width >>= 1
+        mask ^= mask >> width
         masks[name] = mask
     admissible = full
     for c in constraints:
@@ -346,10 +373,20 @@ class Context:
     Each constraint is an event asserted to be impossible; the admissible
     worlds are the assignments falsifying every constraint.  Logical
     independence of the atoms is simply the absence of constraints.
+
+    Construction checks the atoms, then computes every mask once: each
+    atom's bitset and :attr:`full_mask`, the bitset of the admissible
+    assignments (bit k is set when assignment k, in
+    :func:`enumerate_worlds` order over all 2**n, is admissible).  Neither
+    takes part in equality.  The constraints' fold is also their check: an
+    undeclared atom fails its lookup, and only then is the first offending
+    constraint named in an :class:`UnknownAtomError`.
     """
 
     atoms: tuple[str, ...]
     constraints: tuple[Event, ...] = ()
+    full_mask: int = field(init=False, repr=False, compare=False)
+    _atom_masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms:
@@ -357,20 +394,16 @@ class Context:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom names must be unique")
         for name in self.atoms:
-            Atom(name)
+            _check_name(name)
         _check_atom_count(len(self.atoms))
-        for c in self.constraints:
-            self._reject_undeclared(c, "constraint")
-
-    @cached_property
-    def _masks(self) -> tuple[dict[str, int], int]:
-        return _space(self.atoms, self.constraints)
-
-    @property
-    def full_mask(self) -> int:
-        """Bitset of the admissible assignments: bit k is set when assignment
-        k, in :func:`enumerate_worlds` order over all 2**n, is admissible."""
-        return self._masks[1]
+        try:
+            atom_masks, full = _space(self.atoms, self.constraints)
+        except KeyError:
+            for c in self.constraints:
+                self._reject_undeclared(c, "constraint")
+            raise
+        object.__setattr__(self, "full_mask", full)
+        object.__setattr__(self, "_atom_masks", atom_masks)
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
@@ -381,7 +414,7 @@ class Context:
         the context does not declare fails the fold's lookup, and is then
         reported as an :class:`UnknownAtomError`."""
         try:
-            return e.mask(*self._masks)
+            return e.mask(self._atom_masks, self.full_mask)
         except KeyError:
             self._reject_undeclared(e, "event")
             raise

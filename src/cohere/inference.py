@@ -51,7 +51,7 @@ class KnowledgeBase:
         if len(set(self.names)) != len(self.names):
             raise ValueError("conditional names must be unique")
         for ce in self.conditionals:
-            if ce.context != self.context:
+            if ce.context is not self.context and ce.context != self.context:
                 raise ValueError("conditionals must live in the knowledge base context")
 
     def __len__(self) -> int:

@@ -4,23 +4,29 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from cohere import (
+    FALSE,
+    TRUE,
     Assessment,
     Atom,
     ConditionalEvent,
     ConstituentSet,
     Context,
     Event,
+    EventSyntaxError,
+    SizeLimitError,
     TruthValue3,
+    UnknownAtomError,
     World,
     is_impossible,
     parse_event,
 )
-from cohere.events import And, Falsum, Not, Or, Verum
+from cohere.events import MAX_DEPTH, And, Falsum, Not, Or, Verum
 from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, integer_rows
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
@@ -144,6 +150,128 @@ def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Exhaustive world-by-world comparison, independent of `equivalent`."""
     assert a.context == b.context
     return all(truth_value(a, w) == truth_value(b, w) for w in a.context.worlds)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: the recursive-descent parser that reads one character at
+# a time, which the engine's token-list parser replaced.  The differential
+# tests require the same tree, or the same exception, message and position.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class ReferenceParser:
+    def __init__(self, text: str, atoms=None):
+        self.text = text
+        self.pos = 0
+        self.allowed = frozenset(atoms) if atoms is not None else None
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> Event:
+        expr = self.parse_or(1)
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise EventSyntaxError(
+                f"unexpected trailing input {self.text[self.pos:]!r}", self.pos
+            )
+        # A tree of L levels is written with at least L characters.
+        if len(self.text) > MAX_DEPTH and reference_levels(expr) > MAX_DEPTH:
+            raise SizeLimitError(f"event tree has more than {MAX_DEPTH} levels")
+        return expr
+
+    def parse_or(self, depth: int) -> Event:
+        node = self.parse_and(depth)
+        while self.peek() == "|":
+            self.pos += 1
+            node = Or(node, self.parse_and(depth))
+        return node
+
+    def parse_and(self, depth: int) -> Event:
+        node = self.parse_unary(depth)
+        while self.peek() == "&":
+            self.pos += 1
+            node = And(node, self.parse_unary(depth))
+        return node
+
+    def parse_unary(self, depth: int) -> Event:
+        # ``depth``: one level for the operand, one per parenthesis or negation around it
+        if depth > MAX_DEPTH:
+            raise SizeLimitError(f"event nests more than {MAX_DEPTH} levels")
+        if self.peek() == "~":
+            self.pos += 1
+            return Not(self.parse_unary(depth + 1))
+        return self.parse_primary(depth)
+
+    def parse_primary(self, depth: int) -> Event:
+        ch = self.peek()
+        if ch == "(":
+            open_pos = self.pos
+            self.pos += 1
+            node = self.parse_or(depth + 1)
+            if self.peek() != ")":
+                raise EventSyntaxError("unbalanced parenthesis", open_pos)
+            self.pos += 1
+            return node
+        match = _REFERENCE_NAME_RE.match(self.text, self.pos)
+        if not match:
+            raise EventSyntaxError(
+                f"expected an event, found {ch!r}" if ch else "unexpected end of input",
+                self.pos,
+            )
+        name = match.group(0)
+        self.pos = match.end()
+        if name == "T":
+            return TRUE
+        if name == "F":
+            return FALSE
+        if self.allowed is not None and name not in self.allowed:
+            raise UnknownAtomError(f"unknown atom {name!r}")
+        return Atom(name)
+
+
+def reference_levels(e: Event) -> int:
+    """The levels of ``e``'s tree, counted a layer at a time."""
+    levels, layer = 0, [e]
+    while layer:
+        levels += 1
+        layer = [n.operand for n in layer if isinstance(n, Not)] + [
+            c for n in layer if isinstance(n, (And, Or)) for c in (n.left, n.right)
+        ]
+    return levels
+
+
+def reference_parse_event(text: str, atoms=None) -> Event:
+    return ReferenceParser(text, atoms).parse()
+
+
+def reference_parse_conditional(text: str, context: Context) -> ConditionalEvent:
+    """``parse_conditional`` on the reference parser, scanning the text a
+    character at a time for the first top-level bar that splits it into
+    two well-formed events."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "|" and depth == 0:
+            try:
+                consequent = reference_parse_event(text[:i], context.atoms)
+                antecedent = reference_parse_event(text[i + 1:], context.atoms)
+            except EventSyntaxError:
+                continue
+            return ConditionalEvent(consequent, antecedent, context)
+    raise EventSyntaxError(
+        "expected a conditional of the form 'consequent | antecedent'", len(text)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,14 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax from a later version.
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_mask_fold_is_the_only_evaluator_in_package():
     # Events are evaluated only by their mask fold, which also rejects
     # undeclared atoms; the per-world semantics live in the tests' helpers.
