@@ -325,7 +325,7 @@ def _value_at(masks: tuple[int, int], bit: int) -> str:
     conditional with ``(verifying, falsifying)`` masks ``masks``: VOID,
     raised by one where it is verified and lowered by one where falsified."""
     verifying, falsifying = masks
-    return str(TruthValue3(1 + bool(verifying & bit) - bool(falsifying & bit)))
+    return TruthValue3.NAMES[1 + bool(verifying & bit) - bool(falsifying & bit)]
 
 
 def _cmd_tnorm(args) -> int:

@@ -21,9 +21,11 @@ solution found so far charges, until that maximum is zero (Biazzo & Gilio
 
 Each objective starts from a phase 1's feasible tableau, and
 :attr:`SigmaSystem.phase1` runs once per system.  An interval level adds a
-homogenized phase 1 and one with the target's antecedent barred: whether
-some solution charges that antecedent, and whether some leaves it
-uncharged, are their verdicts, so the level optimizes only the ratio.
+homogenized phase 1, whose verdict is whether some solution charges the
+target's antecedent, so the level optimizes only the ratio.  Only when the
+ratio's extremes leave room below 0 or above 1 does a phase 1 with that
+antecedent barred run, to ask whether some solution leaves it uncharged,
+and only then can a descent below the level widen the interval.
 
 An extension interval's endpoints are proved by the solutions those LPs
 already found, not by running the recursion on the extended family: a
@@ -380,9 +382,10 @@ def _interval_levels(
     endpoint with its proof.
 
     At each level the target contributes no equation; its value is the ratio
-    of target-true mass to antecedent mass.  Two phase-1 runs decide the
-    level: the homogenized one of :func:`_fractional_bounds`, then one with
-    the antecedent's columns barred.  When no solution charges the
+    of target-true mass to antecedent mass.  The homogenized phase 1 of
+    :func:`_fractional_bounds` decides the level when the ratio spans [0, 1],
+    since no deeper interval can widen that; otherwise a phase 1 with the
+    antecedent's columns barred follows.  When no solution charges the
     antecedent, or some solution leaves it uncharged and so escapes the ratio
     constraint, descend from the feasible phase 1 to the subfamily that has
     zero upper probability there and merge the deeper interval.  ``None``
@@ -417,6 +420,9 @@ def _interval_levels(
     lo, hi = (
         _Endpoint(value, (_Link(indices, system, solution),)) for value, solution in bounds
     )
+    if lo.value == 0 and hi.value == 1:
+        # Nothing below can widen [0, 1]: the merge would keep these.
+        return lo, hi, False
     zero_den = solve_eq_lp(system.matrix, system.rhs, barred=den, scales=system.scales)
     if zero_den.status != OPTIMAL:
         return lo, hi, False

@@ -40,7 +40,12 @@ class TruthValue3(enum.IntEnum):
     TRUE = 2
 
     def __str__(self) -> str:
-        return {0: "False", 1: "Void", 2: "True"}[int(self)]
+        return TruthValue3.NAMES[self]
+
+
+# Printed names, indexed by value; set after the class body, where a tuple
+# would be taken for a member (enum.nonmember needs Python 3.11).
+TruthValue3.NAMES = ("False", "Void", "True")
 
 
 @dataclass(frozen=True)

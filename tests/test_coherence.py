@@ -406,17 +406,34 @@ class TestEndpointProofs:
     def test_intervals_match_brute_force_and_revalidation(self, monkeypatch):
         # The removed re-validation, check_coherence(a.extend(target, z)), is
         # the reference for every endpoint; probabilities drawn from {0, 1}
-        # reach the descents and bases refuted below the top level.
-        checks = []
+        # reach the descents and bases refuted below the top level.  The
+        # engine's own barred phase 1s and the fractional levels it settles
+        # at [0, 1] are counted too, so both routes meet the brute force.
+        checks, barred, settled = [], [], []
         real_check = cohere.coherence.check_coherence
+        real_bounds = cohere.coherence._fractional_bounds
 
         def checking(a):
             checks.append(a.family)
             return real_check(a)
 
+        def solving(*args, **kwargs):
+            result = solve_eq_lp(*args, **kwargs)
+            if kwargs.get("barred"):
+                barred.append(result.status == OPTIMAL)
+            return result
+
+        def bounding(*args):
+            bounds = real_bounds(*args)
+            if bounds is not None:
+                settled.append([value for value, _ in bounds] == [0, 1])
+            return bounds
+
         monkeypatch.setattr(cohere.coherence, "check_coherence", checking)
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
+        monkeypatch.setattr(cohere.coherence, "_fractional_bounds", bounding)
         rng = random.Random(1409)
-        coherent = refuted_below = compared = descended = 0
+        coherent = refuted_below = compared = descended = engine_descents = stops = 0
         while coherent < 300 or refuted_below < 40:
             a = random_assessment(rng, max_size=3)
             if rng.random() < 0.5:
@@ -424,6 +441,8 @@ class TestEndpointProofs:
             target = random_conditional(rng, a.context)
             verdict = check_coherence(a)
             checks.clear()
+            barred.clear()
+            settled.clear()
             if not verdict.coherent:
                 if len(verdict.trace) == 1 or refuted_below >= 40:
                     continue
@@ -450,8 +469,11 @@ class TestEndpointProofs:
                 system.matrix, system.rhs, barred=system.supports[-1], scales=system.scales
             )
             descended += zero_den.status == OPTIMAL
+            engine_descents += sum(barred)
+            stops += sum(settled)
             coherent += 1
         assert compared > 250 and descended > 100
+        assert engine_descents > 60 and stops > 80
 
     @pytest.mark.parametrize("fault", ["shifted", "swapped", "shifted average", "skipped level"])
     def test_corrupted_proof_raises(self, monkeypatch, fault):
@@ -595,6 +617,53 @@ class TestOnePhase1PerSystem:
         assert (iv.lo, iv.hi, iv.vacuous) == (Fr(0), Fr(2, 3), False)
         assert len(calls) == 2 and not calls[0] and calls[1]
         assert len(optima) == 2
+
+    def test_level_at_zero_one_runs_one_phase1_and_two_optimizations(self, monkeypatch):
+        # The ratio already spans [0, 1], so no deeper interval can widen it:
+        # neither the phase 1 with T barred nor a descent runs.
+        calls, optima, descents = [], [], []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_eq_lp(*args, **kwargs)
+
+        optimize = LPResult.optimize
+
+        def optimizing(self, *args, **kwargs):
+            optima.append(args)
+            return optimize(self, *args, **kwargs)
+
+        def descending(*args):
+            descents.append(args)
+            return zero_upper(*args)
+
+        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        monkeypatch.setattr(LPResult, "optimize", optimizing)
+        monkeypatch.setattr(cohere.coherence, "zero_upper", descending)
+        ctx = Context(("A", "B", "C"))
+        a = Assessment((ce("A", "B", ctx),), (Fr(1, 2),))
+        target = ce("C", "T", ctx)
+        lo, hi, vacuous = _interval_levels(a, target, (0,))
+        assert (lo.value, hi.value, vacuous) == (0, 1, False)
+        assert len(calls) == 1 and "barred" not in calls[0]
+        assert len(optima) == 2 and not descents
+        assert len(lo.chain) == len(hi.chain) == 1
+        iv = extension_interval(a, target)
+        assert (iv.lo, iv.hi, iv.vacuous) == (Fr(0), Fr(1), False)
+
+    def test_base_refuted_below_a_zero_one_level_rejected(self):
+        # C|T spans [0, 1] at the top level, where B|T = 0 leaves B
+        # uncharged: no descent meets A|B = ~A|B = 1, and the check of the
+        # members the endpoints leave open refutes them.
+        ctx = Context(("A", "B", "C"))
+        family = (ce("B", "T", ctx), ce("A", "B", ctx), ce("~A", "B", ctx))
+        a = Assessment(family, (Fr(0), Fr(1), Fr(1)))
+        target = ce("C", "T", ctx)
+        lo, hi, _ = _interval_levels(a, target, (0, 1, 2))
+        assert (lo.value, hi.value) == (0, 1)
+        assert {1, 2} <= set(_open_indices(lo, target))
+        with pytest.raises(IncoherentAssessmentError, match="cannot extend an incoherent base"):
+            extension_interval(a, target)
 
 
 class TestZeroUpperFromSpread:

@@ -345,7 +345,7 @@ class TestReferenceAgreement:
         monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
         monkeypatch.setattr(LPResult, "optimize", optimizing)
         rng = random.Random(909)
-        for _ in range(220):
+        for _ in range(240):
             a = random_assessment(rng, max_size=4)
             check_coherence(a)
             try:
