@@ -178,24 +178,26 @@ def _paren(e: Event, *, for_and: bool, right_slot: bool) -> str:
     return str(e)
 
 
-def and_all(events: Sequence[Event]) -> Event:
-    """Left-folded conjunction of one or more events."""
+def _fold_pairs(op, events: Sequence[Event], name: str) -> Event:
+    """Join neighbours pairwise, layer by layer, so that n events make a
+    tree of about log2(n) levels; up to three fold as from the left."""
     if not events:
-        raise ValueError("and_all requires at least one event")
-    out = events[0]
-    for e in events[1:]:
-        out = And(out, e)
-    return out
+        raise ValueError(f"{name} requires at least one event")
+    layer = list(events)
+    while len(layer) > 1:
+        joined = [op(a, b) for a, b in zip(layer[::2], layer[1::2])]
+        layer = joined + layer[len(joined) * 2:]
+    return layer[0]
+
+
+def and_all(events: Sequence[Event]) -> Event:
+    """Conjunction of one or more events, as a balanced tree."""
+    return _fold_pairs(And, events, "and_all")
 
 
 def or_all(events: Sequence[Event]) -> Event:
-    """Left-folded disjunction of one or more events."""
-    if not events:
-        raise ValueError("or_all requires at least one event")
-    out = events[0]
-    for e in events[1:]:
-        out = Or(out, e)
-    return out
+    """Disjunction of one or more events, as a balanced tree."""
+    return _fold_pairs(Or, events, "or_all")
 
 
 # ---------------------------------------------------------------------------

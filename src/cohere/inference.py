@@ -293,31 +293,28 @@ def in_u_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
 
 
 def in_l_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
-    """Premises forcing the quasi disjunction's lower bound to at least gamma,
-    via the sequential threshold gamma l/(l - gamma + gamma l)."""
+    """Premises forcing the quasi disjunction's lower bound to at least gamma.
+
+    That bound is the Hamacher (parameter 0) t-norm, the dual of the quasi
+    conjunction's upper bound, so this is :func:`in_u_gamma_qc` of the
+    complemented premises at 1 - gamma.  It yields everything for gamma 0,
+    and otherwise the sequential threshold gamma l/(l - gamma + gamma l) on
+    each next premise, where l is the t-norm of the premises before it."""
     p = _units(probs)
     g = as_unit(gamma, "gamma")
-    if g == 0:
-        return True
-    low = p[0]
-    if low < g:
-        return False
-    for nxt in p[1:]:
-        # l (1 + g) - g >= g^2 > 0 because l >= g > 0
-        if nxt < g * low / (low - g + g * low):
-            return False
-        low = hamacher0_nary([low, nxt])
-    return True
+    return in_u_gamma_qc([1 - v for v in p], 1 - g)
 
 
 def in_u_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
-    """Premises forcing the quasi disjunction's upper bound to at most gamma:
-    total probability at most gamma (everything for gamma 1)."""
+    """Premises forcing the quasi disjunction's upper bound to at most gamma.
+
+    That bound is the Lukasiewicz t-conorm, the dual of the quasi
+    conjunction's lower bound, so this is :func:`in_l_gamma_qc` of the
+    complemented premises at 1 - gamma: total probability at most gamma
+    (everything for gamma 1)."""
     p = _units(probs)
     g = as_unit(gamma, "gamma")
-    if g == 1:
-        return True
-    return sum(p) <= g
+    return in_l_gamma_qc([1 - v for v in p], 1 - g)
 
 
 @dataclass(frozen=True)

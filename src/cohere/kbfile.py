@@ -90,7 +90,7 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
     for lineno, src in conditional_src:
         name, sep, body = src.partition(":")
         name = name.strip()
-        if not sep or not name or " " in name:
+        if not sep or name.split() != [name]:
             raise KBFormatError(
                 "expected 'name: consequent | antecedent [= probability]'", lineno
             )

@@ -1,11 +1,14 @@
 """Triangular norms and conorms on exact rationals.
 
 Implemented families: minimum, product, Lukasiewicz, drastic, and the
-Hamacher family with parameter lambda in [0, inf].  All arguments and
-parameters are :class:`fractions.Fraction`; the infinite parameter is the
-distinguished token :data:`INF`, never a float.  N-ary evaluation folds the
-binary operator left-associatively; associativity makes the fold order
-irrelevant.
+Hamacher family with parameter lambda in [0, inf].  A family is defined by
+its t-norm T alone.  Every t-conorm follows by duality,
+S(p1, ..., pk) = 1 - T(1 - p1, ..., 1 - pk) (Klement, Mesiar & Pap 2000,
+Triangular Norms), which holds exactly on rationals for every family here.
+All arguments and parameters are :class:`fractions.Fraction`; the infinite
+parameter is the distinguished token :data:`INF`, never a float.  N-ary
+evaluation folds the binary t-norm left-associatively; associativity makes
+the fold order irrelevant.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ HAMACHER0 = hamacher(0)
 
 
 # ---------------------------------------------------------------------------
-# Binary operators
+# The t-norm of each family, and every t-conorm by duality
 # ---------------------------------------------------------------------------
 
 
@@ -100,44 +103,12 @@ def _tnorm2(f: OperatorFamily, x: Fraction, y: Fraction) -> Fraction:
         return x * y
     if f.kind == "lukasiewicz":
         return max(x + y - 1, ZERO)
-    if f.kind == "drastic":
-        return _drastic_t(x, y)
     lam = f.parameter
-    if isinstance(lam, _Infinity):
-        return _drastic_t(x, y)
+    if f.kind == "drastic" or isinstance(lam, _Infinity):
+        return min(x, y) if (x == 1 or y == 1) else ZERO
     if lam == 0 and x == 0 and y == 0:
         return ZERO
     return x * y / (lam + (1 - lam) * (x + y - x * y))
-
-
-def _drastic_t(x: Fraction, y: Fraction) -> Fraction:
-    return min(x, y) if (x == 1 or y == 1) else ZERO
-
-
-def _tconorm2(f: OperatorFamily, x: Fraction, y: Fraction) -> Fraction:
-    if f.kind == "minimum":
-        return max(x, y)
-    if f.kind == "product":
-        return x + y - x * y
-    if f.kind == "lukasiewicz":
-        return min(x + y, ONE)
-    if f.kind == "drastic":
-        return _drastic_s(x, y)
-    lam = f.parameter
-    if isinstance(lam, _Infinity):
-        return _drastic_s(x, y)
-    if lam == 0 and x == 1 and y == 1:
-        return ONE
-    return (x + y - x * y - (1 - lam) * x * y) / (1 - (1 - lam) * x * y)
-
-
-def _drastic_s(x: Fraction, y: Fraction) -> Fraction:
-    return max(x, y) if (x == 0 or y == 0) else ONE
-
-
-# ---------------------------------------------------------------------------
-# N-ary evaluation
-# ---------------------------------------------------------------------------
 
 
 def _units(args: Sequence[Fraction]) -> list[Fraction]:
@@ -147,27 +118,18 @@ def _units(args: Sequence[Fraction]) -> list[Fraction]:
     return values
 
 
-def _fold(op, f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
+def tnorm(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
+    """Evaluate the t-norm on one or more unit arguments."""
     values = _units(args)
     out = values[0]
     for v in values[1:]:
-        out = op(f, out, v)
+        out = _tnorm2(f, out, v)
     return out
 
 
-def tnorm(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
-    """Evaluate the t-norm on one or more unit arguments."""
-    return _fold(_tnorm2, f, args)
-
-
 def tconorm(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
-    """Evaluate the dual t-conorm on one or more unit arguments."""
-    return _fold(_tconorm2, f, args)
-
-
-def dual_eval(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
-    """Evaluate the t-conorm through complementation of the t-norm:
-    S(p1..pk) = 1 - T(1-p1, ..., 1-pk)."""
+    """Evaluate the dual t-conorm on one or more unit arguments:
+    S(p1, ..., pk) = 1 - T(1 - p1, ..., 1 - pk)."""
     return 1 - tnorm(f, [1 - v for v in _units(args)])
 
 
@@ -186,10 +148,6 @@ def hamacher0_nary(args: Sequence[Fraction]) -> Fraction:
 
 
 def hamacher0_conary(args: Sequence[Fraction]) -> Fraction:
-    """Dual closed form: 1 when any argument is 1, else
-    (sum p/(1-p)) / (sum p/(1-p) + 1)."""
-    values = _units(args)
-    if any(v == 1 for v in values):
-        return ONE
-    total = sum(v / (1 - v) for v in values)
-    return total / (total + 1)
+    """Dual closed form, 1 - hamacher0_nary(1 - p1, ..., 1 - pk), which is
+    1 when any argument is 1, else (sum p/(1-p)) / (sum p/(1-p) + 1)."""
+    return 1 - hamacher0_nary([1 - v for v in _units(args)])

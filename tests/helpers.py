@@ -19,6 +19,8 @@ from cohere import (
     Context,
     Event,
     EventSyntaxError,
+    INF,
+    OperatorFamily,
     SizeLimitError,
     TruthValue3,
     UnknownAtomError,
@@ -393,6 +395,67 @@ def rational_system(rows, rhs, scales):
         [[Fraction(v, s) for v in row] for row, s in zip(rows, scales)],
         [Fraction(b, s) for b, s in zip(rhs, scales)],
     )
+
+
+# ---------------------------------------------------------------------------
+# Direct formulas that `cohere.tnorms` and `cohere.inference` now derive by
+# duality from the t-norms and the quasi-conjunction regions.  Differential
+# tests require the derived values to equal these exactly.
+# ---------------------------------------------------------------------------
+
+def _reference_tconorm2(f: OperatorFamily, x: Fraction, y: Fraction) -> Fraction:
+    if f.kind == "minimum":
+        return max(x, y)
+    if f.kind == "product":
+        return x + y - x * y
+    if f.kind == "lukasiewicz":
+        return min(x + y, ONE)
+    lam = f.parameter
+    if f.kind == "drastic" or lam is INF:
+        return max(x, y) if (x == 0 or y == 0) else ONE
+    if lam == 0 and x == 1 and y == 1:
+        return ONE
+    return (x + y - x * y - (1 - lam) * x * y) / (1 - (1 - lam) * x * y)
+
+
+def reference_tconorm(f: OperatorFamily, args: Sequence[Fraction]) -> Fraction:
+    """Each family's t-conorm by its own binary formula, folded left to right."""
+    out = args[0]
+    for v in args[1:]:
+        out = _reference_tconorm2(f, out, v)
+    return out
+
+
+def reference_hamacher0_conary(args: Sequence[Fraction]) -> Fraction:
+    """The appendix's closed form of the Hamacher (parameter 0) t-conorm:
+    1 when any argument is 1, else (sum p/(1-p)) / (sum p/(1-p) + 1)."""
+    if any(v == 1 for v in args):
+        return ONE
+    total = sum(v / (1 - v) for v in args)
+    return total / (total + 1)
+
+
+def reference_in_l_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
+    """The quasi disjunction's lower region by its sequential threshold
+    gamma l/(l - gamma + gamma l), l the Hamacher (parameter 0) t-norm of
+    the premises so far."""
+    if gamma == 0:
+        return True
+    low = probs[0]
+    if low < gamma:
+        return False
+    for nxt in probs[1:]:
+        # l (1 + gamma) - gamma >= gamma^2 > 0 because l >= gamma > 0
+        if nxt < gamma * low / (low - gamma + gamma * low):
+            return False
+        low = low * nxt / (low + nxt - low * nxt)
+    return True
+
+
+def reference_in_u_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
+    """The quasi disjunction's upper region: total probability at most
+    gamma (everything for gamma 1)."""
+    return gamma == 1 or sum(probs) <= gamma
 
 
 # ---------------------------------------------------------------------------

@@ -279,11 +279,19 @@ class TestAlgebraicLaws:
             assert gn_includes(other, masks) == gn_includes(other, built)
 
     def test_quasi_masks_of_a_deep_family(self):
-        # 1200 members would fold a formula 1200 levels deep; their masks
-        # need no formula.
+        # The masks of 1200 members need no formula.
         ctx = Context(("A", "B"))
         c = ce("A", "B", ctx)
         assert quasi_masks([c] * 1200) == (c.masks, c.masks)
+
+    def test_connectives_of_a_large_family(self):
+        # and_all and or_all fold pairwise, so 1200 members build formulas
+        # about 11 levels deep, which the mask fold walks without overflow.
+        rng = random.Random(1200)
+        ctx = Context(("A", "B", "C", "D"))
+        family = [random_conditional(rng, ctx) for _ in range(1200)]
+        built = (quasi_conjunction(family).masks, quasi_disjunction(family).masks)
+        assert built == quasi_masks(family)
 
 
 # Reference table for two independent conditionals: constituent, A|H, B|K,

@@ -19,7 +19,7 @@ from cohere import (
     parse_event,
     world_equivalent,
 )
-from cohere.events import MAX_DEPTH, And, Not, Or
+from cohere.events import MAX_DEPTH, And, Not, Or, and_all
 
 from helpers import evaluate, random_event
 
@@ -95,6 +95,17 @@ class TestDepthBound:
     def test_beyond_the_bound_is_refused(self, shape):
         with pytest.raises(SizeLimitError, match=f"more than {MAX_DEPTH} levels"):
             parse_event(_deep(MAX_DEPTH + 1)[shape])
+
+
+def test_conjunction_of_a_thousand_events():
+    # A left-deep fold of 1000 events overflowed the stack in the mask fold
+    # and in printing; the pairwise fold is about 10 levels deep.
+    ctx = Context(("A", "B"))
+    event = and_all([Atom("A")] * 1000)
+    assert ctx.mask(event) == ctx.mask(Atom("A"))
+    text = str(event)
+    assert text.count("A") == 1000
+    assert parse_event(text, ctx.atoms) == event
 
 
 def _random_tree(seed):

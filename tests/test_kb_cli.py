@@ -165,6 +165,16 @@ class TestLoadKb:
         )
         assert parse_kb_text(inline) == parse_kb_text(multiline)
 
+    @pytest.mark.parametrize("name", ["c 1", "c\t1", "c\u00a01"])
+    def test_white_space_in_a_name_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / "bad.kb"
+        path.write_text(f"atoms: A B\nconditionals:\n  {name}: A | B = 1/2\n")
+        with pytest.raises(KBFormatError, match="expected 'name: ") as err:
+            load_kb(str(path))
+        assert err.value.line == 3
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: expected 'name: ")
+
     def test_content_before_any_header(self):
         with pytest.raises(KBFormatError) as err:
             parse_kb_text("# comment\n\nc: A | T\natoms: A\n")

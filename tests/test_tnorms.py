@@ -1,5 +1,6 @@
 """T-norm/t-conorm families: exact values, axioms, closed forms, duality."""
 
+import itertools
 from fractions import Fraction as Fr
 
 import pytest
@@ -15,14 +16,24 @@ from cohere import (
     OperatorFamily,
     ProbabilityRangeError,
     SizeLimitError,
-    dual_eval,
     hamacher,
     hamacher0_conary,
     hamacher0_nary,
+    in_l_gamma_qd,
+    in_u_gamma_qd,
+    or_rule_bounds,
+    qd_bounds,
     tconorm,
     tnorm,
 )
 from cohere.tnorms import as_unit
+
+from helpers import (
+    reference_hamacher0_conary,
+    reference_in_l_gamma_qd,
+    reference_in_u_gamma_qd,
+    reference_tconorm,
+)
 
 FAMILIES = [MINIMUM, PRODUCT, LUKASIEWICZ, DRASTIC, HAMACHER0,
             hamacher(Fr(1, 2)), hamacher(1), hamacher(2), hamacher(INF)]
@@ -139,10 +150,33 @@ class TestDuality:
     @given(st.lists(units, min_size=1, max_size=4))
     @settings(max_examples=40)
     def test_complementation(self, family, args):
-        assert dual_eval(family, args) == tconorm(family, args)
+        assert reference_tconorm(family, args) == tconorm(family, args)
 
     def test_spot_value(self):
-        assert dual_eval(HAMACHER0, [Fr(1, 2), Fr(1, 2)]) == Fr(2, 3)
+        assert reference_tconorm(HAMACHER0, [Fr(1, 2), Fr(1, 2)]) == Fr(2, 3)
+
+    def test_derived_values_match_direct_formulas(self):
+        # Every fraction with denominator 1-5, 7 or 9; one and two arguments
+        # range over all of it, three and four over its halves and thirds.
+        grid = sorted({Fr(n, d) for d in (1, 2, 3, 4, 5, 7, 9) for n in range(d + 1)})
+        coarse = [v for v in grid if 6 % v.denominator == 0]
+        families = [MINIMUM, PRODUCT, LUKASIEWICZ, DRASTIC] + [
+            hamacher(lam) for lam in (0, Fr(1, 3), 1, 2, INF)
+        ]
+        compared = 0
+        for k, values in ((1, grid), (2, grid), (3, coarse), (4, coarse)):
+            for args in itertools.product(values, repeat=k):
+                for family in families:
+                    assert tconorm(family, args) == reference_tconorm(family, args)
+                conorm = reference_hamacher0_conary(args)
+                assert hamacher0_conary(args) == conorm
+                assert qd_bounds(args).hi == reference_tconorm(LUKASIEWICZ, args)
+                assert or_rule_bounds(args).hi == conorm
+                for gamma in values:
+                    assert in_l_gamma_qd(args, gamma) == reference_in_l_gamma_qd(args, gamma)
+                    assert in_u_gamma_qd(args, gamma) == reference_in_u_gamma_qd(args, gamma)
+                compared += 1
+        assert compared == 23 + 23**2 + 5**3 + 5**4
 
 
 class TestOrdering:
