@@ -38,13 +38,13 @@ closes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import lcm
 from typing import Sequence
 
+from ._record import Record, set_field
 from .conditionals import (
     ConditionalEvent,
     _shared_context,
@@ -62,20 +62,22 @@ _NOT_VOID = (1, 0, 1)
 _TRUE = (0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(Record):
     """A finite family of conditional events with exact probabilities."""
 
+    _fields = ("family", "probs")
     family: tuple[ConditionalEvent, ...]
     probs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.family:
+    def __init__(self, family: tuple[ConditionalEvent, ...], probs: tuple[Fraction, ...]) -> None:
+        set_field(self, "family", family)
+        set_field(self, "probs", probs)
+        if not family:
             raise ValueError("an assessment needs at least one conditional event")
-        if len(self.family) != len(self.probs):
+        if len(family) != len(probs):
             raise ValueError("family and probability vector differ in length")
-        _shared_context(self.family)
-        for p in self.probs:
+        _shared_context(family)
+        for p in probs:
             if not 0 <= p <= 1:
                 raise ProbabilityRangeError(f"probability {fraction_str(p)} outside [0, 1]")
 
@@ -93,8 +95,7 @@ class Assessment:
         return Assessment(self.family + (ce,), self.probs + (Fraction(p),))
 
 
-@dataclass(frozen=True)
-class SigmaSystem:
+class SigmaSystem(Record):
     """Constituent system of an assessment, optionally refined by a target,
     in integers: row j < n is member j's equation times ``scales[j] =
     den(p_j)``, so ``matrix[j][h]`` is ``den(p_j)``, 0 or ``num(p_j)`` as
@@ -105,11 +106,26 @@ class SigmaSystem:
     ``target_true`` lists those where the target is true.
     """
 
+    _fields = ("matrix", "rhs", "scales", "supports", "target_true")
     matrix: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     scales: tuple[int, ...]
     supports: tuple[tuple[int, ...], ...]
-    target_true: tuple[int, ...] = ()
+    target_true: tuple[int, ...]
+
+    def __init__(
+        self,
+        matrix: tuple[tuple[int, ...], ...],
+        rhs: tuple[int, ...],
+        scales: tuple[int, ...],
+        supports: tuple[tuple[int, ...], ...],
+        target_true: tuple[int, ...] = (),
+    ) -> None:
+        set_field(self, "matrix", matrix)
+        set_field(self, "rhs", rhs)
+        set_field(self, "scales", scales)
+        set_field(self, "supports", supports)
+        set_field(self, "target_true", target_true)
 
     @cached_property
     def phase1(self) -> LPResult:
@@ -163,13 +179,21 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SigmaFeasibility:
+class SigmaFeasibility(Record):
     """Outcome of solving a constituent system: exactly one of a solution
     (mass vector) or a positive-gain stake certificate."""
 
-    witness: tuple[Fraction, ...] | None = None
-    certificate: tuple[Fraction, ...] | None = None
+    __slots__ = _fields = ("witness", "certificate")
+    witness: tuple[Fraction, ...] | None
+    certificate: tuple[Fraction, ...] | None
+
+    def __init__(
+        self,
+        witness: tuple[Fraction, ...] | None = None,
+        certificate: tuple[Fraction, ...] | None = None,
+    ) -> None:
+        set_field(self, "witness", witness)
+        set_field(self, "certificate", certificate)
 
 
 def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
@@ -230,22 +254,35 @@ def _indicator(support: Sequence[int], width: int) -> list[int]:
     return vector
 
 
-@dataclass(frozen=True, slots=True)
-class LevelRecord:
+class LevelRecord(Record):
     """One recursion level: which original indices were examined, the
     solution found (if any), and the zero-upper-probability subset."""
 
+    __slots__ = _fields = ("indices", "i0", "witness")
     indices: tuple[int, ...]
     i0: tuple[int, ...]
     witness: tuple[Fraction, ...] | None
 
+    def __init__(
+        self, indices: tuple[int, ...], i0: tuple[int, ...], witness: tuple[Fraction, ...] | None
+    ) -> None:
+        set_field(self, "indices", indices)
+        set_field(self, "i0", i0)
+        set_field(self, "witness", witness)
 
-@dataclass(frozen=True, slots=True)
-class CoherenceVerdict:
+
+class CoherenceVerdict(Record):
     """The levels examined, and stakes refuting the last one, if any."""
 
+    __slots__ = _fields = ("certificate", "trace")
     certificate: tuple[Fraction, ...] | None
     trace: tuple[LevelRecord, ...]
+
+    def __init__(
+        self, certificate: tuple[Fraction, ...] | None, trace: tuple[LevelRecord, ...]
+    ) -> None:
+        set_field(self, "certificate", certificate)
+        set_field(self, "trace", trace)
 
     @property
     def coherent(self) -> bool:
@@ -291,21 +328,24 @@ def check_coherence(a: Assessment) -> CoherenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ProbabilityInterval:
+class ProbabilityInterval(Record):
     """Closed interval of coherent extension values.
 
     ``vacuous`` marks the convention case where the target's conditioning
     event is unreachable and nothing else constrains the value.
     """
 
+    __slots__ = _fields = ("lo", "hi", "vacuous")
     lo: Fraction
     hi: Fraction
-    vacuous: bool = False
+    vacuous: bool
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction, vacuous: bool = False) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "vacuous", vacuous)
+        if not (0 <= lo <= hi <= 1):
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
 
     def __contains__(self, z: Fraction) -> bool:
         return self.lo <= z <= self.hi
@@ -352,24 +392,33 @@ def _fractional_bounds(
     return tuple((best.objective, (best.x[:m], best.x[m])) for best in optima)
 
 
-@dataclass(frozen=True, slots=True)
-class _Link:
+class _Link(Record):
     """One level of an endpoint's proof: the base indices the level
     examined, its system with the target, and a solution of that system,
     numerators over one denominator, whose target-true mass is the endpoint
     times its target-antecedent mass."""
 
+    __slots__ = _fields = ("indices", "system", "solution")
     indices: tuple[int, ...]
     system: SigmaSystem
     solution: Solution
 
+    def __init__(self, indices: tuple[int, ...], system: SigmaSystem, solution: Solution) -> None:
+        set_field(self, "indices", indices)
+        set_field(self, "system", system)
+        set_field(self, "solution", solution)
 
-@dataclass(frozen=True, slots=True)
-class _Endpoint:
+
+class _Endpoint(Record):
     """An interval endpoint and the levels that prove it, from the top."""
 
+    __slots__ = _fields = ("value", "chain")
     value: Fraction
     chain: tuple[_Link, ...]
+
+    def __init__(self, value: Fraction, chain: tuple[_Link, ...]) -> None:
+        set_field(self, "value", value)
+        set_field(self, "chain", chain)
 
     def below(self, link: _Link) -> "_Endpoint":
         return _Endpoint(self.value, (link,) + self.chain)

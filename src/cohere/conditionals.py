@@ -17,9 +17,9 @@ antecedent mask is an impossible antecedent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._record import Record, set_field
 from .errors import EventSyntaxError, ImpossibleAntecedentError, SizeLimitError
 from .events import (
     Context,
@@ -48,8 +48,7 @@ class TruthValue3(enum.IntEnum):
 TruthValue3.NAMES = ("False", "Void", "True")
 
 
-@dataclass(frozen=True)
-class ConditionalEvent:
+class ConditionalEvent(Record):
     """A pair consequent-given-antecedent, valid in a fixed context.
 
     Construction computes :attr:`masks` once, the ``(verifying,
@@ -60,20 +59,24 @@ class ConditionalEvent:
     antecedent must then be possible.  The masks take no part in equality.
     """
 
+    _fields = ("consequent", "antecedent", "context")
     consequent: Event
     antecedent: Event
     context: Context
-    masks: tuple[int, int] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        consequent = self.context.mask(self.consequent)
-        antecedent = self.context.mask(self.antecedent)
-        if not antecedent:
+    def __init__(self, consequent: Event, antecedent: Event, context: Context) -> None:
+        set_field(self, "consequent", consequent)
+        set_field(self, "antecedent", antecedent)
+        set_field(self, "context", context)
+        consequent_mask = context.mask(consequent)
+        antecedent_mask = context.mask(antecedent)
+        if not antecedent_mask:
             raise ImpossibleAntecedentError(
-                f"antecedent {self.antecedent} is impossible in this context"
+                f"antecedent {antecedent} is impossible in this context"
             )
-        verifying = antecedent & consequent
-        object.__setattr__(self, "masks", (verifying, antecedent ^ verifying))
+        verifying = antecedent_mask & consequent_mask
+        set_field(self, "masks", (verifying, antecedent_mask ^ verifying))
 
     def __str__(self) -> str:
         return f"{self.consequent} | {self.antecedent}"
@@ -191,8 +194,7 @@ def equivalent(a: ConditionalEvent, b: ConditionalEvent) -> bool:
 MAX_CONSTITUENTS = 2187  # 3**7: desk scale for the constituent count
 
 
-@dataclass(frozen=True)
-class ConstituentSet:
+class ConstituentSet(Record):
     """Partition of the admissible worlds induced by a family of conditionals.
 
     ``inside`` lists the classes meeting at least one antecedent, each an
@@ -203,9 +205,17 @@ class ConstituentSet:
     the context's ``full_mask``.
     """
 
+    _fields = ("inside", "profiles", "c0")
     inside: tuple[int, ...]
     profiles: tuple[tuple[TruthValue3, ...], ...]
     c0: int
+
+    def __init__(
+        self, inside: tuple[int, ...], profiles: tuple[tuple[TruthValue3, ...], ...], c0: int
+    ) -> None:
+        set_field(self, "inside", inside)
+        set_field(self, "profiles", profiles)
+        set_field(self, "c0", c0)
 
     def __len__(self) -> int:
         return len(self.inside) + (1 if self.c0 else 0)

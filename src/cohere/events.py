@@ -35,11 +35,11 @@ Grammar accepted by :func:`parse_event`::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record, set_field
 from .errors import EventSyntaxError, SizeLimitError, UnknownAtomError
 
 MAX_ATOMS = 20
@@ -61,7 +61,7 @@ def _check_name(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class Event:
+class Event(Record):
     """Base class of event formula trees.
 
     Structural operators never evaluate anything.  The one evaluator is
@@ -86,9 +86,10 @@ class Event:
         return Not(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Verum(Event):
     """The sure event."""
+
+    __slots__ = ()
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return full
@@ -97,9 +98,10 @@ class Verum(Event):
         return "T"
 
 
-@dataclass(frozen=True, slots=True)
 class Falsum(Event):
     """The impossible event."""
+
+    __slots__ = ()
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return 0
@@ -112,12 +114,13 @@ TRUE = Verum()
 FALSE = Falsum()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Event):
+    __slots__ = _fields = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        _check_name(self.name)
+    def __init__(self, name: str) -> None:
+        _check_name(name)
+        set_field(self, "name", name)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return atoms[self.name]
@@ -126,9 +129,12 @@ class Atom(Event):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Event):
+    __slots__ = _fields = ("operand",)
     operand: Event
+
+    def __init__(self, operand: Event) -> None:
+        set_field(self, "operand", operand)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return full ^ self.operand.mask(atoms, full)
@@ -139,10 +145,14 @@ class Not(Event):
         return f"~{self.operand}"
 
 
-@dataclass(frozen=True, slots=True)
 class And(Event):
+    __slots__ = _fields = ("left", "right")
     left: Event
     right: Event
+
+    def __init__(self, left: Event, right: Event) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return self.left.mask(atoms, full) & self.right.mask(atoms, full)
@@ -152,10 +162,14 @@ class And(Event):
                f"{_paren(self.right, for_and=True, right_slot=True)}"
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Event):
+    __slots__ = _fields = ("left", "right")
     left: Event
     right: Event
+
+    def __init__(self, left: Event, right: Event) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     def mask(self, atoms: Mapping[str, int], full: int) -> int:
         return self.left.mask(atoms, full) | self.right.mask(atoms, full)
@@ -323,12 +337,16 @@ def parse_event(text: str, atoms: Iterable[str] | None = None) -> Event:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class World:
+class World(Record):
     """A total truth assignment over a fixed atom tuple."""
 
+    __slots__ = _fields = ("atoms", "values")
     atoms: tuple[str, ...]
     values: tuple[bool, ...]
+
+    def __init__(self, atoms: tuple[str, ...], values: tuple[bool, ...]) -> None:
+        set_field(self, "atoms", atoms)
+        set_field(self, "values", values)
 
     def __str__(self) -> str:
         return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
@@ -368,8 +386,7 @@ def _space(
     return {name: m & admissible for name, m in masks.items()}, admissible
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Declared atoms plus logical constraints.
 
     Each constraint is an event asserted to be impossible; the admissible
@@ -385,27 +402,30 @@ class Context:
     constraint named in an :class:`UnknownAtomError`.
     """
 
+    _fields = ("atoms", "constraints")
     atoms: tuple[str, ...]
-    constraints: tuple[Event, ...] = ()
-    full_mask: int = field(init=False, repr=False, compare=False)
-    _atom_masks: dict[str, int] = field(init=False, repr=False, compare=False)
+    constraints: tuple[Event, ...]
+    full_mask: int
+    _atom_masks: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __init__(self, atoms: tuple[str, ...], constraints: tuple[Event, ...] = ()) -> None:
+        set_field(self, "atoms", atoms)
+        set_field(self, "constraints", constraints)
+        if not atoms:
             raise ValueError("a context needs at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
+        if len(set(atoms)) != len(atoms):
             raise ValueError("atom names must be unique")
-        for name in self.atoms:
+        for name in atoms:
             _check_name(name)
-        _check_atom_count(len(self.atoms))
+        _check_atom_count(len(atoms))
         try:
-            atom_masks, full = _space(self.atoms, self.constraints)
+            atom_masks, full = _space(atoms, constraints)
         except KeyError:
-            for c in self.constraints:
+            for c in constraints:
                 self._reject_undeclared(c, "constraint")
             raise
-        object.__setattr__(self, "full_mask", full)
-        object.__setattr__(self, "_atom_masks", atom_masks)
+        set_field(self, "full_mask", full)
+        set_field(self, "_atom_masks", atom_masks)
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:

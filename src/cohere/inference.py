@@ -17,11 +17,11 @@ through the extension-interval path of ``coherence`` instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .coherence import Assessment, ProbabilityInterval
+from ._record import Record, set_field
+from .coherence import ProbabilityInterval
 from .conditionals import (
     ConditionalEvent,
     _shared_context,
@@ -31,27 +31,32 @@ from .conditionals import (
 from .errors import CohereError, NotPConsistentError, SizeLimitError
 from .events import Atom, Context
 from .tnorms import (
-    LUKASIEWICZ, ONE, PRODUCT, as_unit, hamacher0_conary, hamacher0_nary, tconorm, tnorm
+    LUKASIEWICZ, PRODUCT, as_unit, hamacher0_conary, hamacher0_nary, tconorm, tnorm
 )
 
 LOOP_MAX = 16
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Record):
     """Named conditional events over one context."""
 
+    _fields = ("context", "names", "conditionals")
     context: Context
     names: tuple[str, ...]
     conditionals: tuple[ConditionalEvent, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.conditionals):
+    def __init__(
+        self, context: Context, names: tuple[str, ...], conditionals: tuple[ConditionalEvent, ...]
+    ) -> None:
+        set_field(self, "context", context)
+        set_field(self, "names", names)
+        set_field(self, "conditionals", conditionals)
+        if len(names) != len(conditionals):
             raise ValueError("names and conditionals differ in length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("conditional names must be unique")
-        for ce in self.conditionals:
-            if ce.context is not self.context and ce.context != self.context:
+        for ce in conditionals:
+            if ce.context is not context and ce.context != context:
                 raise ValueError("conditionals must live in the knowledge base context")
 
     def __len__(self) -> int:
@@ -62,10 +67,6 @@ class KnowledgeBase:
             return self.conditionals[self.names.index(name)]
         except ValueError:
             raise KeyError(name) from None
-
-
-def all_ones(kb: KnowledgeBase) -> Assessment:
-    return Assessment(kb.conditionals, (ONE,) * len(kb))
 
 
 def _tolerance_test(masks: Sequence[tuple[int, int]]) -> list[int]:
@@ -224,11 +225,18 @@ def biconditional_value(x: Fraction, y: Fraction) -> Fraction:
 RULE_KINDS = ("qc", "qd", "or", "gn", "compound", "bic", "dual")
 
 
-@dataclass(frozen=True)
-class RuleBounds:
+class RuleBounds(Record):
+    _fields = ("rule", "probs", "interval")
     rule: str
     probs: tuple[Fraction, ...]
     interval: ProbabilityInterval
+
+    def __init__(
+        self, rule: str, probs: tuple[Fraction, ...], interval: ProbabilityInterval
+    ) -> None:
+        set_field(self, "rule", rule)
+        set_field(self, "probs", probs)
+        set_field(self, "interval", interval)
 
 
 def rule_bounds(kind: str, probs: Sequence[Fraction]) -> RuleBounds:
@@ -317,10 +325,10 @@ def in_u_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
     return in_l_gamma_qc([1 - v for v in p], 1 - g)
 
 
-@dataclass(frozen=True)
-class GammaRegion:
+class GammaRegion(Record):
     """Membership predicate for one of the four premise regions."""
 
+    _fields = ("kind", "operation", "gamma")
     kind: str  # "L" or "U"
     operation: str  # "qc" or "qd"
     gamma: Fraction
@@ -332,10 +340,13 @@ class GammaRegion:
         ("U", "qd"): in_u_gamma_qd,
     }
 
-    def __post_init__(self) -> None:
-        if (self.kind, self.operation) not in self._TESTS:
-            raise ValueError(f"unknown region {self.kind}/{self.operation}")
-        as_unit(self.gamma, "gamma")
+    def __init__(self, kind: str, operation: str, gamma: Fraction) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "operation", operation)
+        set_field(self, "gamma", gamma)
+        if (kind, operation) not in self._TESTS:
+            raise ValueError(f"unknown region {kind}/{operation}")
+        as_unit(gamma, "gamma")
 
     def contains(self, probs: Sequence[Fraction]) -> bool:
         return self._TESTS[(self.kind, self.operation)](probs, self.gamma)

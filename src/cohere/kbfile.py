@@ -19,9 +19,9 @@ must be given for all conditionals or for none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .coherence import Assessment
 from .conditionals import ConditionalEvent, parse_conditional
 from .errors import CohereError, KBFormatError
@@ -32,15 +32,29 @@ from .rationals import fraction_str, parse_rational
 _SECTIONS = ("atoms", "constraints", "conditionals", "queries")
 
 
-@dataclass(frozen=True)
-class KnowledgeBaseFile:
+class KnowledgeBaseFile(Record):
     """Parsed file contents, prior to semantic packaging."""
 
+    _fields = ("context", "names", "conditionals", "probs", "queries")
     context: Context
     names: tuple[str, ...]
     conditionals: tuple[ConditionalEvent, ...]
     probs: tuple[Fraction | None, ...]
     queries: tuple[str, ...]
+
+    def __init__(
+        self,
+        context: Context,
+        names: tuple[str, ...],
+        conditionals: tuple[ConditionalEvent, ...],
+        probs: tuple[Fraction | None, ...],
+        queries: tuple[str, ...],
+    ) -> None:
+        set_field(self, "context", context)
+        set_field(self, "names", names)
+        set_field(self, "conditionals", conditionals)
+        set_field(self, "probs", probs)
+        set_field(self, "queries", queries)
 
 
 def parse_kb_text(text: str) -> KnowledgeBaseFile:
@@ -49,7 +63,10 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
     conditional_src: list[tuple[int, str]] = []
     queries: list[str] = []
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # A line ends at "\n" alone, as in an editor: str.splitlines would also
+    # break at a form feed or another separator, even inside a comment.  The
+    # strip drops the "\r" of a CRLF line end.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

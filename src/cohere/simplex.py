@@ -69,11 +69,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Collection, Sequence
+
+from ._record import Record, set_field
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -83,17 +84,35 @@ Solution = tuple[tuple[int, ...], int]  # integer numerators over a denominator 
 _WORDS = {8 * array(code).itemsize: code for code in "iq"}
 
 
-@dataclass(frozen=True, slots=True)
-class LPResult:
+class LPResult(Record):
     """Outcome of phase 1 or of one optimisation, a solution as numerators
-    ``x`` over ``den``; feasible phase 1 keeps its ``tableau`` for :meth:`optimize`."""
+    ``x`` over ``den``; feasible phase 1 keeps its ``tableau`` for :meth:`optimize`,
+    which takes no part in equality."""
 
+    __slots__ = ("status", "x", "den", "objective", "farkas", "tableau")
+    _fields = __slots__[:-1]
     status: str
-    x: tuple[int, ...] | None = None
-    den: int | None = None
-    objective: Fraction | None = None
-    farkas: tuple[Fraction, ...] | None = None
-    tableau: _Tableau | None = field(default=None, compare=False, repr=False)
+    x: tuple[int, ...] | None
+    den: int | None
+    objective: Fraction | None
+    farkas: tuple[Fraction, ...] | None
+    tableau: _Tableau | None
+
+    def __init__(
+        self,
+        status: str,
+        x: tuple[int, ...] | None = None,
+        den: int | None = None,
+        objective: Fraction | None = None,
+        farkas: tuple[Fraction, ...] | None = None,
+        tableau: _Tableau | None = None,
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "x", x)
+        set_field(self, "den", den)
+        set_field(self, "objective", objective)
+        set_field(self, "farkas", farkas)
+        set_field(self, "tableau", tableau)
 
     def optimize(self, objective: Sequence[Fraction], maximize: bool = False) -> LPResult:
         """Optimize ``objective`` over the system this feasibility result

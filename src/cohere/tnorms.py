@@ -13,10 +13,10 @@ the fold order irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._record import Record, set_field
 from .errors import ProbabilityRangeError
 from .rationals import fraction_str, parse_rational
 
@@ -45,27 +45,29 @@ def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
-class OperatorFamily:
+class OperatorFamily(Record):
     """A t-norm family together with its dual t-conorm.
 
     ``kind`` is one of ``minimum``, ``product``, ``lukasiewicz``, ``drastic``,
     ``hamacher``; the Hamacher kind carries a parameter >= 0 or :data:`INF`.
     """
 
+    _fields = ("kind", "parameter")
     kind: str
-    parameter: HamacherParam | None = None
+    parameter: HamacherParam | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("minimum", "product", "lukasiewicz", "drastic", "hamacher"):
-            raise ValueError(f"unknown operator family {self.kind!r}")
-        if self.kind == "hamacher":
-            if self.parameter is None:
+    def __init__(self, kind: str, parameter: HamacherParam | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "parameter", parameter)
+        if kind not in ("minimum", "product", "lukasiewicz", "drastic", "hamacher"):
+            raise ValueError(f"unknown operator family {kind!r}")
+        if kind == "hamacher":
+            if parameter is None:
                 raise ValueError("hamacher family needs a parameter")
-            if not isinstance(self.parameter, _Infinity) and self.parameter < 0:
+            if not isinstance(parameter, _Infinity) and parameter < 0:
                 raise ValueError("hamacher parameter must be >= 0")
-        elif self.parameter is not None:
-            raise ValueError(f"{self.kind} family takes no parameter")
+        elif parameter is not None:
+            raise ValueError(f"{kind} family takes no parameter")
 
     def __str__(self) -> str:
         if self.kind == "hamacher":

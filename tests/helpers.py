@@ -20,6 +20,7 @@ from cohere import (
     Event,
     EventSyntaxError,
     INF,
+    KnowledgeBase,
     OperatorFamily,
     SizeLimitError,
     TruthValue3,
@@ -34,6 +35,11 @@ from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_fark
 ATOM_POOL = ("A", "B", "C", "D", "E")
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def all_ones(kb: KnowledgeBase) -> Assessment:
+    """Every conditional of ``kb`` at probability one, Adams' premises."""
+    return Assessment(kb.conditionals, (ONE,) * len(kb))
 
 
 def random_event(rng: random.Random, atoms: tuple[str, ...], depth: int = 2) -> Event:

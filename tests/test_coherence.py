@@ -3,7 +3,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -26,6 +25,8 @@ from cohere import (
     zero_upper,
 )
 from cohere.coherence import (
+    _Endpoint,
+    _Link,
     _indicator,
     _interval_levels,
     _open_indices,
@@ -521,21 +522,22 @@ class TestEndpointProofs:
         assert [link.indices for link in lo.chain] == [(0, 1), (1,)]
         assert _open_indices(lo, target) == ()
         top, below = lo.chain
+        skipped = _Link((0,), below.system, below.solution)
         with pytest.raises(AssertionError, match="skips a zero-probability level"):
-            _open_indices(replace(lo, chain=(top, replace(below, indices=(0,)))), target)
+            _open_indices(_Endpoint(lo.value, (top, skipped)), target)
         # C|T is met at the top, whose solution charges T: nothing follows.
         top_target = ce("C", "T", ctx)
         met, _, _ = _interval_levels(a, top_target, (0, 1))
         assert len(met.chain) == 1 and _open_indices(met, top_target) == (1,)
         with pytest.raises(AssertionError, match="continues past a charged target"):
-            _open_indices(replace(met, chain=met.chain + (below,)), top_target)
+            _open_indices(_Endpoint(met.value, met.chain + (below,)), top_target)
         # B|B is 1 on its own, the bottom of a descent from B|T = 0.
         sure = ce("B", "B", ctx)
         end, _, _ = _interval_levels(a.restrict((0,)), sure, (0,))
         assert (end.value, len(end.chain)) == (1, 1)
         assert _open_indices(end, sure) == ()
         with pytest.raises(AssertionError, match="not a value of the target alone"):
-            _open_indices(replace(end, value=Fr(1, 2)), sure)
+            _open_indices(_Endpoint(Fr(1, 2), end.chain), sure)
 
 
 def _shifted(solution):

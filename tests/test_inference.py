@@ -32,6 +32,7 @@ from cohere import (
     loop_entails,
     loop_family,
     n_conditional,
+    negate,
     or_rule_bounds,
     p_consistent,
     p_entails,
@@ -44,10 +45,11 @@ from cohere import (
     rule_bounds,
 )
 from cohere import cli, coherence, simplex
-from cohere.inference import _untolerated, all_ones, deranged_family, derangements
+from cohere.inference import _untolerated, deranged_family, derangements
 from cohere.kbfile import load_kb
 
 from helpers import (
+    all_ones,
     gn_chain_context,
     independent_pairs,
     random_conditional,
@@ -363,6 +365,53 @@ class TestClosedFormsAgainstEngine:
             iv = extension_interval(a, ce("A & B", "A | B", ctx))
             v = biconditional_value(x, y)
             assert _pair(iv) == (v, v)
+
+
+
+def _mass_family(rng, ctx, n):
+    """n random conditionals and the probabilities that integer weights on a
+    few admissible worlds induce, every antecedent charged: coherent."""
+    worlds = [k for k in range(ctx.full_mask.bit_length()) if ctx.full_mask >> k & 1]
+    while True:
+        family = [random_conditional(rng, ctx) for _ in range(n)]
+        weights = {k: rng.randint(1, 3) for k in rng.sample(worlds, 4)}
+        probs = []
+        for member in family:
+            verifying, falsifying = (
+                sum(w for k, w in weights.items() if mask >> k & 1) for mask in member.masks
+            )
+            if not verifying + falsifying:
+                break
+            probs.append(Fr(verifying, verifying + falsifying))
+        else:
+            return tuple(family), tuple(probs)
+
+
+class TestDualityAtScale:
+    """QD(F) is the negation of QC(~F) given the same antecedent, so under
+    any logical constraints the QD extension interval of (F, p) is 1 minus
+    the reversed QC extension interval of the negated members at 1 - p."""
+
+    def test_qd_interval_is_dual_to_qc_of_negations(self):
+        rng = random.Random(2013)
+        atoms = tuple(f"A{i}" for i in range(8))
+        narrow = 0
+        for k in range(300):
+            # One or two constraints, each forbidding a pair of literals.
+            constraints = tuple(
+                Atom(x) & (~Atom(y) if rng.random() < 0.5 else Atom(y))
+                for x, y in (rng.sample(atoms, 2) for _ in range(1 + k % 2))
+            )
+            ctx = Context(atoms, constraints)
+            family, probs = _mass_family(rng, ctx, 3 + k % 5)
+            qd = extension_interval(Assessment(family, probs), quasi_disjunction(family))
+            negated = tuple(negate(member) for member in family)
+            qc = extension_interval(
+                Assessment(negated, tuple(1 - p for p in probs)), quasi_conjunction(negated)
+            )
+            assert (qd.lo, qd.hi, qd.vacuous) == (1 - qc.hi, 1 - qc.lo, qc.vacuous), k
+            narrow += _pair(qd) != (0, 1)
+        assert narrow >= 150, narrow
 
 
 GRID_STEPS = [Fr(i, 6) for i in range(7)]

@@ -9,7 +9,6 @@ import pytest
 from cohere import KBFormatError, SizeLimitError, cli, parse_conditional
 from cohere.cli import MAX_GRID, main
 from cohere.events import MAX_DEPTH
-from cohere.inference import all_ones
 from cohere.oracle import extension_interval_bruteforce
 from cohere.rationals import MAX_DIGITS
 from cohere.kbfile import (
@@ -19,6 +18,8 @@ from cohere.kbfile import (
     parse_kb_text,
     parse_rational,
 )
+
+from helpers import all_ones
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -178,6 +179,29 @@ class TestLoadKb:
     def test_content_before_any_header(self):
         with pytest.raises(KBFormatError) as err:
             parse_kb_text("# comment\n\nc: A | T\natoms: A\n")
+        assert err.value.line == 3
+
+    # str.splitlines ends a line at each of these as well as at "\n".
+    @pytest.mark.parametrize(
+        "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_newline_ends_a_line(self, separator):
+        body = "\natoms: A B\nconditionals:\n  c: A | B = 1/2\n"
+        assert parse_kb_text(f"# note{separator}x{body}") == parse_kb_text(f"# note x{body}")
+        with pytest.raises(KBFormatError) as err:
+            parse_kb_text(f"# note{separator}x\natoms: A\nconditionals:\n  c: A | F\n")
+        assert err.value.line == 4
+
+    def test_crlf_line_ends(self, tmp_path):
+        lf = "atoms: A B  # two\nconditionals:\n  c: A | B = 1/2\n  d: B | A = 1/3\n"
+        assert parse_kb_text(lf.replace("\n", "\r\n")) == parse_kb_text(lf)
+        # A file is read with universal newlines, so any line end serves there.
+        for end in ("\r\n", "\r"):
+            path = tmp_path / "ends.kb"
+            path.write_bytes(lf.replace("\n", end).encode())
+            assert load_kb_file(str(path)) == parse_kb_text(lf)
+        with pytest.raises(KBFormatError) as err:
+            parse_kb_text("atoms: A\r\nconditionals:\r\n  c: A | F\r\n")
         assert err.value.line == 3
 
 

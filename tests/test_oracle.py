@@ -22,7 +22,6 @@ from cohere import (
     zero_upper,
 )
 from cohere.coherence import _fractional_bounds, _indicator
-from cohere.inference import all_ones
 from cohere.kbfile import load_kb
 from cohere.oracle import (
     VERTEX_ENUMERATION_LIMIT,
@@ -31,7 +30,7 @@ from cohere.oracle import (
 )
 from cohere.simplex import OPTIMAL, solve_eq_lp
 
-from helpers import independent_pairs, random_assessment, random_conditional, random_unit
+from helpers import all_ones, independent_pairs, random_assessment, random_conditional, random_unit
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 

@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 from cohere import Atom, ConditionalEvent, cli, coherence, inference, n_conditional
-from cohere.inference import all_ones, loop_family
+from cohere.inference import loop_family
+
+from helpers import all_ones
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cohere"
@@ -171,6 +173,38 @@ def test_no_unused_imports_in_package():
                     if (name := alias.asname or alias.name.split(".")[0]) not in read
                 ]
     assert not found, found
+
+
+def test_package_imports_no_dataclasses():
+    # The value types are written out by hand on cohere._record.Record:
+    # data classes generate and compile their methods at import.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "dataclasses"
+            ]
+    assert not found, found
+
+
+def test_importing_the_engine_loads_no_dataclasses():
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cohere, cohere.cli; print('dataclasses' in sys.modules)"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_no_unreferenced_private_helpers():
