@@ -31,26 +31,10 @@ from .inference import (
     p_entails_qc,
     rule_bounds,
 )
-from .kbfile import load_kb
 from .rationals import fraction_str, parse_rational
-from .tnorms import (
-    DRASTIC,
-    INF,
-    LUKASIEWICZ,
-    MINIMUM,
-    PRODUCT,
-    hamacher,
-    tconorm,
-    tnorm,
-)
 
-_FAMILIES = {
-    "min": MINIMUM,
-    "minimum": MINIMUM,
-    "product": PRODUCT,
-    "lukasiewicz": LUKASIEWICZ,
-    "drastic": DRASTIC,
-}
+# The KB-file reader and the t-norms are imported by the commands that use
+# them, so no other command compiles them.
 
 REGION_NAMES = ("Lqc", "Uqc", "Lqd", "Uqd")
 # A grid costs N**2 membership tests.
@@ -157,6 +141,8 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .kbfile import load_kb
+
     kb, assessment = load_kb(args.kb)
     if assessment is None:
         raise CohereError("the KB file carries no probabilities to check")
@@ -177,6 +163,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_consistent(args) -> int:
+    from .kbfile import load_kb
+
     kb, _ = load_kb(args.kb)
     ok = p_consistent(kb)
     _emit({"p_consistent": ok}, "P-CONSISTENT" if ok else "NOT P-CONSISTENT", args.json)
@@ -184,6 +172,8 @@ def _cmd_consistent(args) -> int:
 
 
 def _cmd_entails(args) -> int:
+    from .kbfile import load_kb
+
     kb, _ = load_kb(args.kb)
     target = parse_conditional(args.target, kb.context)
     results: dict[str, bool] = {}
@@ -285,6 +275,8 @@ def _cmd_loop(args) -> int:
 
 
 def _cmd_truth_table(args) -> int:
+    from .kbfile import load_kb
+
     kb, _ = load_kb(args.kb)
     names = args.names or list(kb.names)
     unknown = [name for name in names if name not in kb.names]
@@ -329,16 +321,27 @@ def _value_at(masks: tuple[int, int], bit: int) -> str:
 
 
 def _cmd_tnorm(args) -> int:
+    from .tnorms import (
+        DRASTIC, INF, LUKASIEWICZ, MINIMUM, PRODUCT, hamacher, tconorm, tnorm
+    )
+
+    families = {
+        "min": MINIMUM,
+        "minimum": MINIMUM,
+        "product": PRODUCT,
+        "lukasiewicz": LUKASIEWICZ,
+        "drastic": DRASTIC,
+    }
     name = args.family.lower()
     if name == "hamacher":
         if args.param is None:
             raise CohereError("the hamacher family needs --param (a/b or 'inf')")
         param = INF if args.param.lower() in ("inf", "infinity") else parse_rational(args.param)
         family = hamacher(param)
-    elif name in _FAMILIES:
+    elif name in families:
         if args.param is not None:
             raise CohereError(f"family {name!r} takes no parameter")
-        family = _FAMILIES[name]
+        family = families[name]
     else:
         raise CohereError(f"unknown operator family {args.family!r}")
     values = [parse_rational(v) for v in args.args]

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import lcm
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record, set_field
 from .conditionals import (
@@ -52,8 +52,12 @@ from .conditionals import (
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context
-from .rationals import fraction_str
-from .simplex import OPTIMAL, LPResult, Solution, check_solution, solve_eq_lp
+from .rationals import float_refused, fraction_str
+
+# The simplex is imported inside each function that solves or checks an LP,
+# so a process that needs none never compiles it.
+if TYPE_CHECKING:
+    from .simplex import LPResult, Solution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -78,6 +82,8 @@ class Assessment(Record):
             raise ValueError("family and probability vector differ in length")
         _shared_context(family)
         for p in probs:
+            if isinstance(p, float):
+                raise float_refused(p, "a probability")
             if not 0 <= p <= 1:
                 raise ProbabilityRangeError(f"probability {fraction_str(p)} outside [0, 1]")
 
@@ -92,6 +98,8 @@ class Assessment(Record):
         )
 
     def extend(self, ce: ConditionalEvent, p: Fraction) -> "Assessment":
+        if isinstance(p, float):
+            raise float_refused(p, "a probability")
         return Assessment(self.family + (ce,), self.probs + (Fraction(p),))
 
 
@@ -131,6 +139,8 @@ class SigmaSystem(Record):
     def phase1(self) -> LPResult:
         """Phase 1 of the system, run once; every mass LP over it starts from
         this result's tableau."""
+        from .simplex import solve_eq_lp
+
         return solve_eq_lp(self.matrix, self.rhs, scales=self.scales)
 
     def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -199,6 +209,8 @@ class SigmaFeasibility(Record):
 def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
     """Solve the system, or refute it with stakes whose gain is positive on
     every constituent."""
+    from .simplex import OPTIMAL
+
     result = system.phase1
     if result.status == OPTIMAL:
         den = result.den
@@ -227,6 +239,8 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], S
     The mediant, a convex combination of those solutions, charges every
     antecedent outside the returned indices.
     """
+    from .simplex import OPTIMAL
+
     if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
     remaining = tuple(range(len(system.matrix) - 1))
@@ -381,6 +395,8 @@ def _fractional_bounds(
     both extremes; at an optimum, y / t attains the ratio, and it is the
     numerators of y over the numerator of t, with no division.
     """
+    from .simplex import OPTIMAL, solve_eq_lp
+
     m = len(system.matrix[0])
     hom_matrix = [row + (-b,) for row, b in zip(system.matrix, system.rhs)]
     hom_matrix.append(_indicator(den, m + 1))
@@ -450,6 +466,8 @@ def _interval_levels(
         lo, hi, vacuous = _standalone_interval(target)
         return _Endpoint(lo, ()), _Endpoint(hi, ()), vacuous
 
+    from .simplex import OPTIMAL, solve_eq_lp
+
     system = build_sigma(a, target)
     den = system.supports[-1]
 
@@ -499,6 +517,8 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
     standalone values below the last level; a level that charges the target
     ends the chain and leaves its uncharged members open.
     """
+    from .simplex import check_solution
+
     z = end.value
     expected = None
     for depth, link in enumerate(end.chain):

@@ -11,7 +11,8 @@ the one subfamily whose quasi conjunction can be included in the target in the
 Goodman-Nguyen order, and checks that inclusion.  The closed-form bound
 propagation functions assume logically independent premises; under logical
 constraints the true bounds can only be tighter, so route constrained problems
-through the extension-interval path of ``coherence`` instead.
+through the extension-interval path of ``coherence`` instead.  They import
+the t-norms where they use them, so deciding entailment never loads them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .conditionals import (
 )
 from .errors import CohereError, NotPConsistentError, SizeLimitError
 from .events import Atom, Context
-from .tnorms import (
-    LUKASIEWICZ, PRODUCT, as_unit, hamacher0_conary, hamacher0_nary, tconorm, tnorm
-)
+from .rationals import as_unit
 
 LOOP_MAX = 16
 
@@ -178,6 +177,8 @@ def _units(probs: Sequence[Fraction]) -> list[Fraction]:
 def qc_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Quasi conjunction of independent premises: Lukasiewicz lower bound,
     Hamacher (parameter 0) conorm upper bound."""
+    from .tnorms import LUKASIEWICZ, hamacher0_conary, tnorm
+
     p = _units(probs)
     return ProbabilityInterval(tnorm(LUKASIEWICZ, p), hamacher0_conary(p))
 
@@ -185,6 +186,8 @@ def qc_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 def qd_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Quasi disjunction: Hamacher (parameter 0) lower bound, Lukasiewicz
     conorm upper bound."""
+    from .tnorms import LUKASIEWICZ, hamacher0_nary, tconorm
+
     p = _units(probs)
     return ProbabilityInterval(hamacher0_nary(p), tconorm(LUKASIEWICZ, p))
 
@@ -192,6 +195,8 @@ def qd_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 def or_rule_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Same event under alternative conditioning events: Hamacher
     (parameter 0) pair on both sides."""
+    from .tnorms import hamacher0_conary, hamacher0_nary
+
     p = _units(probs)
     return ProbabilityInterval(hamacher0_nary(p), hamacher0_conary(p))
 
@@ -207,6 +212,8 @@ def gn_chain_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 
 def compound_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
     """Chained conditioning: the extension is uniquely the product."""
+    from .tnorms import PRODUCT, tnorm
+
     value = tnorm(PRODUCT, _units(probs))
     return ProbabilityInterval(value, value)
 
@@ -214,11 +221,15 @@ def compound_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 def dual_compound_value(x: Fraction, y: Fraction) -> Fraction:
     """Disjunction built from a conditional and its complement-conditioned
     companion: the probabilistic sum, the product t-conorm."""
+    from .tnorms import PRODUCT, tconorm
+
     return tconorm(PRODUCT, [as_unit(x, "x"), as_unit(y, "y")])
 
 
 def biconditional_value(x: Fraction, y: Fraction) -> Fraction:
     """Both-given-either: the Hamacher (parameter 0) t-norm, zero at (0, 0)."""
+    from .tnorms import hamacher0_nary
+
     return hamacher0_nary([as_unit(x, "x"), as_unit(y, "y")])
 
 
@@ -285,6 +296,8 @@ def in_l_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
 def in_u_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
     """Premises forcing the quasi conjunction's upper bound to at most gamma,
     via the sequential threshold (gamma - u)/(1 - (2 - gamma) u)."""
+    from .tnorms import hamacher0_conary
+
     p = _units(probs)
     g = as_unit(gamma, "gamma")
     if g == 1:

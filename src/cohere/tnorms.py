@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._record import Record, set_field
-from .errors import ProbabilityRangeError
-from .rationals import fraction_str, parse_rational
+from .rationals import as_unit, float_refused, fraction_str, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,15 +33,6 @@ class _Infinity:
 INF = _Infinity()
 
 HamacherParam = Union[Fraction, _Infinity]
-
-
-def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
-    """Coerce to an exact rational in [0, 1]; a string goes through
-    :func:`~cohere.rationals.parse_rational` and its exponent cap."""
-    f = parse_rational(value) if isinstance(value, str) else Fraction(value)
-    if f < 0 or f > 1:
-        raise ProbabilityRangeError(f"{name} must lie in [0, 1], got {fraction_str(f)}")
-    return f
 
 
 class OperatorFamily(Record):
@@ -83,6 +73,8 @@ DRASTIC = OperatorFamily("drastic")
 
 
 def hamacher(parameter: HamacherParam | int | str) -> OperatorFamily:
+    if isinstance(parameter, float):
+        raise float_refused(parameter, "the hamacher parameter")
     if isinstance(parameter, str):
         parameter = parse_rational(parameter)
     elif not isinstance(parameter, _Infinity):

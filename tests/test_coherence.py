@@ -34,7 +34,7 @@ from cohere.coherence import (
     verdict_to_json,
 )
 from cohere.oracle import extension_interval_bruteforce
-from cohere.conditionals import parse_conditional
+from cohere.conditionals import negate, parse_conditional
 from cohere.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -50,6 +50,7 @@ from helpers import (
     independent_pairs,
     random_assessment,
     random_conditional,
+    random_event,
     random_unit,
     reference_sigma,
     reference_zero_upper,
@@ -167,6 +168,17 @@ class TestSigmaFeasible:
         ctx = Context(("A",))
         with pytest.raises(ProbabilityRangeError):
             Assessment((ce("A", "T", ctx),), (Fr(3, 2),))
+
+    def test_float_probability_rejected_at_assessment(self):
+        # A float once passed here and then failed deep in check_coherence,
+        # on a missing numerator.
+        ctx = Context(("A",))
+        with pytest.raises(TypeError, match=r"a probability is the float 0\.5;"):
+            Assessment((ce("A", "T", ctx),), (0.5,))
+        a = Assessment((ce("A", "T", ctx),), (Fr(1, 2),))
+        with pytest.raises(TypeError, match=r"a probability is the float 0\.25;"):
+            a.extend(ce("A", "T", ctx), 0.25)
+        assert a.extend(ce("A", "T", ctx), 1).probs == (Fr(1, 2), Fr(1))
 
     def test_included_pair_with_reversed_probabilities_certified(self):
         ctx, family = gn_chain_context(2)
@@ -431,7 +443,7 @@ class TestEndpointProofs:
             return bounds
 
         monkeypatch.setattr(cohere.coherence, "check_coherence", checking)
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
+        monkeypatch.setattr(cohere.simplex, "solve_eq_lp", solving)
         monkeypatch.setattr(cohere.coherence, "_fractional_bounds", bounding)
         rng = random.Random(1409)
         coherent = refuted_below = compared = descended = engine_descents = stops = 0
@@ -584,7 +596,7 @@ class TestOnePhase1PerSystem:
             calls.append(args)
             return solve_eq_lp(*args, **kwargs)
 
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        monkeypatch.setattr(cohere.simplex, "solve_eq_lp", counting)
         ctx = Context(("A", "B"))
         a = Assessment(
             (ce("B", "T", ctx), ce("A", "B", ctx)), tuple(Fr(p) for p in probs)
@@ -610,7 +622,7 @@ class TestOnePhase1PerSystem:
             optima.append(args)
             return optimize(self, *args, **kwargs)
 
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        monkeypatch.setattr(cohere.simplex, "solve_eq_lp", counting)
         monkeypatch.setattr(LPResult, "optimize", optimizing)
         ctx = Context(("A", "H", "B", "K"))
         family = (ce("A", "H", ctx), ce("B", "K", ctx))
@@ -639,7 +651,7 @@ class TestOnePhase1PerSystem:
             descents.append(args)
             return zero_upper(*args)
 
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", counting)
+        monkeypatch.setattr(cohere.simplex, "solve_eq_lp", counting)
         monkeypatch.setattr(LPResult, "optimize", optimizing)
         monkeypatch.setattr(cohere.coherence, "zero_upper", descending)
         ctx = Context(("A", "B", "C"))
@@ -733,3 +745,89 @@ class TestZeroUpperFromSpread:
         verdict = check_coherence(a)
         assert verdict.coherent and len(verdict.trace) == 1
         assert found == optima
+
+
+def _constrained_family(rng):
+    """3 to 5 conditionals over 3 or 4 atoms under one or two constraints,
+    assessed from a mass on one to three worlds that meet some antecedent,
+    so that level 0 is solvable; a member whose antecedent that mass misses
+    gets a random value, so deeper levels can go either way.  Also returns
+    a target drawn from the same context."""
+    atoms = ("A", "B", "C", "D")[: rng.randint(3, 4)]
+    while True:
+        constraints = tuple(
+            random_event(rng, atoms, 1) & random_event(rng, atoms, 1)
+            for _ in range(rng.randint(1, 2))
+        )
+        ctx = Context(atoms, constraints)
+        if len(ctx.worlds) >= 3:
+            break
+    family = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(3, 5)))
+    met = 0
+    for member in family:
+        met |= member.masks[0] | member.masks[1]
+    worlds = [w for w in range(met.bit_length()) if met >> w & 1]
+    charged = rng.sample(worlds, min(len(worlds), rng.randint(1, 3)))
+    mass = {w: rng.randint(1, 4) for w in charged}
+    probs = []
+    for member in family:
+        verifying, falsifying = member.masks
+        on = sum(m for w, m in mass.items() if (verifying | falsifying) >> w & 1)
+        true = sum(m for w, m in mass.items() if verifying >> w & 1)
+        probs.append(Fr(true, on) if on else random_unit(rng))
+    return Assessment(family, tuple(probs)), random_conditional(rng, ctx)
+
+
+def _outcome(a, names, target):
+    """The verdict, each level's examined members and zero layer as sets of
+    member names, and the target's extension interval, or None for an
+    incoherent base."""
+    verdict = check_coherence(a)
+    levels = [
+        (frozenset(names[i] for i in rec.indices), frozenset(names[i] for i in rec.i0))
+        for rec in verdict.trace
+    ]
+    try:
+        iv = extension_interval(a, target)
+        interval = (iv.lo, iv.hi, iv.vacuous)
+    except IncoherentAssessmentError:
+        interval = None
+    return verdict.coherent, levels, interval
+
+
+class TestInvariance:
+    """Coherence and extension intervals depend on the family as a set of
+    conditional events, and on each member only through its constituent
+    equation."""
+
+    CASES = 40
+
+    def test_permuting_the_members_changes_nothing(self):
+        rng = random.Random(2901)
+        seen = Counter()
+        for _ in range(self.CASES):
+            a, target = _constrained_family(rng)
+            names = [f"c{i}" for i in range(len(a.family))]
+            order = list(range(len(a.family)))
+            rng.shuffle(order)
+            permuted = a.restrict(order)
+            expected = _outcome(a, names, target)
+            assert _outcome(permuted, [names[i] for i in order], target) == expected
+            seen[expected[0], len(expected[1])] += 1
+        # The families reach incoherent verdicts and coherent ones below level 0.
+        assert seen[True, 1] and seen[False, 2], seen
+        assert any(coherent and levels > 1 for coherent, levels in seen), seen
+
+    def test_negating_a_member_at_the_complement_changes_nothing(self):
+        # E | H at p and ~E | H at 1 - p give the same constituent equation
+        # up to sign, over the same antecedent.
+        rng = random.Random(2902)
+        for _ in range(self.CASES):
+            a, target = _constrained_family(rng)
+            names = [f"c{i}" for i in range(len(a.family))]
+            j = rng.randrange(len(a.family))
+            swapped = Assessment(
+                a.family[:j] + (negate(a.family[j]),) + a.family[j + 1:],
+                a.probs[:j] + (1 - a.probs[j],) + a.probs[j + 1:],
+            )
+            assert _outcome(swapped, names, target) == _outcome(a, names, target)

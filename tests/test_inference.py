@@ -278,6 +278,17 @@ class TestClosedFormBounds:
         assert biconditional_value(Fr(0), Fr(0)) == Fr(0)
         assert biconditional_value(Fr(1), Fr(1)) == Fr(1)
 
+    def test_floats_are_refused(self):
+        # qc_bounds([0.1, 0.2]) once returned an upper bound over a 33-digit
+        # denominator, from the floats' binary expansions.
+        with pytest.raises(TypeError, match=r"p1 is the float 0\.1;"):
+            qc_bounds([0.1, 0.2])
+        with pytest.raises(TypeError, match=r"gamma is the float 0\.5;"):
+            in_l_gamma_qc([Fr(1, 2)], 0.5)
+        with pytest.raises(TypeError, match=r"y is the float 0\.5;"):
+            biconditional_value(Fr(1, 2), 0.5)
+        assert _pair(qc_bounds(["1/10", "0.2"])) == (Fr(0), Fr(13, 49))
+
     def test_dispatcher(self):
         rb = rule_bounds("qc", [Fr(1, 2), Fr(1, 2)])
         assert rb.rule == "qc" and _pair(rb.interval) == (Fr(0), Fr(2, 3))
@@ -318,6 +329,28 @@ class TestClosedFormsAgainstEngine:
             assert _pair(lp_qc) == _pair(qc_bounds(probs))
             lp_qd = extension_interval(a, quasi_disjunction(family))
             assert _pair(lp_qd) == _pair(qd_bounds(probs))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_qc_and_qd_match_extension_at_larger_n(self, n):
+        # random_unit gives 0 or 1 about a third of the time, which at n >= 4
+        # mostly leaves a trivial bound.  Premises near 1 give a positive
+        # Lukasiewicz lower bound for QC, and premises near 0 an upper bound
+        # below 1 for QD; the other two vectors are spread over [0, 1].
+        rng = random.Random(400 + n)
+        ctx, family = independent_pairs(n)
+        qc, qd = quasi_conjunction(family), quasi_disjunction(family)
+        dens = [rng.randint(2 * n, 3 * n) for _ in range(n)]
+        vectors = (
+            tuple(Fr(d - 1, d) for d in dens),
+            tuple(Fr(1, d) for d in reversed(dens)),
+            tuple(Fr(rng.randint(1, d - 1), d) for d in (rng.randint(2, 9) for _ in range(n))),
+            tuple(random_unit(rng) for _ in range(n)),
+        )
+        assert qc_bounds(vectors[0]).lo > 0 and qd_bounds(vectors[1]).hi < 1
+        for probs in vectors:
+            a = Assessment(family, probs)
+            assert _pair(extension_interval(a, qc)) == _pair(qc_bounds(probs)), probs
+            assert _pair(extension_interval(a, qd)) == _pair(qd_bounds(probs)), probs
 
     def test_or_rule_matches_extension(self):
         rng = random.Random(55)

@@ -53,6 +53,37 @@ class TestParseRational:
             with pytest.raises(SizeLimitError, match="decimal exponent beyond"):
                 parse_rational(text)
 
+    def test_numeral_beyond_the_digit_limit_is_refused(self):
+        # int() refuses a numeral of more than MAX_DIGITS digits, not counting
+        # underscores, with a ValueError; that is a size limit, not a syntax
+        # error, and the message quotes only the start of the text.
+        assert parse_rational("1/" + "9" * MAX_DIGITS) == Fr(1, 10**MAX_DIGITS - 1)
+        assert parse_rational("0." + "1" * MAX_DIGITS).denominator == 10**MAX_DIGITS
+        # 2151 ones, 4301 characters
+        ones = MAX_DIGITS // 2 + 1
+        assert parse_rational("1" + "_1" * (ones - 1)) == (10**ones - 1) // 9
+        for text in (
+            "0." + "1" * 5000,
+            "1/" + "9" * 5000,
+            "9" * (MAX_DIGITS + 1),
+            "1/" + "9" * (MAX_DIGITS + 1),
+            "0." + "1" * (MAX_DIGITS + 1) + "e-5",
+            "1" + "_1" * MAX_DIGITS,
+        ):
+            limit = f"numeral of more than {MAX_DIGITS} digits"
+            with pytest.raises(SizeLimitError, match=limit) as err:
+                parse_rational(text)
+            assert len(str(err.value)) < 120
+
+    def test_numeral_beyond_the_digit_limit_exits_2(self, capsys):
+        assert main(["bounds", "qc", "0." + "1" * 5000, "1/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: numeral of more than {MAX_DIGITS} digits: "
+            f"{'0.' + '1' * 38!r}... (5002 characters)\n"
+        )
+
     def test_exponent_beyond_the_cap_exits_2(self, capsys):
         assert main(["bounds", "qc", "1e-999999999", "1/2"]) == 2
         captured = capsys.readouterr()

@@ -8,7 +8,6 @@ from math import isqrt, lcm
 
 import pytest
 
-import cohere.coherence
 import cohere.simplex
 import helpers
 from cohere import (
@@ -342,7 +341,7 @@ class TestReferenceAgreement:
             optima.append((starts[id(self)], objective, maximize, result))
             return result
 
-        monkeypatch.setattr(cohere.coherence, "solve_eq_lp", solving)
+        monkeypatch.setattr(cohere.simplex, "solve_eq_lp", solving)
         monkeypatch.setattr(LPResult, "optimize", optimizing)
         rng = random.Random(909)
         for _ in range(240):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cohere import Atom, ConditionalEvent, cli, coherence, inference, n_conditional
 from cohere.inference import loop_family
 
@@ -205,6 +207,63 @@ def test_importing_the_engine_loads_no_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+IMPORT_FOOTPRINT = """
+import contextlib, io, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("cohere."))
+
+import cohere
+print(loaded())
+import cohere.cli
+print([m for m in ("simplex", "kbfile", "tnorms", "oracle") if f"cohere.{m}" in sys.modules])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cohere.cli.main(["check", "kb/gn_chain.kb", "--json"])
+print(code, out.getvalue().strip())
+print([m for m in ("simplex", "kbfile", "tnorms") if f"cohere.{m}" in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cohere.cli.main(["tnorm", "product", "1/2", "1/2"])
+print(code, "cohere.tnorms" in sys.modules)
+"""
+
+
+def test_importing_the_engine_loads_what_a_command_uses():
+    # Each submodule is loaded when a name from it is first used: with no
+    # bytecode cache, every module a process loads is compiled first.  The
+    # check prints the same bytes as when every module was loaded at once.
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        "[]",
+        '0 {"certificate": null, "coherent": true, "trace": [{"I0": [], "indices": [0, 1]}], '
+        '"witness": ["2/3", "0", "1/4", "0", "1/12"]}',
+        "['simplex', 'kbfile']",
+        "0 True",
+    ]
+
+
+def test_package_names_resolve_to_their_modules():
+    # Every public name resolves, as cohere.X, to the object its module
+    # defines, and every submodule as cohere.<module>.
+    import cohere
+
+    for module, names in cohere._EXPORTS.items():
+        home = importlib.import_module(f"cohere.{module}")
+        for name in names:
+            assert getattr(cohere, name) is getattr(home, name), name
+    assert set(cohere.__all__) | cohere._SUBMODULES <= set(dir(cohere))
+    for module in cohere._SUBMODULES:
+        assert getattr(cohere, module) is importlib.import_module(f"cohere.{module}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cohere.no_such_name
 
 
 def test_no_unreferenced_private_helpers():

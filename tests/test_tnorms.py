@@ -120,6 +120,19 @@ class TestNAry:
         with pytest.raises(SizeLimitError, match="decimal exponent beyond 4300"):
             hamacher("1e-1000000")
 
+    def test_floats_are_refused(self):
+        # A float's binary expansion is not the decimal written: 0.1 would be
+        # 3602879701896397/36028797018963968.
+        with pytest.raises(TypeError, match=r"value is the float 0\.1;"):
+            as_unit(0.1)
+        with pytest.raises(TypeError, match=r"args\[1\] is the float 0\.5;"):
+            tnorm(PRODUCT, [Fr(1, 2), 0.5])
+        with pytest.raises(TypeError, match=r"args\[0\] is the float 0\.25;"):
+            tconorm(LUKASIEWICZ, [0.25])
+        with pytest.raises(TypeError, match=r"hamacher parameter is the float 2\.0;"):
+            hamacher(2.0)
+        assert as_unit(1) == 1 and as_unit("0.1") == Fr(1, 10)
+
     @given(st.lists(units, min_size=2, max_size=6))
     @settings(max_examples=60)
     def test_closed_forms_match_folds(self, args):
