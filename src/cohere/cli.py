@@ -246,7 +246,12 @@ def _region_grid(region: GammaRegion, n: int, as_json: bool) -> int:
 
 def _cmd_loop(args) -> int:
     if args.derangement:
-        derangement = tuple(int(t) for t in args.derangement.split(","))
+        try:
+            derangement = tuple(int(t) for t in args.derangement.split(","))
+        except ValueError:
+            raise CohereError(
+                f"--derangement takes comma-separated integers, got {args.derangement!r}"
+            ) from None
         ok = loop_entails(args.n, derangement)
         text = (
             f"MUTUALLY P-ENTAILED (loop {args.n} and derangement {derangement})"

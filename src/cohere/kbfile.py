@@ -10,18 +10,18 @@ diff-friendly::
     conditionals:
       c1: G | L = 1    # name: consequent | antecedent [= probability]
     queries:
-      entails ~N | L   # stored verbatim
+      entails ~N | L   # accepted and ignored
 
 Probabilities are written ``a/b``, as integers, or as decimals; decimals are
 converted exactly at parse time, so no floats survive parsing.  Probabilities
-must be given for all conditionals or for none.
+must be given for all conditionals or for none.  The ``queries`` section is
+reserved: its lines are read past, and no command runs them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record, set_field
 from .coherence import Assessment
 from .conditionals import ConditionalEvent, parse_conditional
 from .errors import CohereError, KBFormatError
@@ -32,36 +32,12 @@ from .rationals import fraction_str, parse_rational
 _SECTIONS = ("atoms", "constraints", "conditionals", "queries")
 
 
-class KnowledgeBaseFile(Record):
-    """Parsed file contents, prior to semantic packaging."""
-
-    _fields = ("context", "names", "conditionals", "probs", "queries")
-    context: Context
-    names: tuple[str, ...]
-    conditionals: tuple[ConditionalEvent, ...]
-    probs: tuple[Fraction | None, ...]
-    queries: tuple[str, ...]
-
-    def __init__(
-        self,
-        context: Context,
-        names: tuple[str, ...],
-        conditionals: tuple[ConditionalEvent, ...],
-        probs: tuple[Fraction | None, ...],
-        queries: tuple[str, ...],
-    ) -> None:
-        set_field(self, "context", context)
-        set_field(self, "names", names)
-        set_field(self, "conditionals", conditionals)
-        set_field(self, "probs", probs)
-        set_field(self, "queries", queries)
-
-
-def parse_kb_text(text: str) -> KnowledgeBaseFile:
+def parse_kb_text(text: str) -> tuple[KnowledgeBase, Assessment | None]:
+    """The knowledge base a file's text declares, fully validated, and its
+    assessment when the conditionals carry probabilities."""
     atoms: list[str] = []
     constraint_src: list[tuple[int, str]] = []
     conditional_src: list[tuple[int, str]] = []
-    queries: list[str] = []
     section = None
     # A line ends at "\n" alone, as in an editor: str.splitlines would also
     # break at a form feed or another separator, even inside a comment.  The
@@ -85,8 +61,6 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
             constraint_src.append((lineno, line))
         elif section == "conditionals":
             conditional_src.append((lineno, line))
-        else:
-            queries.append(line)
 
     if not atoms:
         raise KBFormatError("no atoms declared")
@@ -103,7 +77,7 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
 
     names: list[str] = []
     conditionals: list[ConditionalEvent] = []
-    probs: list[Fraction | None] = []
+    probs: list[Fraction] = []
     for lineno, src in conditional_src:
         name, sep, body = src.partition(":")
         name = name.strip()
@@ -120,9 +94,7 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
             conditionals.append(parse_conditional(expr.strip(), context))
         except CohereError as exc:
             raise KBFormatError(str(exc), lineno) from exc
-        if prob_src is None:
-            probs.append(None)
-        else:
+        if prob_src is not None:
             try:
                 p = parse_rational(prob_src)
             except CohereError as exc:
@@ -134,45 +106,14 @@ def parse_kb_text(text: str) -> KnowledgeBaseFile:
 
     if not conditionals:
         raise KBFormatError("no conditionals declared")
-    given = [p for p in probs if p is not None]
-    if given and len(given) != len(probs):
+    if probs and len(probs) != len(conditionals):
         raise KBFormatError("probabilities must be given for all conditionals or none")
 
-    return KnowledgeBaseFile(
-        context=context,
-        names=tuple(names),
-        conditionals=tuple(conditionals),
-        probs=tuple(probs),
-        queries=tuple(queries),
-    )
-
-
-def load_kb_file(path: str) -> KnowledgeBaseFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_kb_text(fh.read())
+    kb = KnowledgeBase(context, tuple(names), tuple(conditionals))
+    return kb, Assessment(kb.conditionals, tuple(probs)) if probs else None
 
 
 def load_kb(path: str) -> tuple[KnowledgeBase, Assessment | None]:
     """Load and fully validate a knowledge-base file."""
-    f = load_kb_file(path)
-    kb = KnowledgeBase(f.context, f.names, f.conditionals)
-    assessment = None
-    if f.probs and f.probs[0] is not None:
-        assessment = Assessment(f.conditionals, tuple(f.probs))  # type: ignore[arg-type]
-    return kb, assessment
-
-
-def dump_kb(f: KnowledgeBaseFile) -> str:
-    """Canonical serialization; reparsing yields an identical structure."""
-    lines = [f"atoms: {' '.join(f.context.atoms)}"]
-    if f.context.constraints:
-        lines.append("constraints:")
-        lines.extend(f"  {c}" for c in f.context.constraints)
-    lines.append("conditionals:")
-    for name, ce, p in zip(f.names, f.conditionals, f.probs):
-        suffix = f" = {fraction_str(p)}" if p is not None else ""
-        lines.append(f"  {name}: {ce}{suffix}")
-    if f.queries:
-        lines.append("queries:")
-        lines.extend(f"  {q}" for q in f.queries)
-    return "\n".join(lines) + "\n"
+    with open(path, encoding="utf-8") as fh:
+        return parse_kb_text(fh.read())

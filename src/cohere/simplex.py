@@ -7,12 +7,12 @@ exact.  An infeasible system comes back with a Farkas vector ``y``,
 ``y.A <= 0`` componentwise and ``y.b > 0``, which downstream code turns into
 a positive-gain betting certificate.
 
-A system comes as rational rows ``[A_i | b_i]`` (``int`` or ``Fraction``
-entries), which :func:`integer_rows` scales, row i by ``s_i``, the lcm of
-its denominators; or as integer rows ``M_i = s_i [A_i | b_i]`` with their
-``scales``, used as they are.  Phase 1 weights artificial i by ``s_i``, so
-the scales travel with the rows: other scales give the same polytope but
-may pivot to another point or certificate.
+A system comes as integer rows ``M_i = s_i [A_i | b_i]`` with their
+``scales`` ``s_i > 0``, which default to 1: the rational system ``[A_i |
+b_i]`` cleared of its denominators row by row, as the constituent systems
+are built.  Phase 1 weights artificial i by ``s_i``, so the scales travel
+with the rows: other scales give the same polytope but may pivot to
+another point or certificate.  Objectives are integer vectors too.
 
 The tableau holds Python integers (fraction-free pivoting: Edmonds 1967,
 Bareiss 1968, Math. Comp. 22).  Row scaling leaves ``B^-1 A`` unchanged for
@@ -45,13 +45,13 @@ column is the lowest field of the cost row whose sign is negative, found
 with one mask; the ratio test reads two fields of each row by shift and
 mask, and only the answers decode whole rows.
 
-The cost row is ``d`` times the reduced costs (times the lcm of the
-objective's denominators in phase 2), so its signs are the true ones, and
-ratios are compared by cross-multiplication with the same tie-break on the
-basis index.  The pivot sequence, and so every answer, is therefore that of a
-``fractions.Fraction`` tableau.  A solution stays as the tableau gives it,
-integer numerators over ``d``, and is checked exactly in integers against
-``M`` before it is returned; Farkas vectors and optimal values are fractions.
+The cost row is ``d`` times the reduced costs, so its signs are the true
+ones, and ratios are compared by cross-multiplication with the same
+tie-break on the basis index.  The pivot sequence, and so every answer, is
+therefore that of a ``fractions.Fraction`` tableau.  A solution stays as the
+tableau gives it, integer numerators over ``d``, and is checked exactly in
+integers against ``M`` before it is returned; Farkas vectors and optimal
+values are fractions.
 
 Phase 1 runs once per system.  It keeps its final tableau, artificials and
 redundant rows dropped, on the returned :class:`LPResult`, and
@@ -114,10 +114,11 @@ class LPResult(Record):
         set_field(self, "farkas", farkas)
         set_field(self, "tableau", tableau)
 
-    def optimize(self, objective: Sequence[Fraction], maximize: bool = False) -> LPResult:
-        """Optimize ``objective`` over the system this feasibility result
-        solved, by phase 2 on a copy of its tableau; ``self`` is unchanged,
-        so any number of objectives can start from it."""
+    def optimize(self, objective: Sequence[int], maximize: bool = False) -> LPResult:
+        """Optimize the integer ``objective`` over the system this
+        feasibility result solved, by phase 2 on a copy of its tableau;
+        ``self`` is unchanged, so any number of objectives can start from
+        it."""
         if self.tableau is None:
             raise ValueError("only a feasible phase-1 result can be optimized")
         return self.tableau.optimize(objective, maximize)
@@ -132,18 +133,18 @@ class LPResult(Record):
 
 
 def solve_eq_lp(
-    rows: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
     *,
     barred: Collection[int] = (),
     scales: Sequence[int] | None = None,
 ) -> LPResult:
     """Decide whether ``{x >= 0 : rows . x = rhs}`` is empty, by phase 1 only.
 
-    Entries are ``int`` or ``Fraction``; with ``scales``, they are integers
-    already scaled, row i by ``scales[i] > 0``.  A feasible system comes back
-    with some basic feasible point ``x``, and every optimum over it comes
-    from :meth:`LPResult.optimize` on that result.  The ``barred`` columns
+    Entries are integers, row i scaled by ``scales[i] > 0``, or by 1 when
+    ``scales`` is None.  A feasible system comes back with some basic
+    feasible point ``x``, and every optimum over it comes from
+    :meth:`LPResult.optimize` on that result.  The ``barred`` columns
     are fixed at zero: they never enter the basis, so every ``x`` is zero on
     them.  Infeasible systems come back with an exact Farkas certificate for
     the original (unflipped, unscaled) rows, over the columns not barred.
@@ -155,7 +156,7 @@ def solve_eq_lp(
     if m == 0:
         raise ValueError("at least one constraint row is required")
     if scales is None:
-        rows, rhs, scales = integer_rows(rows, rhs)
+        scales = [1] * m
     elif len(scales) != m:
         raise ValueError("one scale per row is required")
     if barred:
@@ -224,16 +225,6 @@ def solve_eq_lp(
     return LPResult(status=OPTIMAL, x=x, den=d, tableau=start)
 
 
-def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int], list[int]]:
-    """The integer rows ``s_i * A_i`` and right-hand sides ``s_i * b_i``,
-    and the scales ``s_i``, each the lcm of row i's denominators."""
-    scales = [lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)]
-    integer = [
-        [v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)
-    ]
-    return integer, [b.numerator * (s // b.denominator) for b, s in zip(rhs, scales)], scales
-
-
 class _Tableau:
     """Phase 1's feasible integer tableau ``d * [B^-1 A | B^-1 b]`` over the
     columns that are not barred, each row packed by ``fields``, with its
@@ -251,11 +242,8 @@ class _Tableau:
         n = len(self.rows[0])
         if len(objective) != n:
             raise ValueError("objective length does not match the variable count")
-        # Integer phase-2 costs: the objective times the lcm of its denominators.
         sign = -1 if maximize else 1
-        scale = lcm(*(c.denominator for c in objective))
-        scaled = [c.numerator * (scale // c.denominator) for c in objective]
-        weights = [sign * scaled[j] for j in self.columns]
+        weights = [sign * objective[j] for j in self.columns]
         d, tab, fields = self.d, self.tab, self.fields
         size = [abs(w) for w in weights]
         need = (max(size, default=0) + sum(size)) * self.bound
@@ -276,9 +264,8 @@ class _Tableau:
             return LPResult(status=UNBOUNDED)
         x = _extract(tab, basis, self.columns, n, fields)
         total = fields.get(tab[-1], fields.width - 1)
-        check_solution(self.rows, self.rhs, x, d, scaled, -sign * total)
-        value = Fraction(-sign * total, d * scale)
-        return LPResult(status=OPTIMAL, x=x, den=d, objective=value)
+        check_solution(self.rows, self.rhs, x, d, objective, -sign * total)
+        return LPResult(status=OPTIMAL, x=x, den=d, objective=Fraction(-sign * total, d))
 
     def spread(self) -> Solution:
         # Column c's pivot on row r, at the ratio test's minimum b / p with
@@ -451,13 +438,13 @@ def check_solution(rows, rhs, x, den, objective=None, value=None) -> None:
         raise AssertionError("objective differs from objective . x")
 
 
-def _check_farkas(rows, rhs, scales, z, columns=None) -> None:
+def _check_farkas(rows, rhs, scales, z, columns) -> None:
     """Raise unless ``y = z / d`` (any ``d > 0``) has ``y.A <= 0`` on
-    ``columns`` (default: all) and ``y.b > 0``, for ``[A_i | b_i] = [rows_i |
-    rhs_i] / s_i``: times ``d L``, ``L = lcm(s)``, each sum is in integers."""
+    ``columns`` and ``y.b > 0``, for ``[A_i | b_i] = [rows_i | rhs_i] /
+    s_i``: times ``d L``, ``L = lcm(s)``, each sum is in integers."""
     L = lcm(*scales)
     w = [v * (L // s) for v, s in zip(z, scales)]
-    for j in range(len(rows[0])) if columns is None else columns:
+    for j in columns:
         if sum(wi * row[j] for wi, row in zip(w, rows)) > 0:
             raise AssertionError("Farkas certificate violates y.A <= 0")
     if sum(wi * b for wi, b in zip(w, rhs)) <= 0:

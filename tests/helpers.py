@@ -30,7 +30,7 @@ from cohere import (
     parse_event,
 )
 from cohere.events import MAX_DEPTH, And, Falsum, Not, Or, Verum
-from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, integer_rows
+from cohere.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, _check_farkas, solve_eq_lp
 
 ATOM_POOL = ("A", "B", "C", "D", "E")
 ZERO = Fraction(0)
@@ -403,6 +403,17 @@ def rational_system(rows, rhs, scales):
     )
 
 
+def integer_rows(rows, rhs) -> tuple[list[list[int]], list[int], list[int]]:
+    """The integer rows ``s_i * A_i`` and right-hand sides ``s_i * b_i``,
+    and the scales ``s_i``, each the lcm of row i's denominators: the
+    inverse of :func:`rational_system`."""
+    scales = [lcm(b.denominator, *(v.denominator for v in row)) for row, b in zip(rows, rhs)]
+    integer = [
+        [v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)
+    ]
+    return integer, [b.numerator * (s // b.denominator) for b, s in zip(rhs, scales)], scales
+
+
 # ---------------------------------------------------------------------------
 # Direct formulas that `cohere.tnorms` and `cohere.inference` now derive by
 # duality from the t-norms and the quasi-conjunction regions.  Differential
@@ -483,6 +494,30 @@ def answer(result: LPResult) -> tuple:
     return result.status, x, result.objective, result.farkas
 
 
+def solve_rational(rows, rhs, objective=None, maximize=False, *, barred=(), scales=None):
+    """``solve_eq_lp`` on rational ``rows`` and ``rhs``, cleared to integers
+    by :func:`integer_rows` unless their ``scales`` are given (then they are
+    integers already), and then ``objective``'s optimum from its result when
+    there is an objective and the system is feasible: the shape of
+    ``reference_solve_eq_lp``'s answers."""
+    if scales is None:
+        rows, rhs, scales = integer_rows(rows, rhs)
+    start = solve_eq_lp(rows, rhs, barred=barred, scales=scales)
+    if objective is None or start.status != OPTIMAL:
+        return start
+    return optimize_rational(start, objective, maximize)
+
+
+def optimize_rational(start: LPResult, objective, maximize=False) -> LPResult:
+    """``start.optimize`` of a rational ``objective``: the integer objective
+    times the lcm of its denominators, with the optimal value divided back."""
+    scale = lcm(*(c.denominator for c in objective))
+    best = start.optimize([c.numerator * (scale // c.denominator) for c in objective], maximize)
+    if best.objective is None:
+        return best
+    return LPResult(best.status, best.x, best.den, best.objective / scale, best.farkas)
+
+
 def reference_solve_eq_lp(
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
@@ -527,7 +562,7 @@ def reference_solve_eq_lp(
     if phase1_value > 0:
         # y_i = 1 - reduced cost of artificial i, mapped back through flips.
         y = tuple(flip[i] * (ONE - cost[n + i]) for i in range(m))
-        _check_farkas(*integer_rows(rows, rhs), y)
+        _check_farkas(*integer_rows(rows, rhs), y, range(n))
         return LPResult(status=INFEASIBLE, farkas=y)
 
     # Pivot leftover artificials out of the basis; drop rows that turn out

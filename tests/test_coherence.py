@@ -10,6 +10,7 @@ import pytest
 import cohere.coherence
 from cohere import (
     Assessment,
+    Atom,
     Context,
     ConditionalEvent,
     IncoherentAssessmentError,
@@ -40,7 +41,6 @@ from cohere.simplex import (
     OPTIMAL,
     LPResult,
     check_solution,
-    integer_rows,
     solve_eq_lp,
 )
 
@@ -48,6 +48,8 @@ from helpers import (
     evaluate,
     gn_chain_context,
     independent_pairs,
+    integer_rows,
+    optimize_rational,
     random_assessment,
     random_conditional,
     random_event,
@@ -55,6 +57,7 @@ from helpers import (
     reference_sigma,
     reference_zero_upper,
     sigma_points,
+    solve_rational,
 )
 
 
@@ -123,9 +126,9 @@ class TestBuildSigma:
     def test_integer_rows_match_fraction_reference(self, seed):
         # build_sigma's integer rows and scales are integer_rows of the
         # paper's per-constituent Fraction system, and solving them with
-        # their scales gives every LPResult the Fraction system gives: the
-        # phase 1, the phase 1 with the target's antecedent barred, and each
-        # optimum over them.
+        # their scales gives every LPResult the Fraction system gives,
+        # cleared to integers row by row: the phase 1, the phase 1 with the
+        # target's antecedent barred, and each optimum over them.
         rng = random.Random(seed)
         seen = {"constrained": 0, "p in {0, 1}": 0, "infeasible": 0}
         for _ in range(25):
@@ -143,7 +146,7 @@ class TestBuildSigma:
                 )
                 for barred in ((), system.supports[-1]):
                     got = solve_eq_lp(system.matrix, system.rhs, barred=barred, scales=system.scales)
-                    want = solve_eq_lp(rows, rhs, barred=barred)
+                    want = solve_rational(rows, rhs, barred=barred)
                     assert got == want and repr(got) == repr(want)
                     seen["infeasible"] += got.status == INFEASIBLE
                     if got.status != OPTIMAL:
@@ -152,7 +155,7 @@ class TestBuildSigma:
                     for support, maximize in itertools.product(objectives, (False, True)):
                         objective = _indicator(support, len(system.matrix[0]))
                         got_best = got.optimize(objective, maximize)
-                        want_best = want.optimize(objective, maximize)
+                        want_best = optimize_rational(want, objective, maximize)
                         assert got_best == want_best and repr(got_best) == repr(want_best)
         assert all(seen.values()), seen
 
@@ -831,3 +834,96 @@ class TestInvariance:
                 a.probs[:j] + (1 - a.probs[j],) + a.probs[j + 1:],
             )
             assert _outcome(swapped, names, target) == _outcome(a, names, target)
+
+
+def _renamed(event, names):
+    """``event`` with every atom renamed through ``names``."""
+    if isinstance(event, Atom):
+        return Atom(names[event.name])
+    return type(event)(*(_renamed(getattr(event, f), names) for f in event._fields))
+
+
+class TestHeredity:
+    """Relations between a family and a larger or renamed one: the paper's
+    coherence is hereditary, a member that its antecedent implies is sure,
+    and a conditional event has one value.  Each needs the descent below
+    level 0, where members whose antecedents the level's solutions leave
+    uncharged are checked on their own."""
+
+    CASES = 40
+
+    def _coherent_families(self, seed):
+        rng = random.Random(seed)
+        found = 0
+        while found < self.CASES:
+            a, target = _constrained_family(rng)
+            if check_coherence(a).coherent:
+                found += 1
+                yield rng, a, target
+
+    def test_every_subfamily_of_a_coherent_family_is_coherent(self):
+        checked = 0
+        for _, a, _ in self._coherent_families(3001):
+            n = len(a.family)
+            for size in range(1, n):
+                for subset in itertools.combinations(range(n), size):
+                    assert check_coherence(a.restrict(subset)).coherent, (a, subset)
+                    checked += 1
+        assert checked > 500
+
+    def test_a_member_its_antecedent_implies_is_sure(self):
+        # E | H with H implying E: coherent at 1 alongside a coherent family,
+        # and incoherent at any value below 1.
+        seen = Counter()
+        for rng, a, _ in self._coherent_families(3002):
+            ctx = a.context
+            antecedent = random_conditional(rng, ctx).antecedent
+            consequent = antecedent | random_event(rng, ctx.atoms, 1)
+            sure = ConditionalEvent(consequent, antecedent, ctx)
+            assert check_coherence(a.extend(sure, Fr(1))).coherent
+            for p in (Fr(0), random_unit(rng) * Fr(99, 100), Fr(99, 100)):
+                verdict = check_coherence(a.extend(sure, p))
+                assert not verdict.coherent, (a, sure, p)
+                seen[len(verdict.trace)] += 1
+        # Some refutations come only below level 0.
+        assert seen[1] and sum(v for k, v in seen.items() if k > 1), seen
+
+    def test_a_member_at_two_values_is_incoherent(self):
+        seen = Counter()
+        for rng, a, _ in self._coherent_families(3003):
+            j = rng.randrange(len(a.family))
+            other = random_unit(rng)
+            if other == a.probs[j]:
+                other = 1 - other if other != Fr(1, 2) else Fr(1, 3)
+            verdict = check_coherence(a.extend(a.family[j], other))
+            assert not verdict.coherent, (a, j, other)
+            seen[len(verdict.trace)] += 1
+        assert seen[1] and sum(v for k, v in seen.items() if k > 1), seen
+
+    def test_renaming_the_atoms_changes_nothing(self):
+        # A bijection onto new names, declared in another order, permutes
+        # the worlds' bits and so the constituents' order.
+        rng = random.Random(3004)
+        seen = Counter()
+        for _ in range(self.CASES):
+            a, target = _constrained_family(rng)
+            ctx = a.context
+            names = dict(zip(ctx.atoms, rng.sample(("P", "Q", "R", "S", "U"), len(ctx.atoms))))
+            order = list(names.values())
+            rng.shuffle(order)
+            renamed_ctx = Context(
+                tuple(order), tuple(_renamed(c, names) for c in ctx.constraints)
+            )
+
+            def renamed(ce):
+                return ConditionalEvent(
+                    _renamed(ce.consequent, names), _renamed(ce.antecedent, names), renamed_ctx
+                )
+
+            members = [f"c{i}" for i in range(len(a.family))]
+            renamed_a = Assessment(tuple(renamed(ce) for ce in a.family), a.probs)
+            expected = _outcome(a, members, target)
+            assert _outcome(renamed_a, members, renamed(target)) == expected
+            seen[expected[0], len(expected[1])] += 1
+        assert seen[True, 1] and seen[False, 2], seen
+        assert any(coherent and levels > 1 for coherent, levels in seen), seen

@@ -11,13 +11,7 @@ from cohere.cli import MAX_GRID, main
 from cohere.events import MAX_DEPTH
 from cohere.oracle import extension_interval_bruteforce
 from cohere.rationals import MAX_DIGITS
-from cohere.kbfile import (
-    dump_kb,
-    load_kb,
-    load_kb_file,
-    parse_kb_text,
-    parse_rational,
-)
+from cohere.kbfile import load_kb, parse_kb_text, parse_rational
 
 from helpers import all_ones
 
@@ -122,6 +116,19 @@ class TestParseRational:
             f"more than {MAX_DIGITS} digits\n"
         )
 
+    def test_check_beyond_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # 1e-4300 parses, but its denominator has 4301 digits, and the
+        # witness that `check --json` prints carries it.
+        path = tmp_path / "long.kb"
+        path.write_text("atoms: A\nconditionals:\n  c: A | T = 1e-4300\n")
+        assert main(["check", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot print a rational whose numerator or denominator has "
+            f"more than {MAX_DIGITS} digits\n"
+        )
+
     def test_printing_at_the_digit_limit(self, capsys):
         # 1/10**4299 * 1/2 has 4300 digits in its denominator: printable.
         assert main(["tnorm", "product", "1e-4299", "1/2", "--json"]) == 0
@@ -178,9 +185,12 @@ class TestLoadKb:
         kb, assessment = load_kb(str(path))
         assert assessment is None
 
-    def test_queries_preserved(self):
-        f = load_kb_file(str(LINDA))
-        assert f.queries == ("entails ~N | L", "entails G | N")
+    def test_queries_section_is_ignored(self):
+        # The section is reserved: its lines parse, and no command reads them.
+        text = LINDA.read_text(encoding="utf-8")
+        head, sep, _ = text.partition("queries:")
+        assert sep and "entails ~N | L" in text
+        assert parse_kb_text(text) == parse_kb_text(head) == load_kb(str(LINDA))
 
     def test_inline_section_content(self):
         inline = (
@@ -230,7 +240,7 @@ class TestLoadKb:
         for end in ("\r\n", "\r"):
             path = tmp_path / "ends.kb"
             path.write_bytes(lf.replace("\n", end).encode())
-            assert load_kb_file(str(path)) == parse_kb_text(lf)
+            assert load_kb(str(path)) == parse_kb_text(lf)
         with pytest.raises(KBFormatError) as err:
             parse_kb_text("atoms: A\r\nconditionals:\r\n  c: A | F\r\n")
         assert err.value.line == 3
@@ -272,24 +282,6 @@ class TestDepthLimit:
         path.write_text(f"atoms: A B\nconditionals:\n  c: {flat} | ~B = 1/2\n")
         assert main(["check", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["coherent"] is True
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["linda.kb", "loop3.kb", "gn_chain.kb"])
-    def test_dump_then_reload_is_identical(self, name):
-        original = load_kb_file(str(KB_DIR / name))
-        assert parse_kb_text(dump_kb(original)) == original
-
-    def test_double_dump_is_stable(self):
-        original = load_kb_file(str(LINDA))
-        once = dump_kb(original)
-        assert dump_kb(parse_kb_text(once)) == once
-
-    def test_dump_beyond_the_digit_limit_raises(self):
-        # 1e-4300 parses, but its denominator has 4301 digits.
-        kb = parse_kb_text("atoms: A\nconditionals:\n  c: A | T = 1e-4300\n")
-        with pytest.raises(SizeLimitError, match=f"more than {MAX_DIGITS} digits"):
-            dump_kb(kb)
 
 
 class TestCli:
@@ -494,6 +486,13 @@ class TestCli:
     def test_loop_with_derangement(self, capsys):
         assert main(["loop", "--n", "3", "--derangement", "3,1,2"]) == 0
         assert "MUTUALLY P-ENTAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("derangement", ["2,3,x", "2,3,1,", "2;3;1"])
+    def test_loop_derangement_not_integers_exits_2(self, capsys, derangement):
+        assert main(["loop", "--n", "3", "--derangement", derangement]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --derangement takes comma-separated integers, got {derangement!r}\n"
+        )
 
     @pytest.mark.parametrize("n", ["1", "17"])
     def test_loop_size_out_of_range_exits_2(self, capsys, n):

@@ -32,7 +32,6 @@ from cohere import (
 from cohere._record import Record
 from cohere.coherence import LevelRecord, SigmaFeasibility, _Endpoint, _Link
 from cohere.events import And, Event, Falsum, Not, Or, Verum
-from cohere.kbfile import KnowledgeBaseFile
 from cohere.simplex import LPResult
 
 A, B = Atom("A"), Atom("B")
@@ -78,10 +77,6 @@ CASES = [
      {"names": ("c2",)}, {}),
     (RuleBounds, {"rule": "qc", "probs": (Fr(1, 2),), "interval": INTERVAL}, {"rule": "qd"}, {}),
     (GammaRegion, {"kind": "L", "operation": "qc", "gamma": Fr(1, 2)}, {"kind": "U"}, {}),
-    (KnowledgeBaseFile,
-     {"context": CTX, "names": ("c1",), "conditionals": (CE,), "probs": (None,),
-      "queries": ("entails A | B",)},
-     {"queries": ()}, {}),
     (LPResult,
      {"status": "optimal", "x": (1, 0), "den": 2, "objective": Fr(1, 2), "farkas": None,
       "tableau": None},
@@ -118,7 +113,7 @@ def test_every_record_type_is_covered():
         importlib.import_module(f"cohere.{module.name}")
     defined = {cls for cls in _subclasses(Record) if cls.__module__.startswith("cohere.")}
     assert defined - {Event} == {case[0] for case in CASES}
-    assert len(CASES) == 24
+    assert len(CASES) == 23
 
 
 @pytest.mark.parametrize("cls, args, changed, defaults", CASES, ids=[c[0].__name__ for c in CASES])

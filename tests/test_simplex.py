@@ -26,16 +26,18 @@ from cohere.simplex import (
     LPResult,
     _check_farkas,
     check_solution,
-    integer_rows,
     solve_eq_lp,
 )
 from helpers import (
     answer,
+    integer_rows,
+    optimize_rational,
     random_assessment,
     random_conditional,
     rational_system,
     reference_solve_eq_lp,
     solution,
+    solve_rational,
 )
 
 
@@ -43,39 +45,30 @@ def F(*values):
     return [Fr(v) for v in values]
 
 
-def solve(rows, rhs, objective=None, maximize=False, **kwargs):
-    """Phase 1, then phase 2 of ``objective`` from its result when the
-    system is feasible: the shape of ``reference_solve_eq_lp``'s answers."""
-    start = solve_eq_lp(rows, rhs, **kwargs)
-    if objective is None or start.status != OPTIMAL:
-        return start
-    return start.optimize(objective, maximize)
-
-
 class TestFeasibility:
     def test_simplex_point(self):
-        res = solve_eq_lp([F(1, 1, 1)], F(1))
+        res = solve_rational([F(1, 1, 1)], F(1))
         assert res.status == OPTIMAL
         x = solution(res)
         assert sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_two_equations(self):
-        res = solve_eq_lp([F(1, 0), F(1, 1)], F("1/2", 1))
+        res = solve_rational([F(1, 0), F(1, 1)], F("1/2", 1))
         assert res.status == OPTIMAL
         assert solution(res) == (Fr(1, 2), Fr(1, 2))
 
     def test_infeasible_sign(self):
         # x1 + x2 = -1 has no nonnegative solution
-        res = solve_eq_lp([F(1, 1)], F(-1))
+        res = solve_rational([F(1, 1)], F(-1))
         assert res.status == INFEASIBLE
         assert res.farkas is not None
 
     def test_infeasible_contradiction(self):
-        res = solve_eq_lp([F(1, 1), F(1, 1)], F(1, 2))
+        res = solve_rational([F(1, 1), F(1, 1)], F(1, 2))
         assert res.status == INFEASIBLE
 
     def test_redundant_rows_accepted(self):
-        res = solve_eq_lp([F(1, 1), F(2, 2)], F(1, 2))
+        res = solve_rational([F(1, 1), F(2, 2)], F(1, 2))
         assert res.status == OPTIMAL
 
 
@@ -83,7 +76,7 @@ class TestFarkas:
     def test_certificate_inequalities(self):
         rows = [F(1, 0, "1/2"), F(0, 1, "1/2"), F(1, 1, 1)]
         rhs = F(1, 0, 1)  # forces x1 = 1, x2 = 0, x3 = 0 -> first eq fails
-        res = solve_eq_lp(rows, rhs)
+        res = solve_rational(rows, rhs)
         if res.status == INFEASIBLE:
             y = res.farkas
             for j in range(3):
@@ -100,7 +93,7 @@ class TestFarkas:
                 for _ in range(m)
             ]
             rhs = [Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
-            res = solve_eq_lp(rows, rhs)
+            res = solve_rational(rows, rhs)
             if res.status == OPTIMAL:
                 x = solution(res)
                 for row, b in zip(rows, rhs):
@@ -131,13 +124,13 @@ class TestFarkas:
                 for _ in range(m)
             ]
             rhs = [Fr(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
-            res = solve_eq_lp(rows, rhs)
+            res = solve_rational(rows, rhs)
             if res.status != INFEASIBLE:
                 continue
             d = lcm(*(y.denominator for y in res.farkas))
             z = [y.numerator * (d // y.denominator) for y in res.farkas]
             integer = integer_rows(rows, rhs)
-            _check_farkas(*integer, z)
+            _check_farkas(*integer, z, range(n))
             corruptions = (
                 ("negated", lambda v: -v),
                 ("zeroed", lambda v: 0),
@@ -152,7 +145,7 @@ class TestFarkas:
                     sum(yi * row[j] for yi, row in zip(y, rows)) <= 0 for j in range(n)
                 ) and sum(yi * b for yi, b in zip(y, rhs)) > 0
                 try:
-                    _check_farkas(*integer, bad)
+                    _check_farkas(*integer, bad, range(n))
                 except AssertionError:
                     assert not valid
                     raised[kind] += 1
@@ -174,7 +167,7 @@ class TestFarkas:
         # cost row, packed last in the tableau, after the last pivot
         # corrupts the certificate.
         rows, rhs = [F(1, 1), F(1, 1)], F(1, 2)
-        assert solve_eq_lp(rows, rhs).farkas == (-1, 1)
+        assert solve_rational(rows, rhs).farkas == (-1, 1)
         iterate = cohere.simplex._iterate
 
         def corrupted(tab, basis, n, d, fields):
@@ -186,35 +179,35 @@ class TestFarkas:
 
         monkeypatch.setattr(cohere.simplex, "_iterate", corrupted)
         with pytest.raises(AssertionError, match="Farkas"):
-            solve_eq_lp(rows, rhs)
+            solve_rational(rows, rhs)
 
 
 class TestOptimization:
     def test_maximize_on_simplex(self):
-        res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=True)
+        res = solve_rational([F(1, 1, 1)], F(1), F(1, 2, 3), maximize=True)
         assert res.status == OPTIMAL
         assert res.objective == 3
         assert solution(res) == (0, 0, 1)
 
     def test_minimize_on_simplex(self):
-        res = solve_eq_lp([F(1, 1, 1)], F(1)).optimize(F(1, 2, 3), maximize=False)
+        res = solve_rational([F(1, 1, 1)], F(1), F(1, 2, 3), maximize=False)
         assert res.objective == 1
 
     def test_degenerate_optimum(self):
         # second equation pins x3 = 0; Bland's rule must still terminate
         rows = [F(1, 1, 1), F(0, 0, 1)]
-        res = solve_eq_lp(rows, F(1, 0)).optimize(F(0, 0, 1), maximize=True)
+        res = solve_rational(rows, F(1, 0), F(0, 0, 1), maximize=True)
         assert res.objective == 0
 
     def test_unbounded_detected(self):
         # x1 - x2 = 0 leaves the ray (t, t) free; maximize x1
-        res = solve_eq_lp([F(1, -1)], F(0)).optimize(F(1, 0), maximize=True)
+        res = solve_rational([F(1, -1)], F(0), F(1, 0), maximize=True)
         assert res.status == UNBOUNDED
 
     def test_fractional_data_stays_exact(self):
         rows = [F("1/3", "2/7", "5/11"), F(1, 1, 1)]
         rhs = F("2/5", 1)
-        res = solve_eq_lp(rows, rhs).optimize(F("1/13", "3/5", "7/17"), maximize=True)
+        res = solve_rational(rows, rhs, F("1/13", "3/5", "7/17"), maximize=True)
         assert res.status == OPTIMAL
         for row, b in zip(rows, rhs):
             assert sum(c * v for c, v in zip(row, solution(res))) == b
@@ -227,11 +220,11 @@ class TestOptimization:
             rows = [[Fr(rng.randint(0, 3)) for _ in range(n)], [Fr(1)] * n]
             rhs = [Fr(rng.randint(0, 3)), Fr(1)]
             obj = [Fr(rng.randint(-2, 2)) for _ in range(n)]
-            feas = solve_eq_lp(rows, rhs)
+            feas = solve_rational(rows, rhs)
             if feas.status != OPTIMAL:
                 continue
-            hi = feas.optimize(obj, maximize=True)
-            lo = feas.optimize(obj, maximize=False)
+            hi = optimize_rational(feas, obj, maximize=True)
+            lo = optimize_rational(feas, obj, maximize=False)
             assert hi.status == lo.status == OPTIMAL
             value = sum(c * v for c, v in zip(obj, solution(feas)))
             assert lo.objective <= value <= hi.objective
@@ -240,11 +233,11 @@ class TestOptimization:
 class TestValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_eq_lp([F(1, 1)], F(1, 2))
+            solve_eq_lp([[1, 1]], [1, 2])
 
     def test_objective_length(self):
         with pytest.raises(ValueError):
-            solve_eq_lp([F(1, 1)], F(1)).optimize(F(1))
+            solve_rational([F(1, 1)], F(1), F(1))
 
 
 def _random_system(rng):
@@ -310,7 +303,7 @@ class TestReferenceAgreement:
         kinds_seen = {}
         for _ in range(2000):
             rows, rhs, objective, maximize, kinds = _random_system(rng)
-            got = solve(rows, rhs, objective, maximize)
+            got = solve_rational(rows, rhs, objective, maximize)
             want = reference_solve_eq_lp(rows, rhs, objective, maximize)
             assert answer(got) == answer(want) and repr(answer(got)) == repr(answer(want))
             statuses[got.status] += 1
@@ -390,7 +383,7 @@ class TestReferenceAgreement:
         rhs = F(0, 0, 1)
         objective = F("-3/4", 150, "-1/50", 6, 0, 0, 0)
         pivots = _record_pivots(monkeypatch)
-        res = solve_eq_lp(rows, rhs).optimize(objective)
+        res = solve_rational(rows, rhs, objective)
         assert answer(res) == answer(reference_solve_eq_lp(rows, rhs, objective))
         assert pivots["engine"] == pivots["reference"]
         assert len(pivots["engine"]) == 6
@@ -499,7 +492,7 @@ class TestPackedFields:
             maximize = rng.random() < 0.5
 
             del fields_made[:], pivots["engine"][:], pivots["reference"][:], peaks[:]
-            got = solve(rows, rhs, objective, maximize, barred=barred, scales=scales)
+            got = solve_rational(rows, rhs, objective, maximize, barred=barred, scales=scales)
             engine_fields = [fields.bits for fields in fields_made]
             # Barring a column is deleting it, so the reference runs on the
             # rational system without the barred columns.
@@ -542,36 +535,36 @@ class TestPhase1Reuse:
         optimized = 0
         for _ in range(300):
             rows, rhs, objective, _, _ = _random_system(rng)
-            start = solve_eq_lp(rows, rhs)
+            start = solve_rational(rows, rhs)
             if start.status != OPTIMAL:
                 continue
             kept = start.tableau
             before = [kept.fields.unpack(row) for row in kept.tab], kept.basis[:], kept.d
             objectives = (objective or [Fr(1)] * len(rows[0]), [Fr(-1)] * len(rows[0]))
             for obj, maximize in zip(objectives, (True, False)):
-                got = [start.optimize(obj, maximize) for _ in range(2)]
-                want = solve_eq_lp(rows, rhs).optimize(obj, maximize)
+                got = [optimize_rational(start, obj, maximize) for _ in range(2)]
+                want = solve_rational(rows, rhs, obj, maximize)
                 assert got == [want, want] and repr(got) == repr([want, want])
                 assert answer(want) == answer(reference_solve_eq_lp(rows, rhs, obj, maximize))
-            assert start == solve_eq_lp(rows, rhs)
+            assert start == solve_rational(rows, rhs)
             assert ([kept.fields.unpack(row) for row in kept.tab], kept.basis, kept.d) == before
             optimized += 1
         assert optimized > 50
 
     def test_optimize_needs_a_feasible_start(self):
-        infeasible = solve_eq_lp([F(1, 1)], F(-1))
+        infeasible = solve_rational([F(1, 1)], F(-1))
         with pytest.raises(ValueError):
-            infeasible.optimize(F(1, 0))
-        optimum = solve_eq_lp([F(1, 1)], F(1)).optimize(F(1, 0))
+            optimize_rational(infeasible, F(1, 0))
+        optimum = solve_rational([F(1, 1)], F(1), F(1, 0))
         with pytest.raises(ValueError):
-            optimum.optimize(F(1, 0))
+            optimize_rational(optimum, F(1, 0))
 
     def test_barred_columns_stay_zero(self):
         rows, rhs = [F(1, 1, 1), F(0, 1, 2)], F(1, "1/2")
-        assert solve_eq_lp(rows, rhs).optimize(F(0, 1, 1), maximize=True).objective == Fr(1, 2)
-        res = solve_eq_lp(rows, rhs, barred={1})
+        assert solve_rational(rows, rhs, F(0, 1, 1), maximize=True).objective == Fr(1, 2)
+        res = solve_rational(rows, rhs, barred={1})
         assert res.status == OPTIMAL and res.x[1] == 0
-        best = res.optimize(F(0, 1, 1), maximize=True)
+        best = optimize_rational(res, F(0, 1, 1), maximize=True)
         assert best.objective == Fr(1, 4) and solution(best) == (Fr(3, 4), 0, Fr(1, 4))
 
     @pytest.mark.parametrize(
@@ -586,11 +579,11 @@ class TestPhase1Reuse:
         ],
     )
     def test_barring_a_needed_support_is_infeasible(self, rows, rhs, barred):
-        res = solve_eq_lp(rows, rhs, barred=barred)
+        res = solve_rational(rows, rhs, barred=barred)
         assert res.status == INFEASIBLE
         allowed = [j for j in range(len(rows[0])) if j not in barred]
         _check_farkas(*integer_rows(rows, rhs), res.farkas, allowed)
-        assert solve(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
+        assert solve_rational(rows, rhs, F(*[1] * len(rows[0])), barred=barred) == res
 
 
 def _basis_coordinates(rows, basis, col):
@@ -653,7 +646,7 @@ class TestSpread:
             rows, rhs, _, _, _ = _random_system(rng)
             n = len(rows[0])
             barred = {j for j in range(n) if rng.random() < 0.25} if rng.random() < 0.5 else ()
-            start = solve_eq_lp(rows, rhs, barred=barred)
+            start = solve_rational(rows, rhs, barred=barred)
             if start.status == OPTIMAL:
                 _assert_spread(rows, rhs, barred, start, seen)
         assert min(seen.values()) > 80 and seen["reached"] > 300, seen
@@ -693,7 +686,7 @@ class TestSpread:
 
     def test_spread_needs_a_feasible_start(self):
         with pytest.raises(ValueError):
-            solve_eq_lp([F(1, 1)], F(-1)).spread()
+            solve_rational([F(1, 1)], F(-1)).spread()
 
 
 class TestResultChecks:
@@ -715,23 +708,40 @@ class TestResultChecks:
             cohere.simplex, "_extract", lambda *args: perturb(extract(*args))
         )
         with pytest.raises(AssertionError):
-            solve(rows, rhs, objective)
+            solve_rational(rows, rhs, objective)
 
-    def test_int_and_fraction_inputs_agree(self):
+    def test_integers_only_with_unit_scales_by_default(self):
+        # The LP takes integer rows, right-hand sides and objectives; a
+        # Fraction is refused even when its denominator is 1.  Without
+        # scales every row has scale 1.
         rng = random.Random(31)
+        refused = Counter()
         for _ in range(300):
             m, n = rng.randint(1, 4), rng.randint(1, 6)
             rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             rhs = [rng.randint(-4, 4) for _ in range(m)]
             objective = [rng.randint(-4, 4) for _ in range(n)]
-            # mixed: ints, with every other entry of each row a Fraction
-            mixed = [[Fr(v) if j % 2 else v for j, v in enumerate(r)] for r in rows]
-            exact = [[Fr(v) for v in r] for r in rows]
-            frhs, fobj = [Fr(v) for v in rhs], [Fr(v) for v in objective]
-            want = [solve_eq_lp(exact, frhs)] + [
-                solve(exact, frhs, fobj, maximize) for maximize in (False, True)
-            ]
-            got = [solve_eq_lp(mixed, rhs)] + [
-                solve(mixed, rhs, objective, maximize) for maximize in (False, True)
-            ]
-            assert got == want and repr(got) == repr(want)
+            start = solve_eq_lp(rows, rhs)
+            unit = solve_eq_lp(rows, rhs, scales=[1] * m)
+            assert start == unit and repr(start) == repr(unit)
+            i, j = rng.randrange(m), rng.randrange(n)
+            fraction_row = [r[:] for r in rows]
+            fraction_row[i][j] = Fr(fraction_row[i][j])
+            fraction_rhs = rhs[:]
+            fraction_rhs[i] = Fr(rhs[i])
+            for bad_rows, bad_rhs in ((fraction_row, rhs), (rows, fraction_rhs)):
+                with pytest.raises(TypeError):
+                    solve_eq_lp(bad_rows, bad_rhs)
+                refused["system"] += 1
+            if start.status != OPTIMAL:
+                continue
+            fraction_objective = objective[:]
+            fraction_objective[j] = Fr(objective[j])
+            for maximize in (False, True):
+                got = start.optimize(objective, maximize)
+                want = unit.optimize(objective, maximize)
+                assert got == want and repr(got) == repr(want)
+                with pytest.raises(TypeError):
+                    start.optimize(fraction_objective, maximize)
+                refused["objective"] += 1
+        assert min(refused.values()) > 200, refused

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,7 +107,7 @@ print(sys.flags.optimize, sound, [
     # numerators (0, 0) meet x1 + x2 = 1 times a zero denominator
     raises(lambda: check_solution([[1, 1]], [1], (0, 0), 0)),
     # y = (1, 1) on x1 + x2 = 1, x1 + x2 = 2 gives y.A > 0
-    raises(lambda: _check_farkas([[1, 1], [1, 1]], [1, 2], [1, 1], [1, 1])),
+    raises(lambda: _check_farkas([[1, 1], [1, 1]], [1, 2], [1, 1], [1, 1], range(2))),
     # negated stakes lose on every constituent
     raises(lambda: sigma_feasible(system)),
 ])
@@ -293,6 +294,45 @@ def test_no_unreferenced_private_helpers():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and total.get(node.name, 0) == sum(name == node.name for name in reads(node))
+    ]
+    assert not found, found
+
+
+def _reads(node):
+    """The names that ``node`` reads: every ``Name``, ``Attribute`` and
+    ``from`` import, and every string that is an identifier, such as the
+    benchmark tracer's table of engine functions to wrap."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            yield sub.value
+
+
+def test_every_top_level_definition_is_used_outside_the_tests():
+    # Code that only the tests reach belongs in the tests: every top-level
+    # function and class of the package is read in the package or the
+    # benchmark, outside its own definition, unless it is public API.
+    import cohere
+
+    def parse(paths):
+        return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in paths]
+
+    package = parse(sorted(PACKAGE.glob("*.py")))
+    bench = parse(sorted((ROOT / "bench").rglob("*.py")))
+    total = Counter(name for _, tree in package + bench for name in _reads(tree))
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in cohere.__all__
+        and total[node.name] == sum(name == node.name for name in _reads(node))
     ]
     assert not found, found
 
