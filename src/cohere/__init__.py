@@ -63,9 +63,7 @@ _EXPORTS = {
         "world_equivalent",
     ),
     "inference": (
-        "GammaRegion",
         "KnowledgeBase",
-        "RuleBounds",
         "biconditional_value",
         "compound_bounds",
         "derangements",
@@ -83,7 +81,6 @@ _EXPORTS = {
         "p_entails_qc",
         "qc_bounds",
         "qd_bounds",
-        "rule_bounds",
     ),
     "tnorms": (
         "DRASTIC",

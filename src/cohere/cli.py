@@ -3,6 +3,17 @@
 Exit codes: 0 on success, 1 when ``--strict`` is set and the verdict is
 negative, 2 on any error.  ``--json`` switches every command to a stable
 machine-readable rendering with rationals as strings.
+
+:func:`main` answers every command in one place.  It appends leftover
+arguments to the command's trailing zero-or-more positional, loads the KB
+file of a command that takes one into ``args.kb`` and ``args.assessment``,
+and calls the command's handler.  A handler prints nothing: it returns
+``(payload, text, verdict)``, where ``payload`` is the ``--json`` object,
+``text`` the plain rendering (which a handler may leave empty under
+``--json``), and ``verdict`` a bool for a command that takes ``--strict``
+(``None`` for ``region --grid``) and ``None`` otherwise.
+``main`` prints one of the two renderings and exits 1 only under
+``--strict`` with a ``False`` verdict.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .coherence import check_coherence, interval_to_json, verdict_to_json
+from .coherence import ProbabilityInterval, check_coherence, interval_to_json, verdict_to_json
 from .conditionals import (
     TruthValue3,
     constituents,
@@ -22,21 +33,33 @@ from .conditionals import (
 )
 from .errors import CohereError, SizeLimitError
 from .inference import (
-    GammaRegion,
-    RULE_KINDS,
+    biconditional_value,
+    compound_bounds,
+    gn_chain_bounds,
+    in_l_gamma_qc,
+    in_l_gamma_qd,
+    in_u_gamma_qc,
+    in_u_gamma_qd,
     loop_entails,
     loop_family,
+    or_rule_bounds,
     p_consistent,
     p_entails,
     p_entails_qc,
-    rule_bounds,
+    qc_bounds,
+    qd_bounds,
 )
-from .rationals import fraction_str, parse_rational
+from .rationals import as_unit, fraction_str, parse_rational
 
 # The KB-file reader and the t-norms are imported by the commands that use
 # them, so no other command compiles them.
 
-REGION_NAMES = ("Lqc", "Uqc", "Lqd", "Uqd")
+_REGIONS = {
+    "Lqc": in_l_gamma_qc,
+    "Uqc": in_u_gamma_qc,
+    "Lqd": in_l_gamma_qd,
+    "Uqd": in_u_gamma_qd,
+}
 # A grid costs N**2 membership tests.
 MAX_GRID = 100
 
@@ -86,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds",
         help="closed-form probability bounds (logically independent premises)",
     )
-    p.add_argument("kind", choices=[k for k in RULE_KINDS if k != "dual"])
+    p.add_argument("kind", choices=tuple(_RULES))
     p.add_argument("probs", nargs="+", help="premise probabilities (a/b or decimal)")
     common(p, strict=False)
 
@@ -94,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         "region",
         help="membership in a premise region for a conclusion bound gamma",
     )
-    p.add_argument("region", choices=REGION_NAMES)
+    p.add_argument("region", choices=tuple(_REGIONS))
     p.add_argument("--gamma", required=True)
     p.add_argument("probs", nargs="*", help="premise probabilities")
     p.add_argument(
@@ -133,48 +156,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _cmd_check(args) -> int:
-    from .kbfile import load_kb
-
-    kb, assessment = load_kb(args.kb)
-    if assessment is None:
+def _cmd_check(args) -> tuple[dict, str, bool | None]:
+    if args.assessment is None:
         raise CohereError("the KB file carries no probabilities to check")
-    verdict = check_coherence(assessment)
+    verdict = check_coherence(args.assessment)
     payload = verdict_to_json(verdict)
     if verdict.coherent:
-        _emit(payload, "COHERENT", args.json)
-        return 0
+        return payload, "COHERENT", True
     stakes = ", ".join(fraction_str(s) for s in verdict.certificate)
-    _emit(
-        payload,
+    text = (
         "INCOHERENT\n"
         f"  refuted indices: {list(verdict.deciding_indices)}\n"
-        f"  positive-gain stakes: ({stakes})",
-        args.json,
+        f"  positive-gain stakes: ({stakes})"
     )
-    return 1 if args.strict else 0
+    return payload, text, False
 
 
-def _cmd_consistent(args) -> int:
-    from .kbfile import load_kb
-
-    kb, _ = load_kb(args.kb)
-    ok = p_consistent(kb)
-    _emit({"p_consistent": ok}, "P-CONSISTENT" if ok else "NOT P-CONSISTENT", args.json)
-    return 1 if args.strict and not ok else 0
+def _cmd_consistent(args) -> tuple[dict, str, bool | None]:
+    ok = p_consistent(args.kb)
+    return {"p_consistent": ok}, "P-CONSISTENT" if ok else "NOT P-CONSISTENT", ok
 
 
-def _cmd_entails(args) -> int:
-    from .kbfile import load_kb
-
-    kb, _ = load_kb(args.kb)
+def _cmd_entails(args) -> tuple[dict, str, bool | None]:
+    kb = args.kb
     target = parse_conditional(args.target, kb.context)
     results: dict[str, bool] = {}
     if args.method in ("lp", "both"):
@@ -189,63 +193,66 @@ def _cmd_entails(args) -> int:
     text = "P-ENTAILED" if verdict else "NOT P-ENTAILED"
     if args.method == "both":
         text += " (lp and qc agree)"
-    _emit({"target": args.target, "p_entailed": verdict, "method": args.method},
-          text, args.json)
-    return 1 if args.strict and not verdict else 0
+    return {"target": args.target, "p_entailed": verdict, "method": args.method}, text, verdict
 
 
-def _cmd_bounds(args) -> int:
+def _bic_bounds(probs: list[Fraction]) -> ProbabilityInterval:
+    # Each premise is checked, and named, before the premises are counted.
+    probs = [as_unit(p, f"p{i}") for i, p in enumerate(probs, 1)]
+    if len(probs) != 2:
+        raise ValueError("the biconditional rule takes exactly two premises")
+    value = biconditional_value(*probs)
+    return ProbabilityInterval(value, value)
+
+
+_RULES = {
+    "qc": qc_bounds,
+    "qd": qd_bounds,
+    "or": or_rule_bounds,
+    "gn": gn_chain_bounds,
+    "compound": compound_bounds,
+    "bic": _bic_bounds,
+}
+
+
+def _cmd_bounds(args) -> tuple[dict, str, bool | None]:
     probs = [parse_rational(p) for p in args.probs]
-    rb = rule_bounds(args.kind, probs)
+    interval = _RULES[args.kind](probs)
     payload = {
-        "rule": rb.rule,
-        "probs": [fraction_str(p) for p in rb.probs],
-        "interval": interval_to_json(rb.interval),
+        "rule": args.kind,
+        "probs": [fraction_str(p) for p in probs],
+        "interval": interval_to_json(interval),
     }
-    _emit(payload, str(rb.interval), args.json)
-    return 0
+    return payload, str(interval), None
 
 
-def _cmd_region(args) -> int:
-    gamma = parse_rational(args.gamma)
-    region = GammaRegion(args.region[0], args.region[1:], gamma)
-    if args.grid is not None:
-        if args.probs:
-            raise CohereError("--grid ignores explicit premise probabilities")
-        return _region_grid(region, args.grid, args.json)
-    if not args.probs:
-        raise CohereError("premise probabilities are required without --grid")
-    probs = [parse_rational(p) for p in args.probs]
-    inside = region.contains(probs)
-    _emit(
-        {"region": args.region, "gamma": fraction_str(gamma), "member": inside},
-        "IN REGION" if inside else "NOT IN REGION",
-        args.json,
-    )
-    return 1 if args.strict and not inside else 0
-
-
-def _region_grid(region: GammaRegion, n: int, as_json: bool) -> int:
+def _cmd_region(args) -> tuple[dict, str, bool | None]:
+    gamma = as_unit(parse_rational(args.gamma), "gamma")
+    contains = _REGIONS[args.region]
+    if args.grid is None:
+        if not args.probs:
+            raise CohereError("premise probabilities are required without --grid")
+        inside = contains([parse_rational(p) for p in args.probs], gamma)
+        payload = {"region": args.region, "gamma": fraction_str(gamma), "member": inside}
+        return payload, "IN REGION" if inside else "NOT IN REGION", inside
+    n = args.grid
+    if args.probs:
+        raise CohereError("--grid ignores explicit premise probabilities")
     if n < 2:
         raise CohereError("--grid needs at least 2 samples per axis")
     if n > MAX_GRID:
         raise SizeLimitError(f"--grid takes at most {MAX_GRID} samples per axis")
     steps = [Fraction(i, n - 1) for i in range(n)]
-    rows = []
-    for y in reversed(steps):
-        rows.append("".join("#" if region.contains([x, y]) else "." for x in steps))
-    _emit(
-        {"region": region.kind + region.operation,
-         "gamma": fraction_str(region.gamma),
-         "grid": rows},
-        "\n".join(rows),
-        as_json,
-    )
-    return 0
+    rows = [
+        "".join("#" if contains([x, y], gamma) else "." for x in steps)
+        for y in reversed(steps)
+    ]
+    payload = {"region": args.region, "gamma": fraction_str(gamma), "grid": rows}
+    return payload, "\n".join(rows), None
 
 
-def _cmd_loop(args) -> int:
-    if args.derangement:
+def _cmd_loop(args) -> tuple[dict, str, bool | None]:
+    if args.derangement is not None:
         try:
             derangement = tuple(int(t) for t in args.derangement.split(","))
         except ValueError:
@@ -258,31 +265,24 @@ def _cmd_loop(args) -> int:
             if ok
             else "NOT MUTUALLY P-ENTAILED"
         )
-        _emit({"n": args.n, "derangement": list(derangement), "mutual": ok}, text, args.json)
-        return 1 if args.strict and not ok else 0
+        return {"n": args.n, "derangement": list(derangement), "mutual": ok}, text, ok
     kb = loop_family(args.n)
     facts = []
-    ok = True
     for j in range(1, args.n + 1):
         for i in range(1, args.n + 1):
-            if i == j:
-                continue
-            target = parse_conditional(f"A{i} | A{j}", kb.context)
-            entailed = p_entails(kb, target)
-            ok = ok and entailed
-            facts.append({"target": f"A{i} | A{j}", "p_entailed": entailed})
-    text_lines = [
+            if i != j:
+                target = f"A{i} | A{j}"
+                entailed = p_entails(kb, parse_conditional(target, kb.context))
+                facts.append({"target": target, "p_entailed": entailed})
+    text = "\n".join(
         f"{f['target']}: {'P-ENTAILED' if f['p_entailed'] else 'NOT P-ENTAILED'}"
         for f in facts
-    ]
-    _emit({"n": args.n, "facts": facts}, "\n".join(text_lines), args.json)
-    return 1 if args.strict and not ok else 0
+    )
+    return {"n": args.n, "facts": facts}, text, all(f["p_entailed"] for f in facts)
 
 
-def _cmd_truth_table(args) -> int:
-    from .kbfile import load_kb
-
-    kb, _ = load_kb(args.kb)
+def _cmd_truth_table(args) -> tuple[dict, str, bool | None]:
+    kb = args.kb
     names = args.names or list(kb.names)
     unknown = [name for name in names if name not in kb.names]
     if unknown:
@@ -306,15 +306,16 @@ def _cmd_truth_table(args) -> int:
         }
         for (_, profile), bit in zip(ordered, firsts)
     ]
+    payload = {"conditionals": names, "rows": rows}
     if args.json:
-        print(json.dumps({"conditionals": names, "rows": rows}, sort_keys=True))
-        return 0
-    headers = ["constituent"] + names + ["C", "D"]
-    table = [headers] + [[r["world"], *r["values"], r["C"], r["D"]] for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return 0
+        # --json never shows the laid-out table, which costs about 5% of
+        # the query.
+        return payload, "", None
+    table = [["constituent", *names, "C", "D"]]
+    table += [[r["world"], *r["values"], r["C"], r["D"]] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    text = "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in table)
+    return payload, text, None
 
 
 def _value_at(masks: tuple[int, int], bit: int) -> str:
@@ -325,30 +326,22 @@ def _value_at(masks: tuple[int, int], bit: int) -> str:
     return TruthValue3.NAMES[1 + bool(verifying & bit) - bool(falsifying & bit)]
 
 
-def _cmd_tnorm(args) -> int:
-    from .tnorms import (
-        DRASTIC, INF, LUKASIEWICZ, MINIMUM, PRODUCT, hamacher, tconorm, tnorm
-    )
+def _cmd_tnorm(args) -> tuple[dict, str, bool | None]:
+    from .tnorms import INF, OperatorFamily, hamacher, tconorm, tnorm
 
-    families = {
-        "min": MINIMUM,
-        "minimum": MINIMUM,
-        "product": PRODUCT,
-        "lukasiewicz": LUKASIEWICZ,
-        "drastic": DRASTIC,
-    }
     name = args.family.lower()
-    if name == "hamacher":
+    kind = "minimum" if name == "min" else name
+    if kind not in OperatorFamily.KINDS:
+        raise CohereError(f"unknown operator family {args.family!r}")
+    if kind == "hamacher":
         if args.param is None:
             raise CohereError("the hamacher family needs --param (a/b or 'inf')")
         param = INF if args.param.lower() in ("inf", "infinity") else parse_rational(args.param)
         family = hamacher(param)
-    elif name in families:
-        if args.param is not None:
-            raise CohereError(f"family {name!r} takes no parameter")
-        family = families[name]
+    elif args.param is not None:
+        raise CohereError(f"family {name!r} takes no parameter")
     else:
-        raise CohereError(f"unknown operator family {args.family!r}")
+        family = OperatorFamily(kind)
     values = [parse_rational(v) for v in args.args]
     op = tconorm if args.command == "tconorm" else tnorm
     result = op(family, values)
@@ -358,8 +351,7 @@ def _cmd_tnorm(args) -> int:
         "exact": fraction_str(result),
         "decimal": float(result),
     }
-    _emit(payload, f"exact: {fraction_str(result)}\ndecimal: {float(result):.12g}", args.json)
-    return 0
+    return payload, f"exact: {fraction_str(result)}\ndecimal: {float(result):.12g}", None
 
 
 _HANDLERS = {
@@ -373,6 +365,8 @@ _HANDLERS = {
     "tnorm": _cmd_tnorm,
     "tconorm": _cmd_tnorm,
 }
+# The zero-or-more positional that ends each command that has one.
+_TRAILING = {"region": "probs", "truth-table": "names"}
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -386,17 +380,24 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args, extra = _parser.parse_known_args(argv)
     # argparse stops filling a zero-or-more positional at the first flag, so
-    # region probabilities written after --gamma come back as leftovers.
-    if args.command == "region" and not any(t.startswith("-") for t in extra):
-        args.probs += extra
+    # the part of a trailing list written after a flag comes back as leftovers.
+    trailing = _TRAILING.get(args.command)
+    if trailing and not any(t.startswith("-") for t in extra):
+        getattr(args, trailing).extend(extra)
     elif extra:
         _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _HANDLERS[args.command](args)
+        if "kb" in vars(args):
+            from .kbfile import load_kb
+
+            args.kb, args.assessment = load_kb(args.kb)
+        payload, text, verdict = _HANDLERS[args.command](args)
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
     except (CohereError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    # Every command that returns a verdict takes --strict.
+    return 1 if verdict is False and args.strict else 0
 
 if __name__ == "__main__":
     sys.exit(main())

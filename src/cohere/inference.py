@@ -233,51 +233,6 @@ def biconditional_value(x: Fraction, y: Fraction) -> Fraction:
     return hamacher0_nary([as_unit(x, "x"), as_unit(y, "y")])
 
 
-RULE_KINDS = ("qc", "qd", "or", "gn", "compound", "bic", "dual")
-
-
-class RuleBounds(Record):
-    _fields = ("rule", "probs", "interval")
-    rule: str
-    probs: tuple[Fraction, ...]
-    interval: ProbabilityInterval
-
-    def __init__(
-        self, rule: str, probs: tuple[Fraction, ...], interval: ProbabilityInterval
-    ) -> None:
-        set_field(self, "rule", rule)
-        set_field(self, "probs", probs)
-        set_field(self, "interval", interval)
-
-
-def rule_bounds(kind: str, probs: Sequence[Fraction]) -> RuleBounds:
-    """Dispatch a bound-propagation rule by name."""
-    p = tuple(_units(probs))
-    if kind == "qc":
-        interval = qc_bounds(p)
-    elif kind == "qd":
-        interval = qd_bounds(p)
-    elif kind == "or":
-        interval = or_rule_bounds(p)
-    elif kind == "gn":
-        interval = gn_chain_bounds(p)
-    elif kind == "compound":
-        interval = compound_bounds(p)
-    elif kind == "bic":
-        if len(p) != 2:
-            raise ValueError("the biconditional rule takes exactly two premises")
-        v = biconditional_value(*p)
-        interval = ProbabilityInterval(v, v)
-    elif kind == "dual":
-        if len(p) != 2:
-            raise ValueError("the dual compound rule takes exactly two premises")
-        v = dual_compound_value(*p)
-        interval = ProbabilityInterval(v, v)
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}; expected one of {RULE_KINDS}")
-    return RuleBounds(kind, p, interval)
-
-
 # ---------------------------------------------------------------------------
 # Premise regions from conclusion bounds
 # ---------------------------------------------------------------------------
@@ -294,23 +249,13 @@ def in_l_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
 
 
 def in_u_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
-    """Premises forcing the quasi conjunction's upper bound to at most gamma,
-    via the sequential threshold (gamma - u)/(1 - (2 - gamma) u)."""
+    """Premises forcing the quasi conjunction's upper bound, the Hamacher
+    (parameter 0) t-conorm, to at most gamma (everything for gamma 1)."""
     from .tnorms import hamacher0_conary
 
     p = _units(probs)
     g = as_unit(gamma, "gamma")
-    if g == 1:
-        return True
-    u = p[0]
-    if u > g:
-        return False
-    for nxt in p[1:]:
-        # 1 - (2 - g) u >= (1 - u)^2 > 0 because u <= g < 1
-        if nxt > (g - u) / (1 - (2 - g) * u):
-            return False
-        u = hamacher0_conary([u, nxt])
-    return True
+    return hamacher0_conary(p) <= g
 
 
 def in_l_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
@@ -318,9 +263,8 @@ def in_l_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
 
     That bound is the Hamacher (parameter 0) t-norm, the dual of the quasi
     conjunction's upper bound, so this is :func:`in_u_gamma_qc` of the
-    complemented premises at 1 - gamma.  It yields everything for gamma 0,
-    and otherwise the sequential threshold gamma l/(l - gamma + gamma l) on
-    each next premise, where l is the t-norm of the premises before it."""
+    complemented premises at 1 - gamma: the t-norm is at least gamma
+    (everything for gamma 0)."""
     p = _units(probs)
     g = as_unit(gamma, "gamma")
     return in_u_gamma_qc([1 - v for v in p], 1 - g)
@@ -336,33 +280,6 @@ def in_u_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
     p = _units(probs)
     g = as_unit(gamma, "gamma")
     return in_l_gamma_qc([1 - v for v in p], 1 - g)
-
-
-class GammaRegion(Record):
-    """Membership predicate for one of the four premise regions."""
-
-    _fields = ("kind", "operation", "gamma")
-    kind: str  # "L" or "U"
-    operation: str  # "qc" or "qd"
-    gamma: Fraction
-
-    _TESTS = {
-        ("L", "qc"): in_l_gamma_qc,
-        ("U", "qc"): in_u_gamma_qc,
-        ("L", "qd"): in_l_gamma_qd,
-        ("U", "qd"): in_u_gamma_qd,
-    }
-
-    def __init__(self, kind: str, operation: str, gamma: Fraction) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "operation", operation)
-        set_field(self, "gamma", gamma)
-        if (kind, operation) not in self._TESTS:
-            raise ValueError(f"unknown region {kind}/{operation}")
-        as_unit(gamma, "gamma")
-
-    def contains(self, probs: Sequence[Fraction]) -> bool:
-        return self._TESTS[(self.kind, self.operation)](probs, self.gamma)
 
 
 # ---------------------------------------------------------------------------

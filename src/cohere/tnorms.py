@@ -43,13 +43,14 @@ class OperatorFamily(Record):
     """
 
     _fields = ("kind", "parameter")
+    KINDS = ("minimum", "product", "lukasiewicz", "drastic", "hamacher")
     kind: str
     parameter: HamacherParam | None
 
     def __init__(self, kind: str, parameter: HamacherParam | None = None) -> None:
         set_field(self, "kind", kind)
         set_field(self, "parameter", parameter)
-        if kind not in ("minimum", "product", "lukasiewicz", "drastic", "hamacher"):
+        if kind not in self.KINDS:
             raise ValueError(f"unknown operator family {kind!r}")
         if kind == "hamacher":
             if parameter is None:

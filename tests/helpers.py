@@ -452,6 +452,23 @@ def reference_hamacher0_conary(args: Sequence[Fraction]) -> Fraction:
     return total / (total + 1)
 
 
+def reference_in_u_gamma_qc(probs: Sequence[Fraction], gamma: Fraction) -> bool:
+    """The quasi conjunction's upper region by its sequential threshold
+    (gamma - u)/(1 - (2 - gamma) u), u the Hamacher (parameter 0) t-conorm
+    of the premises so far."""
+    if gamma == 1:
+        return True
+    up = probs[0]
+    if up > gamma:
+        return False
+    for nxt in probs[1:]:
+        # 1 - (2 - gamma) u >= (1 - u)^2 > 0 because u <= gamma < 1
+        if nxt > (gamma - up) / (1 - (2 - gamma) * up):
+            return False
+        up = reference_hamacher0_conary([up, nxt])
+    return True
+
+
 def reference_in_l_gamma_qd(probs: Sequence[Fraction], gamma: Fraction) -> bool:
     """The quasi disjunction's lower region by its sequential threshold
     gamma l/(l - gamma + gamma l), l the Hamacher (parameter 0) t-norm of

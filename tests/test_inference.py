@@ -42,7 +42,6 @@ from cohere import (
     qd_bounds,
     quasi_conjunction,
     quasi_disjunction,
-    rule_bounds,
 )
 from cohere import cli, coherence, simplex
 from cohere.inference import _untolerated, deranged_family, derangements
@@ -55,6 +54,7 @@ from helpers import (
     random_conditional,
     random_context,
     random_unit,
+    reference_in_u_gamma_qc,
     reference_p_entails_qc,
 )
 
@@ -289,14 +289,6 @@ class TestClosedFormBounds:
             biconditional_value(Fr(1, 2), 0.5)
         assert _pair(qc_bounds(["1/10", "0.2"])) == (Fr(0), Fr(13, 49))
 
-    def test_dispatcher(self):
-        rb = rule_bounds("qc", [Fr(1, 2), Fr(1, 2)])
-        assert rb.rule == "qc" and _pair(rb.interval) == (Fr(0), Fr(2, 3))
-        with pytest.raises(ValueError):
-            rule_bounds("bic", [Fr(1, 2)])
-        with pytest.raises(ValueError):
-            rule_bounds("nonsense", [Fr(1, 2)])
-
     @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6),
                     min_size=1, max_size=4))
     def test_duality_between_qc_and_qd(self, probs):
@@ -457,7 +449,7 @@ class TestGammaRegions:
             for y in GRID_STEPS:
                 p = [x, y]
                 assert in_l_gamma_qc(p, gamma) == (qc_bounds(p).lo >= gamma)
-                assert in_u_gamma_qc(p, gamma) == (qc_bounds(p).hi <= gamma)
+                assert in_u_gamma_qc(p, gamma) == reference_in_u_gamma_qc(p, gamma)
                 assert in_l_gamma_qd(p, gamma) == (qd_bounds(p).lo >= gamma)
                 assert in_u_gamma_qd(p, gamma) == (qd_bounds(p).hi <= gamma)
 
@@ -488,7 +480,21 @@ class TestGammaRegions:
         gamma = Fr(2, 5)
         for p in ([Fr(1, 5)] * 3, [Fr(2, 5), Fr(1, 3), Fr(1, 6)]):
             assert in_l_gamma_qd(p, gamma) == (qd_bounds(p).lo >= gamma)
-            assert in_u_gamma_qc(p, gamma) == (qc_bounds(p).hi <= gamma)
+            assert in_u_gamma_qc(p, gamma) == reference_in_u_gamma_qc(p, gamma)
+
+    def test_upper_qc_region_matches_sequential_threshold(self):
+        # U_gamma(QC) is {p : S_H0(p) <= gamma}, which the engine tests at
+        # once; the reference bounds each next premise by a threshold.
+        rng = random.Random(31)
+        inside = 0
+        for n in range(2, 6):
+            for _ in range(500):
+                probs = [random_unit(rng, 8) for _ in range(n)]
+                gamma = random_unit(rng, 8)
+                expected = reference_in_u_gamma_qc(probs, gamma)
+                assert in_u_gamma_qc(probs, gamma) == expected, (probs, gamma)
+                inside += expected
+        assert 100 < inside < 1900, inside
 
 
 class TestQuasiRulesAllOnes:

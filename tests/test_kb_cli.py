@@ -424,6 +424,7 @@ class TestCli:
             ["region", "Lqc", "--gamma", "3/5", "8/10", "--bogus", "9/10"],
             ["region", "Lqc", "8/10", "9/10", "--gamma", "3/5", "--bogus"],
             ["check", str(KB_DIR / "gn_chain.kb"), "--bogus"],
+            ["truth-table", str(LINDA), "--json", "--bogus"],
         ],
     )
     def test_unknown_flag_exits_2(self, capsys, argv):
@@ -432,6 +433,48 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and "--bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "bic", "1/2"], "the biconditional rule takes exactly two premises"),
+            (["bounds", "bic", "1/2", "1/2", "1/2"],
+             "the biconditional rule takes exactly two premises"),
+            # Each premise is checked before the premises are counted.
+            (["bounds", "bic", "2", "1/2"], "p1 must lie in [0, 1], got 2"),
+            (["bounds", "bic", "2"], "p1 must lie in [0, 1], got 2"),
+            # gamma is checked before the premises.
+            (["region", "Lqc", "--gamma", "2", "5"], "gamma must lie in [0, 1], got 2"),
+            (["region", "Uqd", "--gamma", "2", "--grid", "3"], "gamma must lie in [0, 1], got 2"),
+        ],
+    )
+    def test_rule_and_region_arguments_are_checked_in_order(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "nonsense", "1/2"],
+            # The dual compound rule takes two values and is library-only.
+            ["bounds", "dual", "1/2", "1/2"],
+            ["region", "Xqc", "--gamma", "1/2", "1/2"],
+        ],
+    )
+    def test_unknown_rule_or_region_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"invalid choice: {argv[1]!r}" in capsys.readouterr().err
+
+    def test_truth_table_names_around_flags(self, capsys):
+        # A trailing list may come before or after a flag, as for region.
+        outputs = []
+        for argv in (["--json", "great_if_linda"], ["great_if_linda", "--json"]):
+            assert main(["truth-table", str(LINDA), *argv]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+        assert json.loads(outputs[0].out)["conditionals"] == ["great_if_linda"]
 
     def test_region_grid(self, capsys):
         assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "5"]) == 0
@@ -487,7 +530,11 @@ class TestCli:
         assert main(["loop", "--n", "3", "--derangement", "3,1,2"]) == 0
         assert "MUTUALLY P-ENTAILED" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("derangement", ["2,3,x", "2,3,1,", "2;3;1"])
+    # An empty --derangement is a bad one, not a missing one: it must not run
+    # the pairwise facts.
+    @pytest.mark.parametrize(
+        "derangement", ["2,3,x", "2,3,1,", "2;3;1", pytest.param("", id="empty")]
+    )
     def test_loop_derangement_not_integers_exits_2(self, capsys, derangement):
         assert main(["loop", "--n", "3", "--derangement", derangement]) == 2
         assert capsys.readouterr().err == (
@@ -528,6 +575,52 @@ class TestCli:
     def test_tnorm_infinite_parameter(self, capsys):
         assert main(["tnorm", "hamacher", "--param", "inf", "1/2", "1/3"]) == 0
         assert "exact: 0" in capsys.readouterr().out
+
+
+# Per command: its arguments, and whether its verdict is negative (None for
+# a command with no verdict).
+STRICT_CASES = [
+    (["check", "{kb}/gn_chain.kb"], False),
+    (["check", "{tmp}/incoherent.kb"], True),
+    (["check", "{tmp}/incoherent.kb", "--json"], True),
+    (["consistent", "{kb}/linda.kb"], False),
+    (["consistent", "{tmp}/inconsistent.kb", "--json"], True),
+    (["entails", "{kb}/linda.kb", "~N | L"], False),
+    (["entails", "{kb}/linda.kb", "G | N", "--method", "both"], True),
+    (["loop", "--n", "3"], False),
+    (["loop", "--n", "3", "--derangement", "3,1,2"], False),
+    (["loop", "--n", "4", "--derangement", "2,1,4,3", "--json"], True),
+    (["region", "Lqc", "--gamma", "3/5", "8/10", "9/10"], False),
+    (["region", "Uqc", "--gamma", "3/5", "3/5", "3/5", "--json"], True),
+    # A grid is a picture of the region, not a verdict.
+    (["region", "Uqc", "--gamma", "1/3", "--grid", "4"], False),
+    (["bounds", "qc", "1/2", "1/2"], None),
+    (["tnorm", "product", "1/2", "1/2"], None),
+    (["tconorm", "product", "1/2", "1/2", "--json"], None),
+    (["truth-table", "{kb}/loop3.kb"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, negative", STRICT_CASES, ids=[f"{' '.join(a)}-{n}" for a, n in STRICT_CASES]
+)
+def test_strict_exits_1_only_on_a_negative_verdict(capsys, tmp_path, argv, negative):
+    (tmp_path / "incoherent.kb").write_text(
+        "atoms: A\nconditionals:\n  a: A | T = 1/4\n  b: A | T = 3/4\n"
+    )
+    (tmp_path / "inconsistent.kb").write_text("atoms: A\nconditionals:\n  a: A | T\n  b: ~A | T\n")
+    argv = [arg.format(kb=KB_DIR, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert plain.out and not plain.err
+    if negative is None:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--strict"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    else:
+        assert main([*argv, "--strict"]) == (1 if negative else 0)
+        assert capsys.readouterr() == plain
 
 
 class TestJsonOutput:
@@ -577,12 +670,12 @@ class TestJsonOutput:
         assert capsys.readouterr().out == expected + "\n"
 
     def test_bounds_json(self, capsys):
-        main(["bounds", "or", "9/10", "9/10", "--json"])
+        main(["bounds", "or", "9/10", "0.9", "--json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["interval"] == {
-            "lo": "9/11",
-            "hi": "18/19",
-            "vacuous": False,
+        assert payload == {
+            "rule": "or",
+            "probs": ["9/10", "9/10"],
+            "interval": {"lo": "9/11", "hi": "18/19", "vacuous": False},
         }
 
     def test_entails_json(self, capsys):

@@ -1,5 +1,6 @@
 """Checks on the package source, and on the hooks the benchmark traces."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -335,6 +336,34 @@ def test_every_top_level_definition_is_used_outside_the_tests():
         and total[node.name] == sum(name == node.name for name in _reads(node))
     ]
     assert not found, found
+
+
+def test_cli_prints_only_in_main():
+    # A handler returns (payload, text, verdict) and main alone prints, so
+    # every command renders and exits by the same rule.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    (main,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "print"]
+    outside = [node.lineno for node in prints if id(node) not in in_main]
+    assert prints and not outside, outside
+
+
+def test_every_subcommand_has_a_handler():
+    # Each subcommand of the parser has a handler, and each zero-or-more
+    # positional gets main's leftover rule.
+    (sub,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(sub.choices) == set(cli._HANDLERS)
+    trailing = {
+        name: action.dest
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if not action.option_strings and action.nargs == "*"
+    }
+    assert trailing == cli._TRAILING
 
 
 def test_byte_conversions_name_their_byte_order():
