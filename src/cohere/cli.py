@@ -5,7 +5,7 @@ negative, 2 on any error.  ``--json`` switches every command to a stable
 machine-readable rendering with rationals as strings.
 
 :func:`main` answers every command in one place.  It appends leftover
-arguments to the command's trailing zero-or-more positional, loads the KB
+arguments to the command's trailing list positional, loads the KB
 file of a command that takes one into ``args.kb`` and ``args.assessment``,
 and calls the command's handler.  A handler prints nothing: it returns
 ``(payload, text, verdict)``, where ``payload`` is the ``--json`` object,
@@ -365,8 +365,15 @@ _HANDLERS = {
     "tnorm": _cmd_tnorm,
     "tconorm": _cmd_tnorm,
 }
-# The zero-or-more positional that ends each command that has one.
-_TRAILING = {"region": "probs", "truth-table": "names"}
+# The list positional, zero or more or one or more, that ends each command
+# that has one.
+_TRAILING = {
+    "bounds": "probs",
+    "region": "probs",
+    "truth-table": "names",
+    "tnorm": "args",
+    "tconorm": "args",
+}
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -379,8 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args, extra = _parser.parse_known_args(argv)
-    # argparse stops filling a zero-or-more positional at the first flag, so
-    # the part of a trailing list written after a flag comes back as leftovers.
+    # argparse stops filling a list positional at the first flag, so the part
+    # of a trailing list written after a flag comes back as leftovers.
     trailing = _TRAILING.get(args.command)
     if trailing and not any(t.startswith("-") for t in extra):
         getattr(args, trailing).extend(extra)

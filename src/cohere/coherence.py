@@ -31,9 +31,17 @@ An extension interval's endpoints are proved by the solutions those LPs
 already found, not by running the recursion on the extended family: a
 solution that meets the target's equation at the endpoint leaves a set of
 members without mass that contains the zero-probability layer, so by
-heredity their coherence completes the proof.  The solutions are checked
-exactly, and one coherence check of the base members they leave open
-closes it.
+heredity their coherence completes the proof.  Those members belong to the
+base, so the base's coherence implies theirs, and the same solutions
+reduce that too.  A solution of the top level's refined system that
+charges some base antecedent restricts, renormalized, to a solution of
+the base's own system, since the classes where only the target's
+antecedent holds carry no base antecedent.  So the base's zero-probability
+layer I0 lies within the set S of base members that none of the top
+level's known solutions charges, and by heredity the base is coherent
+exactly when S is (Biazzo & Gilio 2000; Gilio 2002): outright when S is
+empty.  The solutions are checked exactly, and one coherence check of S,
+when it is not empty, closes the proof.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record, set_field
@@ -143,12 +152,32 @@ class SigmaSystem(Record):
 
         return solve_eq_lp(self.matrix, self.rhs, scales=self.scales)
 
-    def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Betting gain on each constituent for the given stake vector, from
-        the weights ``stakes[j] / scales[j]`` cleared to one denominator."""
+    @cached_property
+    def homogenized(self) -> LPResult:
+        """Phase 1 of the Charnes-Cooper homogenization of a system refined
+        by a target, run once: variables (y, t), each row ``[M_j | -rhs_j]``
+        under its scale, homogeneous, and the target's antecedent mass of y
+        equal to one.  The unit-mass row makes t the mass of y, so t > 0 at
+        every feasible (y, t), and y / t is a solution of the system that
+        charges the target's antecedent; the system has one exactly when
+        this phase 1 is feasible."""
+        from .simplex import solve_eq_lp
+
+        m = len(self.matrix[0])
+        hom_matrix = [row + (-b,) for row, b in zip(self.matrix, self.rhs)]
+        hom_matrix.append(_indicator(self.supports[-1], m + 1))
+        return solve_eq_lp(hom_matrix, [0] * len(self.matrix) + [1], scales=self.scales + (1,))
+
+    def _cleared(self, stakes: Sequence[Fraction]) -> tuple[int, list[int]]:
+        """The weights ``stakes[j] / scales[j]`` as integers ``W`` over one
+        denominator ``D > 0``, returned as ``(D, W)``."""
         weights = [Fraction(s, scale) for s, scale in zip(stakes, self.scales)]
         D = lcm(*(w.denominator for w in weights))
-        W = [w.numerator * (D // w.denominator) for w in weights]
+        return D, [w.numerator * (D // w.denominator) for w in weights]
+
+    def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Betting gain on each constituent for the given stake vector."""
+        D, W = self._cleared(stakes)
         return tuple(
             Fraction(sum(w * (q - b) for w, q, b in zip(W, column, self.rhs)), D)
             for column in zip(*self.matrix[:-1])
@@ -217,8 +246,12 @@ def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
         return SigmaFeasibility(witness=tuple(Fraction(v, den) if v else ZERO for v in result.x))
     n = len(system.matrix) - 1
     stakes = tuple(-result.farkas[j] for j in range(n))
-    gains = system.gains(stakes)
-    if any(g <= 0 for g in gains):
+    # Every gain that SigmaSystem.gains computes is positive exactly when
+    # each constituent's weighted payoff exceeds the weighted prices, all in
+    # integers over the weights' one denominator.
+    _, W = system._cleared(stakes)
+    price = sum(map(mul, W, system.rhs))
+    if any(sum(map(mul, W, column)) <= price for column in zip(*system.matrix[:-1])):
         raise AssertionError("certificate extraction produced a non-positive gain")
     return SigmaFeasibility(certificate=stakes)
 
@@ -378,32 +411,26 @@ def _standalone_interval(target: ConditionalEvent) -> tuple[Fraction, Fraction, 
     return ZERO, ONE, True
 
 
-def _fractional_bounds(
-    system: SigmaSystem, num: Sequence[int], den: Sequence[int]
-) -> tuple[tuple[Fraction, Solution], ...] | None:
-    """Extremes of mass(num)/mass(den) over the system's solutions, taken on
-    the part where the denominator is positive, each with a solution that
-    attains it, as numerators over one denominator, or ``None`` when no
-    solution charges ``den``.
+def _fractional_bounds(system: SigmaSystem) -> tuple[tuple[Fraction, Solution], ...] | None:
+    """Extremes of the target's value, its target-true mass over its
+    antecedent mass, over the solutions of a system refined by the target
+    that charge the antecedent, each with a solution that attains it, as
+    numerators over one denominator, or ``None`` when no solution charges
+    the antecedent.
 
-    Homogenization (Charnes & Cooper 1962): scale solutions so the
-    denominator is one, carrying the scale as an extra variable t; each
-    original equality becomes homogeneous in the scaled variables: its
-    integer row with ``-rhs`` appended as t's entry, under the same scale.
-    The unit-mass row forces t > 0 at every feasible (y, t), and y / t is a
-    solution charging ``den``, so one phase 1 decides that case and serves
-    both extremes; at an optimum, y / t attains the ratio, and it is the
-    numerators of y over the numerator of t, with no division.
+    Homogenization (Charnes & Cooper 1962) scales solutions so the
+    antecedent mass is one: :attr:`SigmaSystem.homogenized` decides that
+    case and serves both extremes, and at an optimum (y, t), y / t attains
+    the ratio, as the numerators of y over the numerator of t, with no
+    division.
     """
-    from .simplex import OPTIMAL, solve_eq_lp
+    from .simplex import OPTIMAL
 
-    m = len(system.matrix[0])
-    hom_matrix = [row + (-b,) for row, b in zip(system.matrix, system.rhs)]
-    hom_matrix.append(_indicator(den, m + 1))
-    start = solve_eq_lp(hom_matrix, [0] * len(system.matrix) + [1], scales=system.scales + (1,))
+    start = system.homogenized
     if start.status != OPTIMAL:
         return None
-    objective = _indicator(num, m + 1)
+    m = len(system.matrix[0])
+    objective = _indicator(system.target_true, m + 1)
     optima = (start.optimize(objective, maximize) for maximize in (False, True))
     return tuple((best.objective, (best.x[:m], best.x[m])) for best in optima)
 
@@ -480,7 +507,7 @@ def _interval_levels(
         link = _Link(indices, system, mediant)
         return lo.below(link), hi.below(link), vacuous
 
-    bounds = _fractional_bounds(system, system.target_true, den)
+    bounds = _fractional_bounds(system)
     if bounds is None:
         return descend(system.phase1)
 
@@ -506,8 +533,8 @@ def _interval_levels(
 
 
 def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
-    """Check an endpoint's proof exactly, and return the base indices whose
-    coherence it leaves open.
+    """Check an endpoint's proof exactly, and return the base indices that
+    its top level's solution leaves uncharged.
 
     Each level's solution must solve its system and meet the target's row at
     the endpoint.  The members it leaves uncharged contain that level's
@@ -515,12 +542,16 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
     level (Biazzo & Gilio 2000): the target among them hands over to the
     next level, which must examine exactly the others, or to the target's
     standalone values below the last level; a level that charges the target
-    ends the chain and leaves its uncharged members open.
+    ends the chain.  The members a level leaves to a coherence check belong
+    to the base, so the base's coherence completes the proof, and the top
+    level's uncharged members contain the base's own zero-probability layer
+    (see :func:`extension_interval`).
     """
     from .simplex import check_solution
 
     z = end.value
     expected = None
+    top = ()
     for depth, link in enumerate(end.chain):
         system, (w, den) = link.system, link.solution
         if expected is not None and link.indices != expected:
@@ -536,10 +567,12 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
         uncharged = tuple(
             i for i, support in zip(link.indices, system.supports) if charged.isdisjoint(support)
         )
+        if not depth:
+            top = uncharged
         if not charged.isdisjoint(system.supports[-1]):
             if depth != len(end.chain) - 1:
                 raise AssertionError("extension proof continues past a charged target")
-            return uncharged
+            return top
         expected = uncharged
     if expected:
         raise AssertionError("extension proof stops above a zero-probability level")
@@ -548,7 +581,7 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
         raise AssertionError(
             f"extension endpoint {fraction_str(z)} is not a value of the target alone"
         )
-    return ()
+    return top
 
 
 def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityInterval:
@@ -557,14 +590,36 @@ def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityIn
 
     The base assessment must itself be coherent.  Each endpoint comes with
     solutions, one per level it descended through, that prove it up to the
-    coherence of a subfamily of the base; they are checked exactly, and the
-    union of those subfamilies is checked once.  A coherent base passes that
-    check, so an incoherent base raises ``IncoherentAssessmentError``, there
-    or from the interval descent, and a proof that fails its exact check is
-    an engine fault and raises ``AssertionError``.
+    coherence of a subfamily of the base, so up to the base's coherence;
+    they are checked exactly.  The top level's solutions also reduce the
+    base's coherence to that of the set S of base members none of them
+    charges: a solution of the refined system that charges some base
+    antecedent restricts, renormalized, to a solution of the base's own
+    system, since the classes where only the target's antecedent holds
+    carry no base antecedent.  So the base's zero-probability layer I0 lies
+    within S, and by heredity the base is coherent exactly when S is, and
+    outright when S is empty (Gilio 2002).  The solutions pooled are the
+    top links of both endpoints' proofs and, when those leave S non-empty,
+    the spread point (y, t) of the homogenized phase 1, read as y / t; each
+    is checked exactly where it is made.  S is checked with
+    :func:`check_coherence` only when it is not empty.
+
+    An incoherent base raises ``IncoherentAssessmentError``, from that check,
+    since I0 within S makes S incoherent too, or from the interval descent;
+    a proof that fails its exact check is an engine fault and raises
+    ``AssertionError``.
     """
+    from .simplex import OPTIMAL
+
     lo, hi, vacuous = _interval_levels(a, target, tuple(range(len(a.family))))
-    open_indices = sorted({j for end in (lo, hi) for j in _open_indices(end, target)})
+    open_indices = sorted(set(_open_indices(lo, target)).intersection(_open_indices(hi, target)))
+    # Both proofs start at the top level's system, whose homogenized phase 1
+    # the interval has already run.
+    system = lo.chain[0].system
+    if open_indices and system.homogenized.status == OPTIMAL:
+        y, _ = system.homogenized.spread()
+        charged = {h for h, v in enumerate(y) if v}
+        open_indices = [j for j in open_indices if charged.isdisjoint(system.supports[j])]
     if open_indices and not check_coherence(a.restrict(open_indices)).coherent:
         raise IncoherentAssessmentError("cannot extend an incoherent base assessment")
     return ProbabilityInterval(lo.value, hi.value, vacuous=vacuous)

@@ -450,6 +450,7 @@ class TestEndpointProofs:
         monkeypatch.setattr(cohere.coherence, "_fractional_bounds", bounding)
         rng = random.Random(1409)
         coherent = refuted_below = compared = descended = engine_descents = stops = 0
+        unchecked = 0
         while coherent < 300 or refuted_below < 40:
             a = random_assessment(rng, max_size=3)
             if rng.random() < 0.5:
@@ -471,6 +472,12 @@ class TestEndpointProofs:
             iv = extension_interval(a, target)
             assert len(checks) <= 1
             assert all(set(checked) <= set(a.family) for checked in checks)
+            # The base is checked only on the members that none of the top
+            # level's solutions charges, among them its zero-probability
+            # layer, and not at all when they charge every member.
+            layer = {a.family[j] for j in verdict.trace[0].i0}
+            assert layer <= set(checks[0] if checks else ()), (a, target)
+            unchecked += not checks
             for z in (iv.lo, iv.hi):
                 assert check_coherence(a.extend(target, z)).coherent, (a, target, z)
             try:
@@ -490,6 +497,7 @@ class TestEndpointProofs:
             coherent += 1
         assert compared > 250 and descended > 100
         assert engine_descents > 60 and stops > 80
+        assert unchecked > coherent // 2
 
     @pytest.mark.parametrize("fault", ["shifted", "swapped", "shifted average", "skipped level"])
     def test_corrupted_proof_raises(self, monkeypatch, fault):
@@ -535,7 +543,9 @@ class TestEndpointProofs:
         target = ce("C", "B", ctx)
         lo, _, _ = _interval_levels(a, target, (0, 1))
         assert [link.indices for link in lo.chain] == [(0, 1), (1,)]
-        assert _open_indices(lo, target) == ()
+        # The chain checks down to C|B's own values; the top level's
+        # solution leaves A|B, the level below, uncharged.
+        assert _open_indices(lo, target) == (1,)
         top, below = lo.chain
         skipped = _Link((0,), below.system, below.solution)
         with pytest.raises(AssertionError, match="skips a zero-probability level"):

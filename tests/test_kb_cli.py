@@ -476,6 +476,28 @@ class TestCli:
         assert outputs[0] == outputs[1] and outputs[0].err == ""
         assert json.loads(outputs[0].out)["conditionals"] == ["great_if_linda"]
 
+    @pytest.mark.parametrize(
+        "command, before, after",
+        [
+            (["bounds", "qc"], ["1/2"], ["1/3"]),
+            (["region", "Lqc", "--gamma", "1/4"], ["3/4"], ["1/2"]),
+            (["tnorm", "product"], ["1/2"], ["1/3"]),
+            (["tconorm", "lukasiewicz"], ["1/2"], ["1/3"]),
+        ],
+    )
+    def test_list_positionals_around_flags(self, capsys, command, before, after):
+        # A one-or-more list, like a zero-or-more one, may be split by a
+        # flag: every order answers byte for byte alike.
+        outputs = []
+        for argv in (
+            [*before, *after, "--json"],
+            [*before, "--json", *after],
+            ["--json", *before, *after],
+        ):
+            assert main([*command, *argv]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and outputs.count(outputs[0]) == 3
+
     def test_region_grid(self, capsys):
         assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

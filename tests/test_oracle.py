@@ -187,7 +187,7 @@ class TestZeroUpperAgreement:
             masses = [sum(v[h] for h in den) for v in vertices(system.matrix, system.rhs)]
             start = solve_eq_lp(system.matrix, system.rhs, barred=den, scales=system.scales)
             assert (start.status == OPTIMAL) == (0 in masses), (a, target)
-            homogenized = _fractional_bounds(system, system.target_true, den)
+            homogenized = _fractional_bounds(system)
             assert (homogenized is not None) == any(masses), (a, target)
             if start.status != OPTIMAL:
                 continue

@@ -350,8 +350,8 @@ def test_cli_prints_only_in_main():
 
 
 def test_every_subcommand_has_a_handler():
-    # Each subcommand of the parser has a handler, and each zero-or-more
-    # positional gets main's leftover rule.
+    # Each subcommand of the parser has a handler, and each list positional,
+    # zero or more or one or more, gets main's leftover rule.
     (sub,) = [
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
@@ -361,7 +361,7 @@ def test_every_subcommand_has_a_handler():
         name: action.dest
         for name, parser in sub.choices.items()
         for action in parser._actions
-        if not action.option_strings and action.nargs == "*"
+        if not action.option_strings and action.nargs in ("*", "+")
     }
     assert trailing == cli._TRAILING
 
