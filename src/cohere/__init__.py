@@ -55,7 +55,6 @@ _EXPORTS = {
         "Event",
         "FALSE",
         "TRUE",
-        "World",
         "enumerate_worlds",
         "implies",
         "is_impossible",

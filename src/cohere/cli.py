@@ -32,6 +32,7 @@ from .conditionals import (
     quasi_masks,
 )
 from .errors import CohereError, SizeLimitError
+from .events import enumerate_worlds
 from .inference import (
     biconditional_value,
     compound_bounds,
@@ -296,10 +297,10 @@ def _cmd_truth_table(args) -> tuple[dict, str, bool | None]:
     # Each row is read at its class's lowest set bit; the classes are
     # disjoint, so one decoding yields every representative in bit order.
     firsts = [mask & -mask for mask, _ in ordered]
-    world = dict(zip(sorted(firsts), kb.context.worlds_in(sum(firsts))))
+    world = dict(zip(sorted(firsts), enumerate_worlds(kb.context.atoms, admissible=sum(firsts))))
     rows = [
         {
-            "world": str(world[bit]),
+            "world": world[bit],
             "values": [str(v) for v in profile],
             "C": _value_at(qc, bit),
             "D": _value_at(qd, bit),

@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import Record, set_field
 from .conditionals import (
@@ -82,9 +82,9 @@ class Assessment(Record):
     family: tuple[ConditionalEvent, ...]
     probs: tuple[Fraction, ...]
 
-    def __init__(self, family: tuple[ConditionalEvent, ...], probs: tuple[Fraction, ...]) -> None:
-        set_field(self, "family", family)
-        set_field(self, "probs", probs)
+    def __init__(self, family: Sequence[ConditionalEvent], probs: Sequence[Fraction]) -> None:
+        set_field(self, "family", tuple(family))
+        set_field(self, "probs", tuple(probs))
         if not family:
             raise ValueError("an assessment needs at least one conditional event")
         if len(family) != len(probs):
@@ -276,13 +276,11 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], S
 
     if start.status != OPTIMAL:
         raise IncoherentAssessmentError("mass optimization on an unsolvable system")
-    remaining = tuple(range(len(system.matrix) - 1))
+    remaining = range(len(system.matrix) - 1)
     solution, den = start.spread()
     mediant = solution
     while True:
-        remaining = tuple(
-            j for j in remaining if not any(solution[h] for h in system.supports[j])
-        )
+        remaining = _uncharged(system, solution, remaining)
         if not remaining:
             return (), (mediant, den)
         union = sorted({h for j in remaining for h in system.supports[j]})
@@ -292,6 +290,12 @@ def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], S
         solution = best.x
         mediant = tuple(u + v for u, v in zip(mediant, solution))
         den += best.den
+
+
+def _uncharged(system: SigmaSystem, x: Sequence[int], members: Iterable[int]) -> tuple[int, ...]:
+    """The indices among ``members`` whose antecedent the mass vector ``x``
+    over the system's constituents leaves without mass."""
+    return tuple(j for j in members if not any(x[h] for h in system.supports[j]))
 
 
 def _indicator(support: Sequence[int], width: int) -> list[int]:
@@ -391,6 +395,9 @@ class ProbabilityInterval(Record):
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
         set_field(self, "vacuous", vacuous)
+        for name, value in (("the lower endpoint", lo), ("the upper endpoint", hi)):
+            if isinstance(value, float):
+                raise float_refused(value, name)
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
 
@@ -563,13 +570,10 @@ def _open_indices(end: _Endpoint, target: ConditionalEvent) -> tuple[int, ...]:
         for h in system.target_true:
             target_row[h] += z.denominator
         check_solution(system.matrix + (target_row,), system.rhs + (0,), w, den)
-        charged = {h for h, v in enumerate(w) if v}
-        uncharged = tuple(
-            i for i, support in zip(link.indices, system.supports) if charged.isdisjoint(support)
-        )
+        uncharged = tuple(link.indices[j] for j in _uncharged(system, w, range(len(link.indices))))
         if not depth:
             top = uncharged
-        if not charged.isdisjoint(system.supports[-1]):
+        if not _uncharged(system, w, (len(system.supports) - 1,)):
             if depth != len(end.chain) - 1:
                 raise AssertionError("extension proof continues past a charged target")
             return top
@@ -618,8 +622,7 @@ def extension_interval(a: Assessment, target: ConditionalEvent) -> ProbabilityIn
     system = lo.chain[0].system
     if open_indices and system.homogenized.status == OPTIMAL:
         y, _ = system.homogenized.spread()
-        charged = {h for h, v in enumerate(y) if v}
-        open_indices = [j for j in open_indices if charged.isdisjoint(system.supports[j])]
+        open_indices = _uncharged(system, y, open_indices)
     if open_indices and not check_coherence(a.restrict(open_indices)).coherent:
         raise IncoherentAssessmentError("cannot extend an incoherent base assessment")
     return ProbabilityInterval(lo.value, hi.value, vacuous=vacuous)

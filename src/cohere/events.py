@@ -7,14 +7,13 @@ assignments of its atoms: bit k is set when assignment k, in
 The fold starts from one mask per atom, a repeating block of ones ANDed
 with the admissible bitset, so inadmissible bits are never set.  All
 semantic questions (impossibility, implication, equivalence) are answered
-by bit operations on these masks, which is exact at desk scale, and no
-:class:`World` is built for them.  The fold is the only evaluator of an
-event, and it is also the check for undeclared atoms: an atom missing from
-the context fails its lookup, and :meth:`Context.mask` reports it as an
+by bit operations on these masks, which is exact at desk scale, so a world
+is only its bit.  The fold is the only evaluator of an event, and it is
+also the check for undeclared atoms: an atom missing from the context
+fails its lookup, and :meth:`Context.mask` reports it as an
 :class:`UnknownAtomError`.  A context folds its constraints once, when it
 is built, so the same lookup checks them.  :func:`enumerate_worlds` only
-decodes a bitset into worlds, on demand through :meth:`Context.worlds_in`;
-``Context(atoms, constraints).worlds`` lists the admissible worlds.
+decodes a bitset, writing each set bit's assignment as its literals.
 
 :func:`parse_event` splits the text into one token list with a single
 regular expression, a name or any other character that is not white
@@ -35,8 +34,6 @@ Grammar accepted by :func:`parse_event`::
 from __future__ import annotations
 
 import re
-from functools import cached_property, lru_cache
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record, set_field
@@ -333,23 +330,8 @@ def parse_event(text: str, atoms: Iterable[str] | None = None) -> Event:
 
 
 # ---------------------------------------------------------------------------
-# Worlds and contexts
+# Contexts
 # ---------------------------------------------------------------------------
-
-
-class World(Record):
-    """A total truth assignment over a fixed atom tuple."""
-
-    __slots__ = _fields = ("atoms", "values")
-    atoms: tuple[str, ...]
-    values: tuple[bool, ...]
-
-    def __init__(self, atoms: tuple[str, ...], values: tuple[bool, ...]) -> None:
-        set_field(self, "atoms", atoms)
-        set_field(self, "values", values)
-
-    def __str__(self) -> str:
-        return " ".join(a if v else f"~{a}" for a, v in zip(self.atoms, self.values))
 
 
 def _check_atom_count(n: int) -> None:
@@ -408,9 +390,9 @@ class Context(Record):
     full_mask: int
     _atom_masks: dict[str, int]
 
-    def __init__(self, atoms: tuple[str, ...], constraints: tuple[Event, ...] = ()) -> None:
-        set_field(self, "atoms", atoms)
-        set_field(self, "constraints", constraints)
+    def __init__(self, atoms: Sequence[str], constraints: Sequence[Event] = ()) -> None:
+        set_field(self, "atoms", tuple(atoms))
+        set_field(self, "constraints", tuple(constraints))
         if not atoms:
             raise ValueError("a context needs at least one atom")
         if len(set(atoms)) != len(atoms):
@@ -427,10 +409,6 @@ class Context(Record):
         set_field(self, "full_mask", full)
         set_field(self, "_atom_masks", atom_masks)
 
-    @cached_property
-    def worlds(self) -> tuple[World, ...]:
-        return self.worlds_in(self.full_mask)
-
     def mask(self, e: Event) -> int:
         """Bitset of the admissible assignments where ``e`` holds.  An atom
         the context does not declare fails the fold's lookup, and is then
@@ -440,11 +418,6 @@ class Context(Record):
         except KeyError:
             self._reject_undeclared(e, "event")
             raise
-
-    def worlds_in(self, mask: int) -> tuple[World, ...]:
-        """The worlds of the assignments whose bits are set in ``mask``, in
-        order; ``mask`` must lie within :attr:`full_mask`."""
-        return tuple(enumerate_worlds(self.atoms, admissible=mask))
 
     def _reject_undeclared(self, e: Event, role: str) -> None:
         # Printing round-trips structurally, so the names in the printed
@@ -456,37 +429,25 @@ class Context(Record):
             ) from None
 
 
-def enumerate_worlds(atoms: Sequence[str], *, admissible: int) -> Iterator[World]:
-    """Yield the world of each assignment whose bit is set in ``admissible``.
+def enumerate_worlds(atoms: Sequence[str], *, admissible: int) -> Iterator[str]:
+    """Yield the assignment of each bit set in ``admissible``, written as
+    its literals, such as ``"~A B"``.
 
     Bit k stands for assignment k in lexicographic order over the atoms,
-    false before true, and the worlds come in that order.  This only
-    decodes; ``Context(atoms, constraints).worlds`` lists the worlds that
-    constraints admit.
+    false before true, and the assignments come in that order.  This only
+    decodes; :attr:`Context.full_mask` holds the bits that constraints admit.
     """
     atom_tuple = tuple(atoms)
     if not atom_tuple:
         raise ValueError("enumerate_worlds requires at least one atom")
     _check_atom_count(len(atom_tuple))
-    low, high_values, low_values = _assignment_halves(len(atom_tuple))
-    below = (1 << low) - 1
+    # The last atom reads bit 0 of k, and each one before it the next bit up.
+    literals = [(shift, f"~{a}", a) for shift, a in enumerate(reversed(atom_tuple))][::-1]
     bits = bin(admissible)[:1:-1]
     k = bits.find("1")
     while k >= 0:
-        yield World(atom_tuple, high_values[k >> low] + low_values[k & below])
+        yield " ".join([pos if k >> shift & 1 else neg for shift, neg, pos in literals])
         k = bits.find("1", k + 1)
-
-
-@lru_cache(maxsize=None)
-def _assignment_halves(n: int) -> tuple[int, tuple, tuple]:
-    """Decoding tables for assignment numbers over ``n`` atoms: the width w
-    of the low half, and the truth values of every high and every low half,
-    so that assignment k is ``high[k >> w] + low[k & (2**w - 1)]`` (the
-    binary digits of k, the first atom most significant).  One entry per
-    atom count, so at most ``MAX_ATOMS`` are kept."""
-    low = n // 2
-    high_values = tuple(product((False, True), repeat=n - low))
-    return low, high_values, tuple(product((False, True), repeat=low))
 
 
 def is_impossible(e: Event, context: Context) -> bool:

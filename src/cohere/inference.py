@@ -45,11 +45,11 @@ class KnowledgeBase(Record):
     conditionals: tuple[ConditionalEvent, ...]
 
     def __init__(
-        self, context: Context, names: tuple[str, ...], conditionals: tuple[ConditionalEvent, ...]
+        self, context: Context, names: Sequence[str], conditionals: Sequence[ConditionalEvent]
     ) -> None:
         set_field(self, "context", context)
-        set_field(self, "names", names)
-        set_field(self, "conditionals", conditionals)
+        set_field(self, "names", tuple(names))
+        set_field(self, "conditionals", tuple(conditionals))
         if len(names) != len(conditionals):
             raise ValueError("names and conditionals differ in length")
         if len(set(names)) != len(names):

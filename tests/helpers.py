@@ -7,7 +7,7 @@ import random
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from cohere import (
     FALSE,
@@ -25,7 +25,6 @@ from cohere import (
     SizeLimitError,
     TruthValue3,
     UnknownAtomError,
-    World,
     is_impossible,
     parse_event,
 )
@@ -64,7 +63,7 @@ def random_context(rng: random.Random, allow_constraints: bool) -> Context:
             second = ~second
         constraints = (first & second,)
     ctx = Context(atoms, constraints)
-    if not ctx.worlds:
+    if not reference_worlds(ctx):
         return Context(atoms)
     return ctx
 
@@ -126,14 +125,18 @@ def gn_chain_context(k: int) -> tuple[Context, tuple[ConditionalEvent, ...]]:
 
 # ---------------------------------------------------------------------------
 # Per-world semantics: an event's value in one world, read off its tree with
-# no mask, as the independent reference for the engine's one fold.
+# no mask, as the independent reference for the engine's one fold.  A world
+# is a mapping from each atom of its context to its truth value, in the
+# context's atom order.
 # ---------------------------------------------------------------------------
+
+World = Mapping[str, bool]
 
 
 def evaluate(e: Event, w: World) -> bool:
     """The value of ``e`` in the world ``w``."""
     if isinstance(e, Atom):
-        return w.values[w.atoms.index(e.name)]
+        return w[e.name]
     if isinstance(e, Not):
         return not evaluate(e.operand, w)
     if isinstance(e, And):
@@ -157,7 +160,7 @@ def truth_value(ce: ConditionalEvent, w: World) -> TruthValue3:
 def truth_table_equal(a: ConditionalEvent, b: ConditionalEvent) -> bool:
     """Exhaustive world-by-world comparison, independent of `equivalent`."""
     assert a.context == b.context
-    return all(truth_value(a, w) == truth_value(b, w) for w in a.context.worlds)
+    return all(truth_value(a, w) == truth_value(b, w) for _, w in reference_worlds(a.context))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +299,21 @@ def reference_worlds(ctx: Context) -> list[tuple[int, World]]:
     out = []
     everything = itertools.product((False, True), repeat=len(ctx.atoms))
     for k, values in enumerate(everything):
-        w = World(ctx.atoms, values)
+        w = dict(zip(ctx.atoms, values))
         if not any(evaluate(c, w) for c in ctx.constraints):
             out.append((k, w))
     return out
+
+
+def worlds_in(ctx: Context, mask: int) -> list[World]:
+    """The admissible worlds whose assignment bits are set in ``mask``, in
+    assignment order."""
+    return [w for k, w in reference_worlds(ctx) if mask >> k & 1]
+
+
+def literals(w: World) -> str:
+    """The world written as its literals in atom order, as ``~A B``."""
+    return " ".join(a if v else f"~{a}" for a, v in w.items())
 
 
 def reference_masks(ce: ConditionalEvent) -> tuple[int, int]:

@@ -56,7 +56,7 @@ from cohere.oracle import extension_interval_bruteforce
 from cohere.tnorms import INF
 
 from helpers import (
-    evaluate, gn_chain_context, independent_pairs, reference_tconorm, truth_value
+    evaluate, gn_chain_context, independent_pairs, reference_tconorm, truth_value, worlds_in
 )
 
 
@@ -353,11 +353,11 @@ def _check_reference_truth_table():
         matches = [
             (mask, profile)
             for mask, profile in classes
-            if all(evaluate(region, w) for w in ctx.worlds_in(mask))
+            if all(evaluate(region, w) for w in worlds_in(ctx, mask))
         ]
         assert len(matches) == 1, formula
         mask, profile = matches[0]
-        representative = ctx.worlds_in(mask & -mask)[0]
+        representative = worlds_in(ctx, mask & -mask)[0]
         assert (str(profile[0]), str(profile[1])) == (v1, v2)
         assert str(truth_value(qc, representative)) == vc
         assert str(truth_value(qd, representative)) == vd

@@ -17,7 +17,6 @@ from cohere import (
     Context,
     FALSE,
     UnknownAtomError,
-    World,
     constituents,
     enumerate_worlds,
     equivalent,
@@ -35,6 +34,7 @@ from cohere.kbfile import load_kb
 
 from helpers import (
     evaluate,
+    literals,
     random_conditional,
     random_event,
     random_unit,
@@ -54,12 +54,12 @@ def _random_context(rng: random.Random) -> Context:
     return Context(atoms, constraints)
 
 
-def _impossible(e, ctx) -> bool:
-    return all(not evaluate(e, w) for w in ctx.worlds)
+def _impossible(e, worlds) -> bool:
+    return all(not evaluate(e, w) for w in worlds)
 
 
-def _world_equivalent(a, b, ctx) -> bool:
-    return all(evaluate(a, w) == evaluate(b, w) for w in ctx.worlds)
+def _world_equivalent(a, b, worlds) -> bool:
+    return all(evaluate(a, w) == evaluate(b, w) for w in worlds)
 
 
 def _sigma_tables(assessment, target=None):
@@ -72,14 +72,17 @@ def test_bitsets_match_per_world_reference(seed, monkeypatch):
     rng = random.Random(seed)
     ctx = _random_context(rng)
     reference = reference_worlds(ctx)
-    assert ctx.worlds == tuple(w for _, w in reference)
+    worlds = [w for _, w in reference]
     assert ctx.full_mask == sum(1 << k for k, _ in reference)
+    assert list(enumerate_worlds(ctx.atoms, admissible=ctx.full_mask)) == list(
+        map(literals, worlds)
+    )
     evs = [random_event(rng, ctx.atoms, depth=3) for _ in range(6)]
     for a, b in itertools.product(evs, repeat=2):
-        assert is_impossible(a, ctx) == _impossible(a, ctx)
-        assert implies(a, b, ctx) == _impossible(a & ~b, ctx)
-        assert world_equivalent(a, b, ctx) == _world_equivalent(a, b, ctx)
-    if not ctx.worlds:
+        assert is_impossible(a, ctx) == _impossible(a, worlds)
+        assert implies(a, b, ctx) == _impossible(a & ~b, worlds)
+        assert world_equivalent(a, b, ctx) == _world_equivalent(a, b, worlds)
+    if not worlds:
         return
 
     family = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(1, 4)))
@@ -87,7 +90,7 @@ def test_bitsets_match_per_world_reference(seed, monkeypatch):
         assert ce.masks == reference_masks(ce)
     assert constituents(family) == reference_constituents(family)
     for a, b in itertools.product(family, repeat=2):
-        values = [(truth_value(a, w), truth_value(b, w)) for w in ctx.worlds]
+        values = [(truth_value(a, w), truth_value(b, w)) for w in worlds]
         assert equivalent(a, b) == all(x == y for x, y in values)
         assert gn_includes(a, b) == all(x <= y for x, y in values)
 
@@ -104,9 +107,11 @@ class TestCompiledEnumeration:
         rng = random.Random(seed)
         atoms = tuple(f"X{i}" for i in range(rng.randint(1, 6)))
         constraints = tuple(random_event(rng, atoms) for _ in range(rng.randint(0, 3)))
-        everything = (World(atoms, v) for v in itertools.product((False, True), repeat=len(atoms)))
-        expected = [w for w in everything if not any(evaluate(c, w) for c in constraints)]
-        assert Context(atoms, constraints).worlds == tuple(expected)
+        everything = itertools.product((False, True), repeat=len(atoms))
+        worlds = (dict(zip(atoms, values)) for values in everything)
+        expected = [literals(w) for w in worlds if not any(evaluate(c, w) for c in constraints)]
+        ctx = Context(atoms, constraints)
+        assert list(enumerate_worlds(atoms, admissible=ctx.full_mask)) == expected
 
     @pytest.mark.parametrize("seed", range(20))
     def test_decodes_each_set_bit(self, seed):
@@ -118,14 +123,16 @@ class TestCompiledEnumeration:
             subsets.append(rng.sample(reference, 2))
         for subset in subsets:
             mask = sum(1 << k for k, _ in subset)
-            assert ctx.worlds_in(mask) == tuple(w for _, w in sorted(subset))
+            expected = [literals(w) for _, w in sorted(subset, key=lambda kw: kw[0])]
+            assert list(enumerate_worlds(ctx.atoms, admissible=mask)) == expected
         # Every assignment, and the top one alone, admissible or not.
         top = (1 << 2 ** len(ctx.atoms)) - 1
-        worlds = tuple(enumerate_worlds(ctx.atoms, admissible=top))
-        assert worlds == tuple(
-            World(ctx.atoms, v) for v in itertools.product((False, True), repeat=len(ctx.atoms))
-        )
-        assert tuple(enumerate_worlds(ctx.atoms, admissible=top ^ (top >> 1))) == worlds[-1:]
+        worlds = list(enumerate_worlds(ctx.atoms, admissible=top))
+        assert worlds == [
+            literals(dict(zip(ctx.atoms, v)))
+            for v in itertools.product((False, True), repeat=len(ctx.atoms))
+        ]
+        assert list(enumerate_worlds(ctx.atoms, admissible=top ^ (top >> 1))) == worlds[-1:]
 
     def test_undeclared_constraint_atom_raises(self):
         with pytest.raises(UnknownAtomError, match=r"constraint C uses undeclared atoms \['C'\]"):
@@ -161,14 +168,14 @@ class TestCompiledEnumeration:
 
     def test_admissible_bitset_replaces_constraints(self):
         atoms, constraints = ("A", "B"), (Atom("A") & Atom("B"),)
-        values = ((False, False), (False, True), (True, False))
-        expected = tuple(World(atoms, v) for v in values)
-        assert tuple(enumerate_worlds(atoms, admissible=0b0111)) == expected
-        assert Context(atoms, constraints).worlds == expected
+        expected = ["~A ~B", "~A B", "A ~B"]
+        assert list(enumerate_worlds(atoms, admissible=0b0111)) == expected
+        ctx = Context(atoms, constraints)
+        assert list(enumerate_worlds(atoms, admissible=ctx.full_mask)) == expected
 
     def test_no_admissible_world(self):
         ctx = Context(("A", "B"), (Atom("A"), ~Atom("A")))
-        assert ctx.worlds == ()
+        assert list(enumerate_worlds(ctx.atoms, admissible=ctx.full_mask)) == []
         assert ctx.full_mask == 0
         for text in ("A", "~A", "A | B", "T"):
             assert is_impossible(parse_event(text), ctx)
@@ -176,7 +183,7 @@ class TestCompiledEnumeration:
 
     def test_one_admissible_world(self):
         ctx = Context(("A", "B", "C"), (Atom("A"), Atom("B"), ~Atom("C")))
-        assert ctx.worlds == (World(("A", "B", "C"), (False, False, True)),)
+        assert list(enumerate_worlds(ctx.atoms, admissible=ctx.full_mask)) == ["~A ~B C"]
         # The one admissible world is assignment 0b001.
         assert ctx.full_mask == 2
         assert is_impossible(Atom("A"), ctx)
@@ -210,8 +217,8 @@ def test_truth_table_rows_match_per_world_reference(capsys):
         members = [kb.get(name) for name in kb.names]
         family = members + [quasi_conjunction(members), quasi_disjunction(members)]
         first = {}
-        for w in kb.context.worlds:
-            first.setdefault(tuple(str(truth_value(ce, w)) for ce in family), str(w))
+        for _, w in reference_worlds(kb.context):
+            first.setdefault(tuple(str(truth_value(ce, w)) for ce in family), literals(w))
         assert cli.main(["truth-table", str(path), "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         shown = {(*row["values"], row["C"], row["D"]): row["world"] for row in rows}

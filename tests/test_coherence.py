@@ -55,9 +55,11 @@ from helpers import (
     random_event,
     random_unit,
     reference_sigma,
+    reference_worlds,
     reference_zero_upper,
     sigma_points,
     solve_rational,
+    worlds_in,
 )
 
 
@@ -104,7 +106,7 @@ class TestBuildSigma:
         for formula, point in TWO_COND_POINTS:
             region = parse_event(formula, ctx.atoms)
             for h, mask in enumerate(constituents(a.family).inside):
-                if all(evaluate(region, w) for w in ctx.worlds_in(mask)):
+                if all(evaluate(region, w) for w in worlds_in(ctx, mask)):
                     by_region[formula] = points[h]
                     assert points[h] == tuple(Fr(v) for v in point(x, y))
         assert len(by_region) == 8
@@ -773,7 +775,7 @@ def _constrained_family(rng):
             for _ in range(rng.randint(1, 2))
         )
         ctx = Context(atoms, constraints)
-        if len(ctx.worlds) >= 3:
+        if len(reference_worlds(ctx)) >= 3:
             break
     family = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(3, 5)))
     met = 0
@@ -791,15 +793,20 @@ def _constrained_family(rng):
     return Assessment(family, tuple(probs)), random_conditional(rng, ctx)
 
 
+def _named_levels(verdict, names):
+    """Each level's examined members and zero layer, as sets of member names."""
+    return [
+        (frozenset(names[i] for i in rec.indices), frozenset(names[i] for i in rec.i0))
+        for rec in verdict.trace
+    ]
+
+
 def _outcome(a, names, target):
     """The verdict, each level's examined members and zero layer as sets of
     member names, and the target's extension interval, or None for an
     incoherent base."""
     verdict = check_coherence(a)
-    levels = [
-        (frozenset(names[i] for i in rec.indices), frozenset(names[i] for i in rec.i0))
-        for rec in verdict.trace
-    ]
+    levels = _named_levels(verdict, names)
     try:
         iv = extension_interval(a, target)
         interval = (iv.lo, iv.hi, iv.vacuous)
@@ -937,3 +944,65 @@ class TestHeredity:
             seen[expected[0], len(expected[1])] += 1
         assert seen[True, 1] and seen[False, 2], seen
         assert any(coherent and levels > 1 for coherent, levels in seen), seen
+
+
+class TestDisjointUnion:
+    """A family joined with a second one renamed onto fresh atoms.  The
+    union's solutions are the mixtures of the two families' solutions, with
+    either one's antecedents possibly left without mass, so the union is
+    coherent exactly when both families are, each level's zero layer is the
+    union of the two families' layers at that level, and a target over the
+    first family keeps its interval.  The descent below level 0 decides
+    both."""
+
+    CASES = 400
+
+    def test_union_answers_as_its_two_families(self):
+        rng = random.Random(3301)
+        seen = Counter()
+        for case in range(self.CASES):
+            first, second = (random_assessment(rng, max_size=3) for _ in range(2))
+            if case % 2:
+                # Values at 0 and 1 leave antecedents without mass.
+                first, second = (
+                    Assessment(a.family, tuple(Fr(rng.randint(0, 1)) for _ in a.family))
+                    for a in (first, second)
+                )
+            target = random_conditional(rng, first.context)
+            same = {name: name for name in first.context.atoms}
+            fresh = {name: f"Z{name}" for name in second.context.atoms}
+            ctx = Context(
+                first.context.atoms + tuple(fresh.values()),
+                first.context.constraints
+                + tuple(_renamed(c, fresh) for c in second.context.constraints),
+            )
+
+            def moved(ce, names):
+                return ConditionalEvent(
+                    _renamed(ce.consequent, names), _renamed(ce.antecedent, names), ctx
+                )
+
+            union = Assessment(
+                tuple(moved(ce, same) for ce in first.family)
+                + tuple(moved(ce, fresh) for ce in second.family),
+                first.probs + second.probs,
+            )
+            ones = [f"a{i}" for i in range(len(first.family))]
+            twos = [f"b{i}" for i in range(len(second.family))]
+            coherent, levels, interval = _outcome(first, ones, target)
+            verdict = check_coherence(second)
+            joined = _outcome(union, ones + twos, moved(target, same))
+            assert joined[0] == (coherent and verdict.coherent), (first, second)
+            if joined[0]:
+                empty = (frozenset(), frozenset())
+                assert joined[1] == [
+                    (examined | other_examined, i0 | other_i0)
+                    for (examined, i0), (other_examined, other_i0) in itertools.zip_longest(
+                        levels, _named_levels(verdict, twos), fillvalue=empty
+                    )
+                ], (first, second)
+                assert joined[2] == interval, (first, second, target)
+            seen[joined[0], len(joined[1])] += 1
+        # Coherent unions with a zero layer, and incoherent ones, occur.
+        assert sum(v for (c, n), v in seen.items() if c and n > 1) >= 10, seen
+        assert sum(v for (c, _), v in seen.items() if not c) >= 10, seen

@@ -56,6 +56,7 @@ from helpers import (
     random_unit,
     reference_in_u_gamma_qc,
     reference_p_entails_qc,
+    reference_worlds,
 )
 
 
@@ -619,7 +620,7 @@ def _tolerance_case(rng):
             _literal(rng) & _literal(rng) for _ in range(rng.randint(0, 2))
         )
         ctx = Context(TOLERANCE_ATOMS, constraints)
-        if ctx.worlds:
+        if reference_worlds(ctx):
             break
     members = tuple(random_conditional(rng, ctx) for _ in range(rng.randint(1, 5)))
     target = random_conditional(rng, ctx)

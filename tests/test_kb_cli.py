@@ -18,6 +18,7 @@ from helpers import all_ones
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
 LINDA = KB_DIR / "linda.kb"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParseRational:
@@ -579,6 +580,16 @@ class TestCli:
         assert main(["truth-table", str(KB_DIR / "loop3.kb")]) == 0
         out = capsys.readouterr().out
         assert "constituent" in out and "Void" in out
+
+    @pytest.mark.parametrize("suffix", ["txt", "json"])
+    @pytest.mark.parametrize("path", sorted(KB_DIR.glob("*.kb")), ids=lambda path: path.name)
+    def test_truth_table_bytes(self, capsys, path, suffix):
+        # The golden output pins the row order as well as the rows: the
+        # all-Void class first, then each class by its lowest set bit.
+        argv = ["truth-table", str(path)] + (["--json"] if suffix == "json" else [])
+        assert main(argv) == 0
+        golden = GOLDEN / f"truth-table-{path.stem}.{suffix}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
     def test_truth_table_unknown_name_exits_2(self, capsys):
         assert main(["truth-table", str(LINDA), "great_if_linda", "nosuch"]) == 2

@@ -25,7 +25,6 @@ from cohere import (
     ProbabilityRangeError,
     SigmaSystem,
     TruthValue3,
-    World,
 )
 from cohere._record import Record
 from cohere.coherence import LevelRecord, SigmaFeasibility, _Endpoint, _Link
@@ -47,7 +46,6 @@ CASES = [
     (Not, {"operand": A}, {"operand": B}, {}),
     (And, {"left": A, "right": B}, {"right": A}, {}),
     (Or, {"left": A, "right": B}, {"left": B}, {}),
-    (World, {"atoms": ("A", "B"), "values": (True, False)}, {"values": (False, False)}, {}),
     (Context, {"atoms": ("A", "B"), "constraints": (And(A, B),)}, {"constraints": ()},
      {"constraints": ()}),
     (ConditionalEvent, {"consequent": A, "antecedent": B, "context": CTX},
@@ -81,7 +79,7 @@ CASES = [
 ]
 # The types that had __slots__ as data classes; the others keep an instance
 # dict, where cached properties and the derived masks live.
-SLOTTED = {Verum, Falsum, Atom, Not, And, Or, World, SigmaFeasibility, LevelRecord,
+SLOTTED = {Verum, Falsum, Atom, Not, And, Or, SigmaFeasibility, LevelRecord,
            CoherenceVerdict, ProbabilityInterval, _Link, _Endpoint, LPResult}
 # Constructor arguments that take no part in equality, hashing or repr.
 HIDDEN = {"tableau"}
@@ -108,7 +106,7 @@ def test_every_record_type_is_covered():
         importlib.import_module(f"cohere.{module.name}")
     defined = {cls for cls in _subclasses(Record) if cls.__module__.startswith("cohere.")}
     assert defined - {Event} == {case[0] for case in CASES}
-    assert len(CASES) == 21
+    assert len(CASES) == 20
 
 
 @pytest.mark.parametrize("cls, args, changed, defaults", CASES, ids=[c[0].__name__ for c in CASES])
@@ -155,6 +153,9 @@ def test_record_behaves_as_a_frozen_data_class(cls, args, changed, defaults):
         (lambda: Assessment((CE,), (Fr(-1, 2),)), ProbabilityRangeError),
         (lambda: ProbabilityInterval(Fr(1), Fr(0)), ValueError),
         (lambda: ProbabilityInterval(Fr(0), Fr(3, 2)), ValueError),
+        # A float endpoint would construct, then fail to print.
+        (lambda: ProbabilityInterval(0.25, Fr(1, 2)), TypeError),
+        (lambda: ProbabilityInterval(Fr(1, 4), 0.5), TypeError),
         (lambda: KnowledgeBase(CTX, ("c1", "c2"), (CE,)), ValueError),
         (lambda: KnowledgeBase(CTX, ("c1", "c1"), (CE, CE)), ValueError),
         (lambda: KnowledgeBase(Context(("A", "B")), ("c1",), (CE,)), ValueError),
@@ -167,3 +168,24 @@ def test_record_behaves_as_a_frozen_data_class(cls, args, changed, defaults):
 def test_constructor_checks_still_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seq: Context(seq(("A", "B")), seq((And(A, Not(B)),))),
+        lambda seq: Assessment(seq((CE,)), seq((Fr(1, 2),))),
+        lambda seq: KnowledgeBase(CTX, seq(("c1",)), seq((CE,))),
+    ],
+    ids=["Context", "Assessment", "KnowledgeBase"],
+)
+def test_sequence_fields_are_stored_as_tuples(build):
+    # Lists give the same record as tuples, so it still hashes.
+    listed, tupled = build(list), build(tuple)
+    assert listed == tupled and hash(listed) == hash(tupled) and repr(listed) == repr(tupled)
+    assert all(not isinstance(getattr(listed, name), list) for name in listed._fields)
+
+
+def test_assessment_built_from_lists_extends():
+    extended = Assessment([CE], [Fr(1, 2)]).extend(CE, Fr(1, 3))
+    assert extended == Assessment((CE, CE), (Fr(1, 2), Fr(1, 3)))
