@@ -4,9 +4,13 @@ Exit codes: 0 on success, 1 when ``--strict`` is set and the verdict is
 negative, 2 on any error.  ``--json`` switches every command to a stable
 machine-readable rendering with rationals as strings.
 
-:func:`main` answers every command in one place.  It appends leftover
-arguments to the command's trailing list positional, loads the KB
-file of a command that takes one into ``args.kb`` and ``args.assessment``,
+:func:`main` answers every command in one place.  argparse runs once per
+call: when the first argument names a command, that command's own parser
+reads the rest, and otherwise (no argument, ``-h``, ``--version``, a flag
+before the command, an unknown command) the top-level parser reads them
+all.  ``main`` appends leftover arguments to the command's trailing list
+positional, or has the top-level parser refuse them, loads the KB file of
+a command that takes one into ``args.kb`` and ``args.assessment``,
 and calls the command's handler.  A handler prints nothing: it returns
 ``(payload, text, verdict)``, where ``payload`` is the ``--json`` object,
 ``text`` the plain rendering (which a handler may leave empty under
@@ -154,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("args", nargs="+", help="arguments in [0, 1]")
         common(p, strict=False)
 
+    # Each command's own parser, by name, for main to call directly.
+    parser.commands = sub.choices
     return parser
 
 
@@ -386,7 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args, extra = _parser.parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args, extra = _parser.parse_known_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        args.command = argv[0]
     # argparse stops filling a list positional at the first flag, so the part
     # of a trailing list written after a flag comes back as leftovers.
     trailing = _TRAILING.get(args.command)

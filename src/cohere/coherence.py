@@ -61,7 +61,7 @@ from .conditionals import (
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context
-from .rationals import float_refused, fraction_str
+from .rationals import fraction_str, type_refused
 
 # The simplex is imported inside each function that solves or checks an LP,
 # so a process that needs none never compiles it.
@@ -91,8 +91,8 @@ class Assessment(Record):
             raise ValueError("family and probability vector differ in length")
         _shared_context(family)
         for p in probs:
-            if isinstance(p, float):
-                raise float_refused(p, "a probability")
+            if isinstance(p, (float, str)):
+                raise type_refused(p, "a probability")
             if not 0 <= p <= 1:
                 raise ProbabilityRangeError(f"probability {fraction_str(p)} outside [0, 1]")
 
@@ -107,8 +107,8 @@ class Assessment(Record):
         )
 
     def extend(self, ce: ConditionalEvent, p: Fraction) -> "Assessment":
-        if isinstance(p, float):
-            raise float_refused(p, "a probability")
+        if isinstance(p, (float, str)):
+            raise type_refused(p, "a probability")
         return Assessment(self.family + (ce,), self.probs + (Fraction(p),))
 
 
@@ -396,8 +396,8 @@ class ProbabilityInterval(Record):
         set_field(self, "hi", hi)
         set_field(self, "vacuous", vacuous)
         for name, value in (("the lower endpoint", lo), ("the upper endpoint", hi)):
-            if isinstance(value, float):
-                raise float_refused(value, name)
+            if isinstance(value, (float, str)):
+                raise type_refused(value, name)
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
 

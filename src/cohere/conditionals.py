@@ -138,7 +138,7 @@ def quasi_masks(family: Sequence[ConditionalEvent]) -> tuple[tuple[int, int], tu
         verifying |= v
         falsifying |= f
     antecedent = verifying | falsifying
-    return (antecedent & ~falsifying, falsifying), (verifying, antecedent & ~verifying)
+    return (antecedent ^ falsifying, falsifying), (verifying, antecedent ^ verifying)
 
 
 def gn_includes(
@@ -156,7 +156,9 @@ def gn_includes(
         _shared_context([a, b])
     a_verifying, a_falsifying = getattr(a, "masks", a)
     b_verifying, b_falsifying = getattr(b, "masks", b)
-    return not (b_falsifying & ~a_falsifying or a_verifying & ~b_verifying)
+    return not (
+        (b_falsifying | a_falsifying) ^ a_falsifying or (a_verifying | b_verifying) ^ b_verifying
+    )
 
 
 def n_conditional(events: Sequence[Event], context: Context) -> ConditionalEvent:
@@ -285,8 +287,8 @@ def parse_conditional(text: str, context: Context) -> ConditionalEvent:
         # Depth zero: as many parentheses close before the bar as open.
         if text.count("(", 0, i) == text.count(")", 0, i):
             try:
-                consequent = parse_event(text[:i], context.atoms)
-                antecedent = parse_event(text[i + 1:], context.atoms)
+                consequent = parse_event(text[:i], context.atom_set)
+                antecedent = parse_event(text[i + 1:], context.atom_set)
             except EventSyntaxError:
                 pass
             else:

@@ -83,7 +83,7 @@ def _tolerance_test(masks: Sequence[tuple[int, int]]) -> list[int]:
         unsafe = 0
         for i in rest:
             unsafe |= masks[i][1]
-        kept = [i for i in rest if not masks[i][0] & ~unsafe]
+        kept = [i for i in rest if not (masks[i][0] | unsafe) ^ unsafe]
         if len(kept) == len(rest):
             break
         rest = kept
@@ -159,7 +159,9 @@ def p_entails_qc(kb: KnowledgeBase, target: ConditionalEvent) -> bool:
         raise NotPConsistentError("knowledge base is not p-consistent")
     if not falsifying:
         return True
-    kept = _tolerance_test([(v & ~verifying, f) for v, f in (ce.masks for ce in members)])
+    kept = _tolerance_test(
+        [((v | verifying) ^ verifying, f) for v, f in (ce.masks for ce in members)]
+    )
     return bool(kept) and gn_includes(quasi_masks([members[i] for i in kept])[0], target)
 
 

@@ -64,10 +64,13 @@ def parse_kb_text(text: str) -> tuple[KnowledgeBase, Assessment | None]:
 
     if not atoms:
         raise KBFormatError("no atoms declared")
+    # One set of atom names checks every constraint; the context builds its
+    # own for the conditionals.
+    allowed = frozenset(atoms)
     constraints: list[Event] = []
     for lineno, src in constraint_src:
         try:
-            constraints.append(parse_event(src, atoms))
+            constraints.append(parse_event(src, allowed))
         except CohereError as exc:
             raise KBFormatError(str(exc), lineno) from exc
     try:

@@ -10,7 +10,8 @@ more digits.  The interpreter's own setting is never read or changed.
 
 A float is refused wherever a probability enters the engine: its binary
 expansion is not the decimal written, so ``0.1`` would become a rational
-with a 17-digit denominator.
+with a 17-digit denominator.  The records take no string either, since
+only :func:`parse_rational` reads text within the digit limits.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ def parse_rational(text: str) -> Fraction:
         raise CohereError(f"not a rational number: {_quoted(text)}") from exc
 
 
-def float_refused(value: float, name: str) -> TypeError:
-    """The error raised where the float ``value`` is given for ``name``."""
-    return TypeError(f"{name} is the float {value!r}; give an exact Fraction, int or string")
+def type_refused(value: float | str, name: str, accepted: str = "Fraction or int") -> TypeError:
+    """The error raised where ``value``, a float or a string, is given for
+    ``name`` to a receiver that takes the types ``accepted`` names."""
+    shown = f"string {_quoted(value)}" if isinstance(value, str) else f"float {value!r}"
+    return TypeError(f"{name} is the {shown}; give an exact {accepted}")
 
 
 def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
@@ -69,7 +72,7 @@ def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
     :func:`parse_rational` and its digit limits, and a float raises
     ``TypeError``."""
     if isinstance(value, float):
-        raise float_refused(value, name)
+        raise type_refused(value, name, "Fraction, int or string")
     f = parse_rational(value) if isinstance(value, str) else Fraction(value)
     if f < 0 or f > 1:
         raise ProbabilityRangeError(f"{name} must lie in [0, 1], got {fraction_str(f)}")

@@ -371,7 +371,8 @@ def _iterate(tab, basis, n, d, fields) -> tuple[str, int]:
     signs = bias & (1 << bits * n) - 1  # the top bit of fields 0 .. n-1
     top = bits * (fields.width - 1)
     while True:
-        negative = signs & ~(tab[-1] + bias)
+        cost = tab[-1] + bias
+        negative = (signs | cost) ^ cost
         if not negative:
             return OPTIMAL, d
         entering = (negative & -negative).bit_length() // bits - 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._record import Record, set_field
-from .rationals import as_unit, float_refused, fraction_str, parse_rational
+from .rationals import as_unit, fraction_str, parse_rational, type_refused
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,7 +75,7 @@ DRASTIC = OperatorFamily("drastic")
 
 def hamacher(parameter: HamacherParam | int | str) -> OperatorFamily:
     if isinstance(parameter, float):
-        raise float_refused(parameter, "the hamacher parameter")
+        raise type_refused(parameter, "the hamacher parameter", "Fraction, int or string")
     if isinstance(parameter, str):
         parameter = parse_rational(parameter)
     elif not isinstance(parameter, _Infinity):

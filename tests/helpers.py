@@ -343,13 +343,41 @@ def reference_p_entails_qc(
     values = [[truth_value(ce, w) for w in worlds] for ce in members]
     for size in range(1, len(members) + 1):
         for subset in itertools.combinations(values, size):
-            qc = [
-                TruthValue3.FALSE if TruthValue3.FALSE in column else max(column)
-                for column in zip(*subset)
-            ]
+            qc = [qc_value(column) for column in zip(*subset)]
             if all(q <= g for q, g in zip(qc, goal)):
                 return True
     return False
+
+
+def qc_value(values: Sequence[TruthValue3]) -> TruthValue3:
+    """The quasi conjunction's value in a world where its members take
+    ``values``: false where some member is false, else their highest."""
+    return TruthValue3.FALSE if TruthValue3.FALSE in values else max(values)
+
+
+def qd_value(values: Sequence[TruthValue3]) -> TruthValue3:
+    """The quasi disjunction's value in a world where its members take
+    ``values``: true where some member is true, else their lowest."""
+    return TruthValue3.TRUE if TruthValue3.TRUE in values else min(values)
+
+
+def reference_untolerated(columns: Sequence[Sequence[TruthValue3]]) -> list[int]:
+    """Positions of the members that Adams' tolerance test never removes,
+    one world at a time, where ``columns[i]`` holds member i's value in each
+    admissible world.  Each round removes every member that some world
+    verifies while it falsifies no member left; the family is p-consistent
+    exactly when nothing is left."""
+    rest = list(range(len(columns)))
+    while rest:
+        safe = [TruthValue3.FALSE not in values for values in zip(*(columns[j] for j in rest))]
+        kept = [
+            i for i in rest
+            if not any(v == TruthValue3.TRUE and ok for v, ok in zip(columns[i], safe))
+        ]
+        if len(kept) == len(rest):
+            break
+        rest = kept
+    return rest
 
 
 def reference_constituents(family: Sequence[ConditionalEvent]) -> ConstituentSet:

@@ -2,6 +2,7 @@
 edge cases of the compiled enumeration, and the paths that enumerate no
 world at all."""
 
+import functools
 import itertools
 import json
 import random
@@ -16,6 +17,9 @@ from cohere import (
     ConditionalEvent,
     Context,
     FALSE,
+    KnowledgeBase,
+    NotPConsistentError,
+    TruthValue3,
     UnknownAtomError,
     constituents,
     enumerate_worlds,
@@ -23,6 +27,10 @@ from cohere import (
     gn_includes,
     implies,
     is_impossible,
+    negate,
+    p_consistent,
+    p_entails,
+    p_entails_qc,
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
@@ -30,16 +38,21 @@ from cohere import (
 )
 from cohere import cli, coherence, events
 from cohere.coherence import build_sigma
+from cohere.conditionals import quasi_masks
 from cohere.kbfile import load_kb
 
 from helpers import (
     evaluate,
     literals,
+    qc_value,
+    qd_value,
     random_conditional,
     random_event,
     random_unit,
     reference_constituents,
     reference_masks,
+    reference_p_entails_qc,
+    reference_untolerated,
     reference_worlds,
     sigma_points,
     truth_value,
@@ -99,6 +112,83 @@ def test_bitsets_match_per_world_reference(seed, monkeypatch):
     engine = [_sigma_tables(assessment), _sigma_tables(assessment, target)]
     monkeypatch.setattr(coherence, "constituents", reference_constituents)
     assert engine == [_sigma_tables(assessment), _sigma_tables(assessment, target)]
+
+
+def _value_masks(values, numbers) -> tuple[int, int]:
+    """The ``(verifying, falsifying)`` bitsets of per-world ``values``, the
+    world with assignment number ``numbers[w]`` taking ``values[w]``."""
+    verifying = sum(1 << k for k, v in zip(numbers, values) if v == TruthValue3.TRUE)
+    falsifying = sum(1 << k for k, v in zip(numbers, values) if v == TruthValue3.FALSE)
+    return verifying, falsifying
+
+
+def _literal_conjunction(rng, atoms, size):
+    literals = [Atom(a) if rng.random() < 0.5 else ~Atom(a) for a in rng.sample(atoms, size)]
+    return functools.reduce(lambda x, y: x & y, literals)
+
+
+WIDE_SEEDS = range(10)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_wide_masks_match_per_world_reference(seed):
+    # On 10 to 14 atoms every mask spans 2**10 to 2**14 bits, so the bit
+    # operations cross many 30-bit digits of a Python integer.  Every
+    # second base holds a member and its negation, so it is not
+    # p-consistent.
+    rng = random.Random(seed)
+    atoms = tuple(f"X{i}" for i in range(10 + seed % 5))
+    constraints = tuple(
+        _literal_conjunction(rng, atoms, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))
+    )
+    ctx = Context(atoms, constraints)
+    reference = reference_worlds(ctx)
+    assert ctx.full_mask == sum(1 << k for k, _ in reference)
+    numbers = [k for k, _ in reference]
+    worlds = [w for _, w in reference]
+
+    members = [random_conditional(rng, ctx) for _ in range(rng.randint(3, 5))]
+    if seed % 2:
+        members.append(negate(members[0]))
+    kb = KnowledgeBase(ctx, [f"c{i}" for i in range(len(members))], members)
+    first = members[0]
+    targets = [
+        random_conditional(rng, ctx),
+        quasi_conjunction(members[:2]),
+        ConditionalEvent(first.consequent | members[1].consequent, first.antecedent, ctx),
+    ]
+    columns = {ce: [truth_value(ce, w) for w in worlds] for ce in members + targets}
+    for ce in members + targets:
+        assert ce.masks == _value_masks(columns[ce], numbers)
+
+    member_columns = [columns[ce] for ce in members]
+    qc = [qc_value(values) for values in zip(*member_columns)]
+    qd = [qd_value(values) for values in zip(*member_columns)]
+    assert quasi_masks(members) == (_value_masks(qc, numbers), _value_masks(qd, numbers))
+    for a, b in itertools.product(members + targets, repeat=2):
+        assert gn_includes(a, b) == all(x <= y for x, y in zip(columns[a], columns[b]))
+    for target in targets:
+        included = all(x <= y for x, y in zip(qc, columns[target]))
+        assert gn_includes(quasi_masks(members)[0], target) == included
+
+    consistent = not reference_untolerated(member_columns)
+    assert p_consistent(kb) == consistent == (seed % 2 == 0)
+    verdicts = []
+    for target in targets:
+        if not consistent:
+            with pytest.raises(NotPConsistentError):
+                p_entails(kb, target)
+            continue
+        # The base p-entails the target exactly when it is not p-consistent
+        # with the target's negation, which swaps true and false.
+        negated = [TruthValue3(2 - v) for v in columns[target]]
+        verdicts.append(bool(reference_untolerated(member_columns + [negated])))
+        assert p_entails(kb, target) == verdicts[-1]
+        if TruthValue3.TRUE in columns[target]:
+            assert p_entails_qc(kb, target) == reference_p_entails_qc(members, target)
+    # A base p-entails the quasi conjunction of its members, and a weaker
+    # consequent of a member.
+    assert verdicts[1:] == ([True, True] if consistent else [])
 
 
 class TestCompiledEnumeration:

@@ -726,3 +726,147 @@ class TestJsonOutput:
         assert main(["region", "Uqd", "--gamma", "1/2", "--grid", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"region": "Uqd", "gamma": "1/2", "grid": ["...", "#..", "##."]}
+
+
+# The CLI corpus: every command in text and --json, with and without
+# --strict, its error paths, and the top-level parser's own paths (no
+# command, --version, an unknown command, -h, a flag before the command).  Each file under <tmp> is
+# written by the test from CORPUS_FILES; kb/ paths are relative to the
+# repository root.
+CORPUS_FILES = {
+    "incoherent.kb": "atoms: A\nconditionals:\n  a: A | T = 1/4\n  b: A | T = 3/4\n",
+    "plain.kb": "atoms: A B\nconditionals:\n  c: A | B\n",
+}
+CORPUS = [
+    ["check", "kb/gn_chain.kb"],
+    ["check", "kb/gn_chain.kb", "--json"],
+    ["check", "<tmp>/incoherent.kb"],
+    ["check", "<tmp>/incoherent.kb", "--json"],
+    ["check", "<tmp>/incoherent.kb", "--strict"],
+    ["check", "<tmp>/incoherent.kb", "--json", "--strict"],
+    ["check", "kb/gn_chain.kb", "--strict"],
+    ["check", "<tmp>/plain.kb"],
+    ["check", "nosuch.kb"],
+    ["check", "kb/gn_chain.kb", "--bogus"],
+    ["consistent", "kb/linda.kb"],
+    ["consistent", "kb/linda.kb", "--json", "--strict"],
+    ["consistent", "<tmp>/incoherent.kb", "--strict"],
+    ["entails", "kb/linda.kb", "~N | L"],
+    ["entails", "kb/linda.kb", "G | N", "--strict"],
+    ["entails", "kb/linda.kb", "G | N", "--json"],
+    ["entails", "kb/linda.kb", "~N | L", "--method", "both"],
+    ["entails", "kb/linda.kb", "~N | L", "--method", "qc", "--json"],
+    ["entails", "kb/linda.kb", "Q | N"],
+    ["entails", "kb/linda.kb", "G | N", "--method", "both", "--strict", "--json"],
+    ["bounds", "qc", "1/2", "1/2"],
+    ["bounds", "qc", "1/2", "1/2", "--json"],
+    ["bounds", "qd", "1/3", "1/4", "1/5"],
+    ["bounds", "or", "9/10", "9/10", "--json"],
+    ["bounds", "gn", "1/4", "3/4"],
+    ["bounds", "gn", "3/4", "1/4"],
+    ["bounds", "compound", "1/2", "1/3"],
+    ["bounds", "bic", "1/2", "1/3", "--json"],
+    ["bounds", "bic", "1/2"],
+    ["bounds", "bic", "2", "1/2"],
+    ["bounds", "bic", "1/2", "1/2", "1/2"],
+    ["bounds", "dual", "1/2", "1/2"],
+    ["bounds", "nope", "1"],
+    ["bounds", "qc", "2", "x"],
+    ["bounds", "qc", "x", "2"],
+    ["bounds", "qc", "1e-4300", "1/2"],
+    ["bounds", "qc", "1/2", "--json", "1/2"],
+    ["bounds", "qc", "1/2", "--strict"],
+    ["region", "Lqc", "--gamma", "3/5", "8/10", "9/10"],
+    ["region", "Uqc", "--gamma", "3/5", "3/5", "3/5", "--strict"],
+    ["region", "Uqc", "--gamma", "3/5", "3/5", "3/5", "--json"],
+    ["region", "Lqd", "--gamma", "1/2", "1/4", "1/4"],
+    ["region", "Uqd", "--gamma", "1/2", "1/4", "1/4", "--json", "--strict"],
+    ["region", "Lqc", "8/10", "--gamma", "3/5", "9/10"],
+    ["region", "Lqc", "--gamma", "3/5", "8/10", "--json", "9/10"],
+    ["region", "Lqc", "--gamma", "2", "5"],
+    ["region", "Lqc", "--gamma", "1/2", "5"],
+    ["region", "Lqc", "--gamma", "1/2"],
+    ["region", "Xqc", "--gamma", "1/2", "1"],
+    ["region", "Lqc", "--gamma", "1/2", "1/2", "--bogus"],
+    ["region", "Uqd", "--gamma", "1/2", "--grid", "5"],
+    ["region", "Uqd", "--gamma", "1/2", "--grid", "3", "--json"],
+    ["region", "Uqc", "--gamma", "1/3", "--grid", "7", "--strict"],
+    ["region", "Lqd", "--gamma", "2/3", "--grid", "6", "--json"],
+    ["region", "Uqd", "--gamma", "1/2", "--grid", "0"],
+    ["region", "Uqd", "--gamma", "1/2", "--grid", "101"],
+    ["region", "Uqd", "--gamma", "1/2", "--grid", "3", "1/2"],
+    ["region", "Uqd", "--gamma", "2", "--grid", "3"],
+    ["loop", "--n", "3"],
+    ["loop", "--n", "3", "--json"],
+    ["loop", "--n", "3", "--strict"],
+    ["loop", "--n", "3", "--derangement", "3,1,2"],
+    ["loop", "--n", "4", "--derangement", "2,1,4,3", "--strict"],
+    ["loop", "--n", "4", "--derangement", "2,1,4,3", "--json"],
+    ["loop", "--n", "3", "--derangement", "2,3,x"],
+    ["loop", "--n", "3", "--derangement", ""],
+    ["loop", "--n", "17"],
+    ["loop", "--n", "3", "--derangement", "1,2,3"],
+    ["truth-table", "kb/loop3.kb"],
+    ["truth-table", "kb/loop3.kb", "--json"],
+    ["truth-table", "kb/linda.kb", "great_if_linda", "--json"],
+    ["truth-table", "kb/linda.kb", "--json", "great_if_linda"],
+    ["truth-table", "kb/linda.kb", "great_if_linda", "nosuch"],
+    ["truth-table", "kb/linda.kb", "--json", "--bogus"],
+    ["truth-table", "kb/linda.kb", "--strict"],
+    ["tnorm", "hamacher", "--param", "0", "1/2", "1/2"],
+    ["tnorm", "Min", "1/2", "1/3", "--json"],
+    ["tnorm", "minimum", "1/2", "1/3"],
+    ["tnorm", "product", "1/2", "1/3"],
+    ["tnorm", "drastic", "1/2", "1"],
+    ["tconorm", "lukasiewicz", "1/2", "1/2"],
+    ["tconorm", "hamacher", "--param", "inf", "1/2", "1/3", "--json"],
+    ["tnorm", "hamacher", "1/2"],
+    ["tnorm", "product", "--param", "1", "1/2"],
+    ["tnorm", "sum", "1/2"],
+    ["tnorm", "Sum", "--param", "x", "1/2"],
+    ["tnorm", "hamacher", "--param", "-1", "1/2"],
+    ["tnorm", "hamacher", "--param", "x", "1/2"],
+    ["tnorm", "product", "2"],
+    ["tconorm", "product", "1/2", "--strict"],
+    [],
+    ["--version"],
+    ["nosuch"],
+    ["-h"],
+    ["check", "-h"],
+    ["check"],
+    ["--json", "check", "kb/gn_chain.kb"],
+]
+
+
+CORPUS_GOLDEN = GOLDEN / "cli-corpus.json"
+
+
+@pytest.mark.parametrize(
+    "index", range(len(CORPUS)), ids=[" ".join(argv) or "(no arguments)" for argv in CORPUS]
+)
+def test_corpus_bytes(capsys, monkeypatch, tmp_path, index):
+    # The golden file holds each command's exit code, standard output and
+    # standard error as the CLI printed them, with the <tmp> directory
+    # written back as "<tmp>".  argparse's wording and help layout vary
+    # between Python versions; the golden file names the one it was
+    # written under.
+    golden = json.loads(CORPUS_GOLDEN.read_text(encoding="utf-8"))
+    expected = golden["commands"][index]
+    argv = CORPUS[index]
+    assert expected["argv"] == argv
+    for name, text in CORPUS_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(KB_DIR.parent)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main([arg.replace("<tmp>", str(tmp_path)) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    got = {
+        "argv": argv,
+        "code": code,
+        "stdout": out.replace(str(tmp_path), "<tmp>"),
+        "stderr": err.replace(str(tmp_path), "<tmp>"),
+    }
+    assert got == expected

@@ -189,3 +189,43 @@ def test_sequence_fields_are_stored_as_tuples(build):
 def test_assessment_built_from_lists_extends():
     extended = Assessment([CE], [Fr(1, 2)]).extend(CE, Fr(1, 3))
     assert extended == Assessment((CE, CE), (Fr(1, 2), Fr(1, 3)))
+
+
+# Each receiver of an exact rational, and the types it takes, as its
+# refusal of a float or a string names them.
+RECORDS_TAKE = "Fraction or int"
+PARSERS_TAKE = "Fraction, int or string"
+RECEIVERS = [
+    ("Assessment", lambda v: Assessment((CE,), (v,)), RECORDS_TAKE),
+    ("Assessment.extend", lambda v: Assessment((CE,), (Fr(1, 2),)).extend(CE, v), RECORDS_TAKE),
+    ("ProbabilityInterval.lo", lambda v: ProbabilityInterval(v, Fr(1)), RECORDS_TAKE),
+    ("ProbabilityInterval.hi", lambda v: ProbabilityInterval(Fr(0), v), RECORDS_TAKE),
+    ("as_unit", lambda v: cohere.rationals.as_unit(v), PARSERS_TAKE),
+    ("hamacher", lambda v: cohere.tnorms.hamacher(v), PARSERS_TAKE),
+]
+ADVISED = {"Fraction": Fr, "int": int, "string": str}
+
+
+@pytest.mark.parametrize("given", [1.0, "1"], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "receive, takes", [r[1:] for r in RECEIVERS], ids=[r[0] for r in RECEIVERS]
+)
+def test_a_refused_type_names_types_that_are_taken(receive, takes, given):
+    # Each refusal names only the types its receiver takes, so following
+    # its advice works; a record took a string past its float refusal and
+    # then failed on a bare comparison of str and int.
+    if isinstance(given, str) and "string" in takes:
+        receive(given)
+    else:
+        kind = "string '1'" if isinstance(given, str) else "float 1.0"
+        with pytest.raises(TypeError, match=rf" is the {kind}; give an exact {takes}$"):
+            receive(given)
+    for name in takes.replace(" or ", ", ").split(", "):
+        receive(ADVISED[name](Fr(1)))
+
+
+def test_extend_takes_no_text_past_the_digit_limits():
+    # Fraction("1e-20000") builds a 66439-bit denominator that
+    # parse_rational would refuse.
+    with pytest.raises(TypeError, match="a probability is the string '1e-20000'"):
+        Assessment((CE,), (Fr(1, 2),)).extend(CE, "1e-20000")

@@ -80,6 +80,21 @@ def test_package_reads_no_environment():
     assert not found, found
 
 
+def test_no_mask_difference_builds_a_negative_temporary():
+    # ``x & ~y`` builds ~y, a negative integer as wide as the mask, first;
+    # ``(x | y) ^ y``, or ``x ^ y`` where y lies within x, gives the same bits
+    # at a third to a quarter of the cost on a 2**14-bit mask.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.BitAnd):
+                right = node.value if isinstance(node, ast.AugAssign) else node.right
+                if isinstance(right, ast.UnaryOp) and isinstance(right.op, ast.Invert):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 EXACT_CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction as Fr
