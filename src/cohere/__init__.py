@@ -21,7 +21,6 @@ _EXPORTS = {
         "build_sigma",
         "check_coherence",
         "extension_interval",
-        "sigma_feasible",
         "zero_upper",
     ),
     "conditionals": (

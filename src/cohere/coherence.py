@@ -5,11 +5,12 @@ it admits no finite combination of conditional bets with uniformly positive
 gain.  Geometrically this says the probability vector lies in the convex hull
 of the constituent points, refined recursively on the subfamily whose
 conditioning events all have zero upper probability over the solution set.
-This module builds the constituent system, decides solvability with the
-exact simplex, extracts positive-gain stake certificates from Farkas vectors
-when the system is infeasible, and computes the interval of coherent
-extensions to a further conditional event with a Charnes-Cooper style
-homogenization that descends through zero-probability layers.
+This module builds the constituent system, decides each level with the
+exact simplex's phase 1, whose solution is the level's witness and whose
+Farkas vector, when it is infeasible, gives stakes with positive gain on
+every constituent, and computes the interval of coherent extensions to a
+further conditional event with a Charnes-Cooper style homogenization that
+descends through zero-probability layers.
 
 Both the coherence recursion and the interval descent find that
 zero-probability subfamily with one routine, :func:`zero_upper`: starting
@@ -61,7 +62,7 @@ from .conditionals import (
 )
 from .errors import IncoherentAssessmentError, ProbabilityRangeError
 from .events import Context
-from .rationals import fraction_str, type_refused
+from .rationals import exact, fraction_str
 
 # The simplex is imported inside each function that solves or checks an LP,
 # so a process that needs none never compiles it.
@@ -91,9 +92,7 @@ class Assessment(Record):
             raise ValueError("family and probability vector differ in length")
         _shared_context(family)
         for p in probs:
-            if isinstance(p, (float, str)):
-                raise type_refused(p, "a probability")
-            if not 0 <= p <= 1:
+            if not 0 <= exact(p, "a probability") <= 1:
                 raise ProbabilityRangeError(f"probability {fraction_str(p)} outside [0, 1]")
 
     @property
@@ -107,9 +106,8 @@ class Assessment(Record):
         )
 
     def extend(self, ce: ConditionalEvent, p: Fraction) -> "Assessment":
-        if isinstance(p, (float, str)):
-            raise type_refused(p, "a probability")
-        return Assessment(self.family + (ce,), self.probs + (Fraction(p),))
+        p = Fraction(exact(p, "a probability"))
+        return Assessment(self.family + (ce,), self.probs + (p,))
 
 
 class SigmaSystem(Record):
@@ -168,21 +166,6 @@ class SigmaSystem(Record):
         hom_matrix.append(_indicator(self.supports[-1], m + 1))
         return solve_eq_lp(hom_matrix, [0] * len(self.matrix) + [1], scales=self.scales + (1,))
 
-    def _cleared(self, stakes: Sequence[Fraction]) -> tuple[int, list[int]]:
-        """The weights ``stakes[j] / scales[j]`` as integers ``W`` over one
-        denominator ``D > 0``, returned as ``(D, W)``."""
-        weights = [Fraction(s, scale) for s, scale in zip(stakes, self.scales)]
-        D = lcm(*(w.denominator for w in weights))
-        return D, [w.numerator * (D // w.denominator) for w in weights]
-
-    def gains(self, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Betting gain on each constituent for the given stake vector."""
-        D, W = self._cleared(stakes)
-        return tuple(
-            Fraction(sum(w * (q - b) for w, q, b in zip(W, column, self.rhs)), D)
-            for column in zip(*self.matrix[:-1])
-        )
-
 
 def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaSystem:
     """Build the constituent system of an assessment.
@@ -216,44 +199,6 @@ def build_sigma(a: Assessment, target: ConditionalEvent | None = None) -> SigmaS
         supports=supports,
         target_true=target_true,
     )
-
-
-class SigmaFeasibility(Record):
-    """Outcome of solving a constituent system: exactly one of a solution
-    (mass vector) or a positive-gain stake certificate."""
-
-    __slots__ = _fields = ("witness", "certificate")
-    witness: tuple[Fraction, ...] | None
-    certificate: tuple[Fraction, ...] | None
-
-    def __init__(
-        self,
-        witness: tuple[Fraction, ...] | None = None,
-        certificate: tuple[Fraction, ...] | None = None,
-    ) -> None:
-        set_field(self, "witness", witness)
-        set_field(self, "certificate", certificate)
-
-
-def sigma_feasible(system: SigmaSystem) -> SigmaFeasibility:
-    """Solve the system, or refute it with stakes whose gain is positive on
-    every constituent."""
-    from .simplex import OPTIMAL
-
-    result = system.phase1
-    if result.status == OPTIMAL:
-        den = result.den
-        return SigmaFeasibility(witness=tuple(Fraction(v, den) if v else ZERO for v in result.x))
-    n = len(system.matrix) - 1
-    stakes = tuple(-result.farkas[j] for j in range(n))
-    # Every gain that SigmaSystem.gains computes is positive exactly when
-    # each constituent's weighted payoff exceeds the weighted prices, all in
-    # integers over the weights' one denominator.
-    _, W = system._cleared(stakes)
-    price = sum(map(mul, W, system.rhs))
-    if any(sum(map(mul, W, column)) <= price for column in zip(*system.matrix[:-1])):
-        raise AssertionError("certificate extraction produced a non-positive gain")
-    return SigmaFeasibility(certificate=stakes)
 
 
 def zero_upper(system: SigmaSystem, start: LPResult) -> tuple[tuple[int, ...], Solution]:
@@ -348,25 +293,46 @@ class CoherenceVerdict(Record):
         return self.trace[-1].indices
 
 
+def _stakes(system: SigmaSystem) -> tuple[Fraction, ...]:
+    """Stakes whose gain is positive on every constituent of a system whose
+    phase 1 is infeasible: the members' entries of its Farkas vector,
+    negated."""
+    stakes = tuple(-y for y in system.phase1.farkas[:-1])
+    # Each gain is positive exactly when the constituent's weighted payoff
+    # exceeds the weighted prices, with the weights stakes[j] / scales[j]
+    # as integers over their one denominator.
+    weights = [Fraction(s, scale) for s, scale in zip(stakes, system.scales)]
+    D = lcm(*(w.denominator for w in weights))
+    W = [w.numerator * (D // w.denominator) for w in weights]
+    price = sum(map(mul, W, system.rhs))
+    if any(sum(map(mul, W, column)) <= price for column in zip(*system.matrix[:-1])):
+        raise AssertionError("certificate extraction produced a non-positive gain")
+    return stakes
+
+
 def check_coherence(a: Assessment) -> CoherenceVerdict:
     """Decide coherence by descending through zero-probability layers.
 
-    Solve the constituent system; on failure the verdict carries the stake
-    certificate for the refuted sub-assessment.  On success, recurse on the
+    Each level is read off the phase 1 of its constituent system.  An
+    infeasible one ends the descent, and the verdict carries the stakes
+    that its Farkas vector gives for the refuted sub-assessment.  A feasible
+    one gives the level's witness, its solution in fractions; recurse on the
     subfamily whose conditioning events have zero upper probability over the
-    solution set; the assessment is coherent when that subfamily is empty.
+    solution set.  The assessment is coherent when that subfamily is empty.
     """
+    from .simplex import OPTIMAL
+
     trace: list[LevelRecord] = []
     indices = tuple(range(len(a.family)))
     while True:
-        current = a.restrict(indices)
-        system = build_sigma(current)
-        feasibility = sigma_feasible(system)
-        if feasibility.certificate is not None:
+        system = build_sigma(a.restrict(indices))
+        result = system.phase1
+        if result.status != OPTIMAL:
             trace.append(LevelRecord(indices, (), None))
-            return CoherenceVerdict(feasibility.certificate, tuple(trace))
-        i0 = tuple(indices[j] for j in zero_upper(system, system.phase1)[0])
-        trace.append(LevelRecord(indices, i0, feasibility.witness))
+            return CoherenceVerdict(_stakes(system), tuple(trace))
+        i0 = tuple(indices[j] for j in zero_upper(system, result)[0])
+        witness = tuple(Fraction(v, result.den) if v else ZERO for v in result.x)
+        trace.append(LevelRecord(indices, i0, witness))
         if not i0:
             return CoherenceVerdict(None, tuple(trace))
         if len(i0) >= len(indices):
@@ -395,9 +361,8 @@ class ProbabilityInterval(Record):
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
         set_field(self, "vacuous", vacuous)
-        for name, value in (("the lower endpoint", lo), ("the upper endpoint", hi)):
-            if isinstance(value, (float, str)):
-                raise type_refused(value, name)
+        exact(lo, "the lower endpoint")
+        exact(hi, "the upper endpoint")
         if not (0 <= lo <= hi <= 1):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
 

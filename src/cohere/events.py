@@ -453,13 +453,16 @@ def enumerate_worlds(atoms: Sequence[str], *, admissible: int) -> Iterator[str]:
     its literals, such as ``"~A B"``.
 
     Bit k stands for assignment k in lexicographic order over the atoms,
-    false before true, and the assignments come in that order.  This only
-    decodes; :attr:`Context.full_mask` holds the bits that constraints admit.
+    false before true, and the assignments come in that order, so for n
+    atoms ``admissible`` must lie in [0, 2**(2**n)).  This only decodes;
+    :attr:`Context.full_mask` holds the bits that constraints admit.
     """
     atom_tuple = tuple(atoms)
     if not atom_tuple:
         raise ValueError("enumerate_worlds requires at least one atom")
     _check_atom_count(len(atom_tuple))
+    if admissible < 0 or admissible.bit_length() > 1 << len(atom_tuple):
+        raise ValueError(f"admissible must lie in [0, 2**{1 << len(atom_tuple)})")
     # The last atom reads bit 0 of k, and each one before it the next bit up.
     literals = [(shift, f"~{a}", a) for shift, a in enumerate(reversed(atom_tuple))][::-1]
     bits = bin(admissible)[:1:-1]

@@ -186,21 +186,20 @@ def qc_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
 
 
 def qd_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
-    """Quasi disjunction: Hamacher (parameter 0) lower bound, Lukasiewicz
-    conorm upper bound."""
-    from .tnorms import LUKASIEWICZ, hamacher0_nary, tconorm
-
-    p = _units(probs)
-    return ProbabilityInterval(hamacher0_nary(p), tconorm(LUKASIEWICZ, p))
+    """Quasi disjunction, the dual of :func:`qc_bounds`: one minus its bounds
+    on the complemented premises, swapped, so the Hamacher (parameter 0)
+    t-norm below and the Lukasiewicz t-conorm above."""
+    qc = qc_bounds([1 - v for v in _units(probs)])
+    return ProbabilityInterval(1 - qc.hi, 1 - qc.lo)
 
 
 def or_rule_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:
-    """Same event under alternative conditioning events: Hamacher
-    (parameter 0) pair on both sides."""
-    from .tnorms import hamacher0_conary, hamacher0_nary
-
+    """Same event under alternative conditioning events, which is both the
+    premises' quasi conjunction and their quasi disjunction: the
+    intersection of both bounds, the Hamacher (parameter 0) pair."""
     p = _units(probs)
-    return ProbabilityInterval(hamacher0_nary(p), hamacher0_conary(p))
+    qc, qd = qc_bounds(p), qd_bounds(p)
+    return ProbabilityInterval(max(qc.lo, qd.lo), min(qc.hi, qd.hi))
 
 
 def gn_chain_bounds(probs: Sequence[Fraction]) -> ProbabilityInterval:

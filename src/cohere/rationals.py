@@ -8,10 +8,11 @@ refuses a numeral with more digits, and a decimal exponent beyond it, before
 ``Fraction`` is built, and rendering refuses a numerator or denominator with
 more digits.  The interpreter's own setting is never read or changed.
 
-A float is refused wherever a probability enters the engine: its binary
-expansion is not the decimal written, so ``0.1`` would become a rational
-with a 17-digit denominator.  The records take no string either, since
-only :func:`parse_rational` reads text within the digit limits.
+Every receiver of an exact rational takes an int or a ``Fraction`` through
+:func:`exact`, and no other type: a float's binary expansion is not the
+decimal written, so ``0.1`` would become a rational with a 17-digit
+denominator, and a ``Decimal``'s exponent escapes the digit limits.  Only
+:func:`parse_rational` reads text.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ _TOO_LONG = 10**MAX_DIGITS
 _QUOTED = 40
 
 
-def _quoted(text: str) -> str:
+def _quoted(text: str, show=repr) -> str:
     if len(text) <= _QUOTED:
-        return repr(text)
-    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTED])}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -60,20 +61,30 @@ def parse_rational(text: str) -> Fraction:
         raise CohereError(f"not a rational number: {_quoted(text)}") from exc
 
 
-def type_refused(value: float | str, name: str, accepted: str = "Fraction or int") -> TypeError:
-    """The error raised where ``value``, a float or a string, is given for
-    ``name`` to a receiver that takes the types ``accepted`` names."""
-    shown = f"string {_quoted(value)}" if isinstance(value, str) else f"float {value!r}"
+def type_refused(value: object, name: str, accepted: str) -> TypeError:
+    """The error raised where ``value`` is given for ``name`` to a receiver
+    that takes only the types ``accepted`` names; it names the value's type."""
+    if isinstance(value, str):
+        return TypeError(f"{name} is the string {_quoted(value)}; give an exact {accepted}")
+    shown = f"{type(value).__name__} {_quoted(str(value), str)}"
     return TypeError(f"{name} is the {shown}; give an exact {accepted}")
 
 
+def exact(value: Fraction | int | str, name: str, *, text: bool = False) -> Fraction | int:
+    """``value`` when it is an int or a Fraction, or, where ``text`` allows a
+    string, the rational :func:`parse_rational` reads from it; any other
+    type raises :func:`type_refused`'s ``TypeError``."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if text and isinstance(value, str):
+        return parse_rational(value)
+    raise type_refused(value, name, "Fraction, int or string" if text else "Fraction or int")
+
+
 def as_unit(value: Fraction | int | str, name: str = "value") -> Fraction:
-    """Coerce to an exact rational in [0, 1]; a string goes through
-    :func:`parse_rational` and its digit limits, and a float raises
-    ``TypeError``."""
-    if isinstance(value, float):
-        raise type_refused(value, name, "Fraction, int or string")
-    f = parse_rational(value) if isinstance(value, str) else Fraction(value)
+    """Coerce to an exact rational in [0, 1] through :func:`exact`, which
+    parses a string within the digit limits."""
+    f = Fraction(exact(value, name, text=True))
     if f < 0 or f > 1:
         raise ProbabilityRangeError(f"{name} must lie in [0, 1], got {fraction_str(f)}")
     return f

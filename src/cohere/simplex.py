@@ -141,11 +141,11 @@ def solve_eq_lp(
 ) -> LPResult:
     """Decide whether ``{x >= 0 : rows . x = rhs}`` is empty, by phase 1 only.
 
-    Entries are integers, row i scaled by ``scales[i] > 0``, or by 1 when
-    ``scales`` is None.  A feasible system comes back with some basic
-    feasible point ``x``, and every optimum over it comes from
-    :meth:`LPResult.optimize` on that result.  The ``barred`` columns
-    are fixed at zero: they never enter the basis, so every ``x`` is zero on
+    Entries are integers, row i scaled by ``scales[i]``, a positive integer,
+    or by 1 when ``scales`` is None.  A feasible system comes back with some
+    basic feasible point ``x``, and every optimum over it comes from
+    :meth:`LPResult.optimize` on that result.  The ``barred`` columns are
+    fixed at zero: they never enter the basis, so every ``x`` is zero on
     them.  Infeasible systems come back with an exact Farkas certificate for
     the original (unflipped, unscaled) rows, over the columns not barred.
     """
@@ -159,6 +159,8 @@ def solve_eq_lp(
         scales = [1] * m
     elif len(scales) != m:
         raise ValueError("one scale per row is required")
+    elif not all(isinstance(s, int) and s > 0 for s in scales):
+        raise ValueError("every scale must be a positive integer")
     if barred:
         barred = set(barred)
         columns = [j for j in range(n) if j not in barred]

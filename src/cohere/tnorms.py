@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ._record import Record, set_field
-from .rationals import as_unit, fraction_str, parse_rational, type_refused
+from .rationals import as_unit, exact, fraction_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,12 +74,8 @@ DRASTIC = OperatorFamily("drastic")
 
 
 def hamacher(parameter: HamacherParam | int | str) -> OperatorFamily:
-    if isinstance(parameter, float):
-        raise type_refused(parameter, "the hamacher parameter", "Fraction, int or string")
-    if isinstance(parameter, str):
-        parameter = parse_rational(parameter)
-    elif not isinstance(parameter, _Infinity):
-        parameter = Fraction(parameter)
+    if not isinstance(parameter, _Infinity):
+        parameter = Fraction(exact(parameter, "the hamacher parameter", text=True))
     return OperatorFamily("hamacher", parameter)
 
 

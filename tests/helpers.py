@@ -427,6 +427,26 @@ def reference_zero_upper(system, start: LPResult) -> tuple[int, ...]:
         solution = best.x
 
 
+def reference_gains(system, stakes: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Betting gain on each constituent of ``system`` for the given stake
+    vector: the weights ``stakes[j] / scales[j]``, as integers over one
+    denominator, times each member's payoff less its price."""
+    weights = [Fraction(s, scale) for s, scale in zip(stakes, system.scales)]
+    D = lcm(*(w.denominator for w in weights))
+    W = [w.numerator * (D // w.denominator) for w in weights]
+    return tuple(
+        Fraction(sum(w * (q - b) for w, q, b in zip(W, column, system.rhs)), D)
+        for column in zip(*system.matrix[:-1])
+    )
+
+
+def phase1_witness(system) -> tuple[Fraction, ...] | None:
+    """The solution that the system's phase 1 found, in fractions, or None
+    when the system has none."""
+    result = system.phase1
+    return solution(result) if result.status == OPTIMAL else None
+
+
 def sigma_points(system) -> list[tuple[Fraction, ...]]:
     """The paper's constituent points Q_h, read back from a system's integer
     rows: Q_h[j] = matrix[j][h] / scales[j] over the members."""

@@ -44,7 +44,6 @@ from cohere import (
     qd_bounds,
     quasi_conjunction,
     quasi_disjunction,
-    sigma_feasible,
     tconorm,
     tnorm,
     TruthValue3,
@@ -56,7 +55,14 @@ from cohere.oracle import extension_interval_bruteforce
 from cohere.tnorms import INF
 
 from helpers import (
-    evaluate, gn_chain_context, independent_pairs, reference_tconorm, truth_value, worlds_in
+    evaluate,
+    gn_chain_context,
+    independent_pairs,
+    phase1_witness,
+    reference_gains,
+    reference_tconorm,
+    truth_value,
+    worlds_in,
 )
 
 
@@ -169,7 +175,7 @@ def test_criterion_05_goodman_nguyen_chain():
         system = build_sigma(
             Assessment(family, (Fr(1), Fr(0))).restrict(verdict.deciding_indices)
         )
-        assert all(g > 0 for g in system.gains(verdict.certificate))
+        assert all(g > 0 for g in reference_gains(system, verdict.certificate))
 
     _run(5, "inclusion chain: (1/4,3/4) -> [1/4,3/4]; (1,0) refuted with positive gains", body)
 
@@ -380,10 +386,10 @@ def test_criterion_12_engine_soundness_on_random_assessments():
                 assert all(v >= 0 for v in verdict.witness)
             else:
                 incoherent += 1
-                gains = system.gains(verdict.certificate)
+                gains = reference_gains(system, verdict.certificate)
                 assert all(g > 0 for g in gains)
             top = build_sigma(a)
-            top_witness = sigma_feasible(top).witness
+            top_witness = phase1_witness(top)
             if top_witness is not None:
                 i0 = set(zero_upper(top, top.phase1)[0])
                 n = len(a.family)
@@ -391,7 +397,7 @@ def test_criterion_12_engine_soundness_on_random_assessments():
                     for subset in itertools.combinations(range(n), size):
                         if set(subset) - i0:
                             sub = build_sigma(a.restrict(subset))
-                            assert sigma_feasible(sub).witness is not None
+                            assert phase1_witness(sub) is not None
         assert coherent > 10 and incoherent > 10
 
     _run(12, "100 random assessments: witnesses/certificates verified; subsystems solvable", body)

@@ -224,6 +224,15 @@ class TestCompiledEnumeration:
         ]
         assert list(enumerate_worlds(ctx.atoms, admissible=top ^ (top >> 1))) == worlds[-1:]
 
+    def test_a_mask_beyond_the_assignments_raises(self):
+        # Bits past the 2**n assignments, or a negative mask, once decoded
+        # to repeated or missing worlds: 0b1111 over one atom gave
+        # ['~A', 'A', '~A', 'A'], and -1 gave ['~A'].
+        for admissible in (0b100, 0b1111, -1):
+            with pytest.raises(ValueError, match=r"admissible must lie in \[0, 2\*\*2\)"):
+                list(enumerate_worlds(("A",), admissible=admissible))
+        assert list(enumerate_worlds(("A",), admissible=0b11)) == ["~A", "A"]
+
     def test_undeclared_constraint_atom_raises(self):
         with pytest.raises(UnknownAtomError, match=r"constraint C uses undeclared atoms \['C'\]"):
             Context(("A", "B"), (Atom("C"),))

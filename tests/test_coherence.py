@@ -22,7 +22,6 @@ from cohere import (
     extension_interval,
     parse_event,
     quasi_conjunction,
-    sigma_feasible,
     zero_upper,
 )
 from cohere.coherence import (
@@ -50,10 +49,12 @@ from helpers import (
     independent_pairs,
     integer_rows,
     optimize_rational,
+    phase1_witness,
     random_assessment,
     random_conditional,
     random_event,
     random_unit,
+    reference_gains,
     reference_sigma,
     reference_worlds,
     reference_zero_upper,
@@ -166,8 +167,7 @@ class TestSigmaFeasible:
     def test_independent_pair_feasible(self):
         ctx, family = independent_pairs(2)
         a = Assessment(family, (Fr(1, 2), Fr(1, 2)))
-        result = sigma_feasible(build_sigma(a))
-        assert result.witness is not None and result.certificate is None
+        assert phase1_witness(build_sigma(a)) is not None
 
     def test_probability_out_of_range_rejected_at_assessment(self):
         ctx = Context(("A",))
@@ -188,9 +188,9 @@ class TestSigmaFeasible:
     def test_included_pair_with_reversed_probabilities_certified(self):
         ctx, family = gn_chain_context(2)
         a = Assessment(family, (Fr(1), Fr(0)))
-        result = sigma_feasible(build_sigma(a))
-        assert result.certificate is not None
-        gains = build_sigma(a).gains(result.certificate)
+        system = build_sigma(a)
+        assert phase1_witness(system) is None
+        gains = reference_gains(system, cohere.coherence._stakes(system))
         assert all(g > 0 for g in gains)
 
 
@@ -243,7 +243,7 @@ class TestRandomizedSoundness:
                 assert all(v >= 0 for v in verdict.witness)
             else:
                 incoherent_count += 1
-                assert all(g > 0 for g in system.gains(verdict.certificate))
+                assert all(g > 0 for g in reference_gains(system, verdict.certificate))
         assert coherent_count and incoherent_count
 
     def test_level_zero_witness_balances_random_stakes(self):
@@ -256,7 +256,7 @@ class TestRandomizedSoundness:
             witness = verdict.trace[0].witness
             system = build_sigma(a)
             stakes = [Fr(rng.randint(-4, 4), rng.randint(1, 3)) for _ in a.family]
-            gains = system.gains(stakes)
+            gains = reference_gains(system, stakes)
             weighted = sum(l * g for l, g in zip(witness, gains))
             assert weighted == 0
             assert min(gains) <= 0 <= max(gains)
@@ -267,7 +267,7 @@ class TestRandomizedSoundness:
         for _ in range(40):
             a = random_assessment(rng, max_size=3)
             system = build_sigma(a)
-            witness = sigma_feasible(system).witness
+            witness = phase1_witness(system)
             if witness is None:
                 continue
             i0 = set(zero_upper(system, system.phase1)[0])
@@ -277,7 +277,7 @@ class TestRandomizedSoundness:
                     if not set(subset) - i0:
                         continue
                     sub = build_sigma(a.restrict(subset))
-                    assert sigma_feasible(sub).witness is not None
+                    assert phase1_witness(sub) is not None
                     checked += 1
         assert checked > 20
 
@@ -286,7 +286,7 @@ class TestRandomizedSoundness:
         for _ in range(30):
             a = random_assessment(rng)
             system = build_sigma(a)
-            witness = sigma_feasible(system).witness
+            witness = phase1_witness(system)
             if witness is None:
                 continue
             assert set(zero_upper(system, system.phase1)[0]) < set(range(len(a.family)))

@@ -15,6 +15,7 @@ from cohere import (
     Context,
     ConditionalEvent,
     KnowledgeBase,
+    LUKASIEWICZ,
     NotPConsistentError,
     biconditional_value,
     build_sigma,
@@ -23,6 +24,8 @@ from cohere import (
     dual_compound_value,
     extension_interval,
     gn_chain_bounds,
+    hamacher0_conary,
+    hamacher0_nary,
     implies,
     in_l_gamma_qc,
     in_l_gamma_qd,
@@ -42,6 +45,7 @@ from cohere import (
     qd_bounds,
     quasi_conjunction,
     quasi_disjunction,
+    tconorm,
 )
 from cohere import cli, coherence, simplex
 from cohere.inference import _untolerated, deranged_family, derangements
@@ -55,6 +59,7 @@ from helpers import (
     random_context,
     random_unit,
     reference_in_u_gamma_qc,
+    reference_gains,
     reference_p_entails_qc,
     reference_worlds,
 )
@@ -297,6 +302,17 @@ class TestClosedFormBounds:
         qc = qc_bounds([1 - p for p in probs])
         assert qd.lo == 1 - qc.hi
         assert qd.hi == 1 - qc.lo
+
+    def test_dual_bounds_equal_their_closed_forms(self):
+        # qd_bounds and or_rule_bounds are read off qc_bounds by duality, so
+        # neither evaluates these forms itself.
+        rng = random.Random(35)
+        pool = [Fr(k, 12) for k in range(13)] + [Fr(1, 3), Fr(2, 7)]
+        for _ in range(2000):
+            p = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            qd, both = qd_bounds(p), or_rule_bounds(p)
+            assert (qd.lo, qd.hi) == (hamacher0_nary(p), tconorm(LUKASIEWICZ, p)), p
+            assert (both.lo, both.hi) == (hamacher0_nary(p), hamacher0_conary(p)), p
 
     @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6),
                     min_size=1, max_size=4))
@@ -664,7 +680,7 @@ class TestToleranceRoute:
                 continue
             untolerated = _untolerated(kb.conditionals)
             system = build_sigma(Assessment(untolerated, (Fr(1),) * len(untolerated)))
-            gains = system.gains((Fr(-1),) * len(untolerated))
+            gains = reference_gains(system, (Fr(-1),) * len(untolerated))
             assert gains and all(g > 0 for g in gains), [str(c) for c in untolerated]
             certified += 1
         assert certified > 0

@@ -18,7 +18,6 @@ from cohere import (
     parse_event,
     quasi_conjunction,
     quasi_disjunction,
-    sigma_feasible,
     zero_upper,
 )
 from cohere.coherence import _fractional_bounds, _indicator
@@ -30,7 +29,14 @@ from cohere.oracle import (
 )
 from cohere.simplex import OPTIMAL, solve_eq_lp
 
-from helpers import all_ones, independent_pairs, random_assessment, random_conditional, random_unit
+from helpers import (
+    all_ones,
+    independent_pairs,
+    phase1_witness,
+    random_assessment,
+    random_conditional,
+    random_unit,
+)
 
 KB_DIR = Path(__file__).resolve().parent.parent / "kb"
 
@@ -170,7 +176,7 @@ class TestZeroUpperAgreement:
         for _ in range(100):
             a = random_assessment(rng, max_size=4)
             system = build_sigma(a)
-            witness = sigma_feasible(system).witness
+            witness = phase1_witness(system)
             if witness is None or len(system.matrix[0]) > VERTEX_ENUMERATION_LIMIT:
                 continue
             expected = _zero_on_every_vertex(system, system.matrix, system.rhs)

@@ -235,6 +235,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_eq_lp([[1, 1]], [1, 2])
 
+    def test_scales_must_be_positive_integers(self):
+        # A zero scale once divided by zero, and negative scales gave
+        # answers that failed the engine's own solution check.
+        for scales in ([0], [-1], [-2], [F(1, 2)], [True, 0]):
+            with pytest.raises(ValueError, match="every scale must be a positive integer"):
+                solve_eq_lp([[1, 1]] * len(scales), [1] * len(scales), scales=scales)
+        assert solve_eq_lp([[2, 1]], [1], scales=[2]).status == OPTIMAL
+
     def test_objective_length(self):
         with pytest.raises(ValueError):
             solve_rational([F(1, 1)], F(1), F(1))

@@ -99,7 +99,7 @@ EXACT_CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction as Fr
 from cohere import Assessment, ConditionalEvent, Context, build_sigma, parse_event
-from cohere.coherence import sigma_feasible
+from cohere.coherence import _stakes
 from cohere.simplex import INFEASIBLE, LPResult, _check_farkas, check_solution
 
 def raises(check):
@@ -114,7 +114,7 @@ a = parse_event("A", ctx.atoms)
 ce = ConditionalEvent(a, parse_event("T", ctx.atoms), ctx)
 # The same event assessed at 1/4 and 3/4: refuted, with positive gains.
 system = build_sigma(Assessment((ce, ce), (Fr(1, 4), Fr(3, 4))))
-sound = sigma_feasible(system).certificate is not None
+sound = system.phase1.status == INFEASIBLE and len(_stakes(system)) == 2
 farkas = system.phase1.farkas
 system.__dict__["phase1"] = LPResult(status=INFEASIBLE, farkas=tuple(-y for y in farkas))
 print(sys.flags.optimize, sound, [
@@ -125,7 +125,7 @@ print(sys.flags.optimize, sound, [
     # y = (1, 1) on x1 + x2 = 1, x1 + x2 = 2 gives y.A > 0
     raises(lambda: _check_farkas([[1, 1], [1, 1]], [1, 2], [1, 1], [1, 1], range(2))),
     # negated stakes lose on every constituent
-    raises(lambda: sigma_feasible(system)),
+    raises(lambda: _stakes(system)),
 ])
 """
 
@@ -329,18 +329,24 @@ def _reads(node):
             yield sub.value
 
 
+def _package_and_reads():
+    """Each package module's path and tree, and how often the package and
+    the benchmark read each name."""
+    def parse(paths):
+        return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in paths]
+
+    package = parse(sorted(PACKAGE.glob("*.py")))
+    bench = parse(sorted((ROOT / "bench").rglob("*.py")))
+    return package, Counter(name for _, tree in package + bench for name in _reads(tree))
+
+
 def test_every_top_level_definition_is_used_outside_the_tests():
     # Code that only the tests reach belongs in the tests: every top-level
     # function and class of the package is read in the package or the
     # benchmark, outside its own definition, unless it is public API.
     import cohere
 
-    def parse(paths):
-        return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in paths]
-
-    package = parse(sorted(PACKAGE.glob("*.py")))
-    bench = parse(sorted((ROOT / "bench").rglob("*.py")))
-    total = Counter(name for _, tree in package + bench for name in _reads(tree))
+    package, total = _package_and_reads()
     found = [
         f"{path.name}:{node.lineno} {node.name}"
         for path, tree in package
@@ -348,6 +354,23 @@ def test_every_top_level_definition_is_used_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in cohere.__all__
+        and total[node.name] == sum(name == node.name for name in _reads(node))
+    ]
+    assert not found, found
+
+
+def test_every_method_is_used_outside_the_tests():
+    # The same rule for the methods of the package's classes, public or
+    # not: each is read in the package or the benchmark outside its own body.
+    package, total = _package_and_reads()
+    found = [
+        f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+        for path, tree in package
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and total[node.name] == sum(name == node.name for name in _reads(node))
     ]
     assert not found, found
